@@ -36,7 +36,7 @@ from .data import (
     write_csv,
 )
 from .interpret import risk_grid
-from .metrics import antolini_cindex, evaluate
+from .metrics import concordance, evaluate
 from .modelio import read_json, write_json_atomic
 from .network import LayerSpec, NetworkSpec
 from .simulate import SimConfig, empirical_survival, simulate_fpt, write_samples_csv
@@ -118,10 +118,6 @@ def _load_any_model(path):
     return FittedModel.from_dict(obj)
 
 
-def _surv_fn(model):
-    return lambda x, times: model.survival_matrix(x, times)
-
-
 # ----------------------------------------------------------------------
 # commands (each returns the list of output paths it wrote)
 
@@ -151,7 +147,7 @@ def cmd_eval(args):
     if model.recipe is None:
         raise ValueError("model file carries no preprocessing recipe")
     data = apply_preprocess(model.recipe, raw)
-    report = evaluate(_surv_fn(model), data, n_resamples=args.bootstrap, seed=args.seed)
+    report = evaluate(model.survival_matrix, data, n_resamples=args.bootstrap, seed=args.seed)
     write_json_atomic(args.out, report.to_dict())
     return [args.out]
 
@@ -163,7 +159,9 @@ def _cv_scores(data, spec, tcfg, folds, seed):
         mask = np.ones(len(data), dtype=bool)
         mask[val_idx] = False
         model = fit(data[np.flatnonzero(mask)], spec.kind, spec, tcfg)
-        scores.append(antolini_cindex(_surv_fn(model), data[val_idx]))
+        val = data[val_idx]
+        times = np.unique(val.time[val.delta == 1])
+        scores.append(concordance(model.survival_matrix(val.x, times), times, val)[0])
     return scores
 
 
@@ -190,14 +188,14 @@ def cmd_compare(args):
         spec = _net_spec(cfg, train.x.shape[1])
         tcfg = _train_config(cfg, kind_seed)
         model = fit(train, spec.kind, spec, tcfg, recipe=recipe)
-        rep = evaluate(_surv_fn(model), test, n_resamples=args.bootstrap, seed=boot_seed)
+        rep = evaluate(model.survival_matrix, test, n_resamples=args.bootstrap, seed=boot_seed)
         entry = rep.to_dict()
         if args.folds:
             entry["cv_c_index"] = _cv_scores(train, spec, tcfg, args.folds, kind_seed)
         report["models"][kind_name] = entry
 
     cox = fit_cox(train, tol=1e-6)
-    rep = evaluate(_surv_fn(cox), test, n_resamples=args.bootstrap, seed=boot_seed)
+    rep = evaluate(cox.survival_matrix, test, n_resamples=args.bootstrap, seed=boot_seed)
     report["models"]["cox"] = rep.to_dict()
     write_json_atomic(args.out, report)
     return [args.out]

@@ -132,11 +132,6 @@ def _partial_lik_parts(xs, ds, start, d_count, eta, want_hessian):
     return loglik, grad, info
 
 
-def cox_survival(model: CoxModel, x, t):
-    """Per-subject survival S(t|x) = exp(-H0(t) exp(beta.x))."""
-    return model.predict_survival(x, t)
-
-
 def fit_cox(data, ridge_eps=1e-9, max_iter=100, tol=1e-8) -> CoxModel:
     """Newton-Raphson partial-likelihood fit with Breslow ties."""
     time_obs = np.asarray(data.time, dtype=np.float64)

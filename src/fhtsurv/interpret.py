@@ -80,6 +80,12 @@ class AxisSpec:
         return np.linspace(self.lo, self.hi, self.resolution)
 
 
+def _num(v) -> str:
+    """Shortest text that round-trips a float, also for numpy scalars
+    (whose own repr is ``np.float64(...)`` under numpy 2)."""
+    return repr(float(v))
+
+
 @dataclass
 class RiskMap:
     """Interpolated event-time grid plus the subject overlay used to build it."""
@@ -98,20 +104,20 @@ class RiskMap:
             for ax, nm in ((self.x_axis, "x_axis"), (self.y_axis, "y_axis")):
                 fh.write(
                     f"# {nm}: name={ax.name} scale={ax.scale} "
-                    f"min={ax.lo!r} max={ax.hi!r} resolution={ax.resolution}\n"
+                    f"min={_num(ax.lo)} max={_num(ax.hi)} resolution={ax.resolution}\n"
                 )
             fh.write(f"# n_sources: {self.n_sources}\n")
             fh.write(f"{self.x_axis.name},{self.y_axis.name},time\n")
             for iy, yv in enumerate(yg):
                 for ix, xv in enumerate(xg):
-                    fh.write(f"{xv!r},{yv!r},{self.grid[iy, ix]!r}\n")
+                    fh.write(f"{_num(xv)},{_num(yv)},{_num(self.grid[iy, ix])}\n")
         if overlay_path is not None:
             with open(overlay_path, "w", encoding="utf-8") as fh:
                 fh.write(f"{self.x_axis.name},{self.y_axis.name},time,event\n")
                 for (px, py), t, d in zip(
                     self.overlay_params, self.overlay_times, self.overlay_delta
                 ):
-                    fh.write(f"{px!r},{py!r},{t!r},{int(d)}\n")
+                    fh.write(f"{_num(px)},{_num(py)},{_num(t)},{int(d)}\n")
 
 
 _AXIS_NAMES = {

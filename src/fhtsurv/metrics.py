@@ -1,10 +1,14 @@
 """Censoring-aware evaluation: Kaplan-Meier, time-dependent concordance,
 Brier curves, integrated Brier score, and stratified bootstrap summaries.
 
-Survival predictions enter every estimator through a single callable
-convention: ``surv_fn(X, times) -> matrix (n_subjects, n_times)`` giving
-each subject's predicted survival at each time.  Both the network models
-and the Cox baseline expose ``survival_matrix`` with this signature.
+Every estimator reads predictions from one precomputed survival matrix:
+``surv[i, k]`` is subject i's predicted survival at ``times[k]``, where
+``times`` is sorted.  ``evaluate`` builds that matrix by calling the model
+once, as ``surv_fn(data.x, U)`` with ``U`` the sorted unique event times of
+``data`` (both the network models and the Cox baseline expose
+``survival_matrix`` with this signature); every bootstrap resample's rows
+and event times are a subset of the full data's, so the resamples index
+into the same matrix instead of calling the model again.
 
 IPCW conventions (the weighting itself is standard, the exponents are a
 documented choice): concordance pairs anchored at event time ``T_i`` carry
@@ -84,30 +88,36 @@ def km_censoring(data) -> KmCurve:
     return kaplan_meier(data.time, 1 - data.delta)
 
 
-def km_event(data) -> KmCurve:
-    return kaplan_meier(data.time, data.delta)
+def _columns(times, wanted) -> np.ndarray:
+    """Column of each ``wanted`` time in the sorted ``times`` of a survival
+    matrix; a wanted time with no column is an error naming that time."""
+    times = np.asarray(times, dtype=np.float64)
+    wanted = np.asarray(wanted, dtype=np.float64)
+    cols = np.searchsorted(times, wanted)
+    found = cols < times.size
+    found[found] = times[cols[found]] == wanted[found]
+    if not found.all():
+        missing = float(wanted[~found][0])
+        raise ValueError(f"survival matrix has no column for event time {missing!r}")
+    return cols
 
 
-def antolini_cindex(surv_fn, data, weighted=True) -> float:
-    value, *_ = cindex_details(surv_fn, data, weighted=weighted)
-    return value
-
-
-def cindex_details(surv_fn, data, weighted=True):
+def concordance(surv, times, data, weighted=True):
     """Time-dependent concordance with tie and exclusion accounting.
 
     Returns ``(value, n_comparable, n_excluded_pairs)``.  A pair (i, j) is
     comparable when ``T_i < T_j`` and subject i had the event; it is
     concordant when i's predicted survival at ``T_i`` is below j's.  Tied
     predictions count one half.  Pairs whose anchor time has no censoring
-    mass left (``G(T_i-) = 0``) are excluded from both sums.
+    mass left (``G(T_i-) = 0``) are excluded from both sums.  ``times``
+    must hold every event time of ``data``.
     """
     time_obs, delta = data.time, data.delta
     ev = np.flatnonzero(delta == 1)
     if ev.size == 0:
         raise MetricUndefinedError("no events, concordance undefined")
     t_ev = time_obs[ev]
-    surv = np.asarray(surv_fn(data.x, t_ev), dtype=np.float64)
+    surv = np.take(np.asarray(surv, dtype=np.float64), _columns(times, t_ev), axis=1)
     s_own = surv[ev, np.arange(ev.size)]
     comparable = time_obs[:, None] > t_ev[None, :]
     n_comp = comparable.sum(axis=0)
@@ -136,16 +146,16 @@ class BrierCurve:
     n_excluded: int = 0
 
 
-def brier_curve(surv_fn, data, t_grid, weighted=True) -> BrierCurve:
-    """IPCW-weighted time-dependent Brier score on a time grid.
+def brier_curve(surv, times, data, weighted=True) -> BrierCurve:
+    """IPCW-weighted time-dependent Brier score at each of ``times``.
 
     B(t) = mean_i [ 1(T_i <= t, event) S(t|x_i)^2 / G(T_i-)
                     + 1(T_i > t) (1 - S(t|x_i))^2 / G(t) ].
     """
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
+    t_grid = np.atleast_1d(np.asarray(times, dtype=np.float64))
     time_obs, delta = data.time, data.delta
     n = len(data)
-    surv = np.asarray(surv_fn(data.x, t_grid), dtype=np.float64)
+    surv = np.asarray(surv, dtype=np.float64)
     past_event = (time_obs[:, None] <= t_grid[None, :]) & (delta[:, None] == 1)
     at_risk = time_obs[:, None] > t_grid[None, :]
     if weighted:
@@ -191,7 +201,8 @@ def bootstrap(metric_fn, data, n_resamples=100, seed=0) -> BootstrapResult:
 
     Each resample draws, with replacement, exactly the original number of
     censored and of uncensored records, so the censoring ratio is preserved
-    by construction.  ``std`` is the sample standard deviation.
+    by construction.  ``metric_fn`` receives each resample's row indices
+    into ``data``.  ``std`` is the sample standard deviation.
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be >= 2")
@@ -206,7 +217,7 @@ def bootstrap(metric_fn, data, n_resamples=100, seed=0) -> BootstrapResult:
         if idx_ev.size:
             parts.append(rng.choice(idx_ev, size=idx_ev.size, replace=True))
         sel = np.concatenate(parts)
-        values[b] = metric_fn(data[sel])
+        values[b] = metric_fn(sel)
     return BootstrapResult(mean=float(values.mean()), std=float(values.std(ddof=1)))
 
 
@@ -243,18 +254,25 @@ class EvalReport:
 def evaluate(surv_fn, data, n_resamples=100, seed=0, weighted=True) -> EvalReport:
     """Standard evaluation: concordance, Brier curve on the event-time grid,
     integrated Brier score over [0, last event time], and bootstrap spread
-    for both headline metrics."""
-    c_val, n_comp, n_excl = cindex_details(surv_fn, data, weighted=weighted)
-    grid = np.unique(data.time[data.delta == 1])
-    curve = brier_curve(surv_fn, data, grid, weighted=weighted)
-    ibs_val = ibs(curve, t0=0.0, tmax=float(grid[-1]))
+    for both headline metrics.
 
-    def c_metric(d):
-        return antolini_cindex(surv_fn, d, weighted=weighted)
+    The model runs once, as ``surv_fn(data.x, U)`` with ``U`` the sorted
+    unique event times; every estimate below reads from that matrix.
+    """
+    times = np.unique(data.time[data.delta == 1])
+    surv = np.asarray(surv_fn(data.x, times), dtype=np.float64)
+    c_val, n_comp, n_excl = concordance(surv, times, data, weighted=weighted)
+    curve = brier_curve(surv, times, data, weighted=weighted)
+    ibs_val = ibs(curve, t0=0.0, tmax=float(times[-1]))
 
-    def ibs_metric(d):
+    def c_metric(sel):
+        return concordance(surv[sel], times, data[sel], weighted=weighted)[0]
+
+    def ibs_metric(sel):
+        d = data[sel]
         g = np.unique(d.time[d.delta == 1])
-        return ibs(brier_curve(surv_fn, d, g, weighted=weighted), t0=0.0, tmax=float(g[-1]))
+        s = np.take(surv[sel], _columns(times, g), axis=1)
+        return ibs(brier_curve(s, g, d, weighted=weighted), t0=0.0, tmax=float(g[-1]))
 
     seq = np.random.SeedSequence(seed).spawn(2)
     c_boot = bootstrap(c_metric, data, n_resamples=n_resamples, seed=seq[0])

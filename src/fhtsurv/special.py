@@ -5,9 +5,14 @@ functions needed by the hitting-time formulas live here:
 
 * ``erf`` uses the Maclaurin series ``erf(x) = 2/sqrt(pi) * sum_n (-1)^n
   x^(2n+1) / (n! (2n+1))`` for ``|x| <= 3`` and the Laplace continued
-  fraction of the scaled complementary error function beyond.  Both branches
-  are accurate to a few ulp in double precision, far below the 1.5e-7 floor
-  of the classic rational fits.
+  fraction of the scaled complementary error function beyond.  Measured
+  against libm on a 1e-4-step grid, erf is off by up to 9.6e-14 absolute on
+  [-6, 6], worst at |x| = 2.9936 just below the branch switch: far below
+  the 1.5e-7 floor of the classic rational fits, but not a few ulp.
+* ``erfc`` is ``1 - erf`` below x = 3 and so turns that absolute error
+  into up to 4.2e-9 relative near x = 2.99 (same grid over [-6, 26]); the
+  continued fraction keeps it accurate in the tail.  Finer grids find
+  slightly larger errors (9.8e-14 and 4.5e-9).
 * ``erfcx(x) = exp(x^2) erfc(x)`` is evaluated directly from the continued
   fraction for ``x >= 3``, which is what makes the log-space normal CDF
   possible without overflow.

@@ -86,22 +86,6 @@ def brier_terms(surv, times, time_obs, delta, normalize=True):
     return loss, d_surv
 
 
-def brier_loss(surv_fn, data, times=None, normalize=True):
-    """Evaluate the loss through a survival callable ``surv_fn(X, times)``.
-
-    ``times`` defaults to the unique event times of ``data``.
-    Returns ``(loss, d_loss/d_surv)`` with the gradient matrix aligned to
-    (subject, time).
-    """
-    if times is None:
-        times = unique_event_times(data.time, data.delta)
-    times = np.asarray(times, dtype=np.float64)
-    if times.size == 0:
-        raise ValueError("the event-time set is empty")
-    surv = surv_fn(data.x, times)
-    return brier_terms(surv, times, data.time, data.delta, normalize=normalize)
-
-
 class _Adam:
     def __init__(self, arrays, lr, b1, b2, eps):
         self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
@@ -165,8 +149,8 @@ class FittedModel:
     def survival_matrix(self, x: np.ndarray, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=np.float64))
         cols = self.params_for(x)
-        surv, _, _ = survival_and_grads(self.kind, cols, times)
-        return surv
+        p = fht.make_params(self.kind, cols[:, 0:1], cols[:, 1:2])
+        return fht.survival(self.kind, p, times[None, :])
 
     def predict_survival(self, x: np.ndarray, t):
         """Survival of a single (preprocessed) covariate vector at time(s) t."""

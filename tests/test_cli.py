@@ -5,9 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from fhtsurv.cli import main
-from fhtsurv.data import NonPhConfig, generate_nonph, write_csv
+from fhtsurv.cli import _model_config, main
+from fhtsurv.data import NonPhConfig, apply_preprocess, generate_nonph, load_csv, write_csv
+from fhtsurv.interpret import risk_grid
 from fhtsurv.modelio import read_json
+from fhtsurv.training import FittedModel
 
 
 def sha(path):
@@ -140,6 +142,15 @@ class TestCompare:
         rep = read_json(str(out))
         assert len(rep["models"]["levy"]["cv_c_index"]) == 3
 
+    def test_study_config_is_a_valid_compare_config(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "scripts", "nonph_compare.json")
+        sections = read_json(path)
+        assert set(sections) <= {"levy", "invgauss"}
+        resolved = {k: _model_config(None, v) for k, v in sections.items()}
+        assert resolved["invgauss"]["epochs"] == 200
+        assert resolved["invgauss"]["batch_size"] == 64
+        assert resolved["invgauss"]["learning_rate"] == 0.0028
+
 
 class TestRiskmap:
     def test_grid_and_overlay_written(self, trained_model, small_csv, tmp_path):
@@ -152,7 +163,17 @@ class TestRiskmap:
         assert len(lines) == 4 + 12 * 12
         overlay = tmp_path / "grid.overlay.csv"
         assert overlay.exists()
-        assert len(overlay.read_text().splitlines()) == 1 + 240
+        overlay_lines = overlay.read_text().splitlines()
+        assert len(overlay_lines) == 1 + 240
+
+        # every cell is a plain float literal, and the grid round-trips exactly
+        cells = np.array([[float(v) for v in line.split(",")] for line in lines[4:]])
+        overlay_cells = np.array([[float(v) for v in line.split(",")] for line in overlay_lines[1:]])
+        assert overlay_cells.shape == (240, 4)
+        model = FittedModel.load(trained_model)
+        data = apply_preprocess(model.recipe, load_csv(small_csv))
+        rmap = risk_grid(model, data, resolution=12)
+        assert np.array_equal(cells[:, 2], rmap.grid.ravel())
 
 
 class TestSimulate:

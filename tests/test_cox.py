@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from fhtsurv.cox import CoxConvergenceError, CoxModel, cox_survival, fit_cox
+from fhtsurv.cox import CoxConvergenceError, CoxModel, fit_cox
 from fhtsurv.data import SurvivalData
-from fhtsurv.metrics import antolini_cindex
 
 
 def make_data(x, times, deltas):
@@ -125,10 +124,6 @@ class TestSurvival:
         model, _ = self.fitted()
         t0 = model.baseline_times[0] * 0.5
         assert model.baseline_survival(np.array([t0]))[0] == 1.0
-
-    def test_functional_alias(self):
-        model, d = self.fitted()
-        assert cox_survival(model, d.x[0], 1.0) == model.predict_survival(d.x[0], 1.0)
 
 
 class TestSerialization:

@@ -7,15 +7,13 @@ from fhtsurv.data import SurvivalData
 from fhtsurv.metrics import (
     BrierCurve,
     MetricUndefinedError,
-    antolini_cindex,
     bootstrap,
     brier_curve,
-    cindex_details,
+    concordance,
     evaluate,
     ibs,
     kaplan_meier,
     km_censoring,
-    km_event,
 )
 from fhtsurv.training import brier_terms, unique_event_times
 
@@ -34,6 +32,13 @@ def surv_from_values(values):
         return np.tile(values[: x.shape[0], None], (1, np.atleast_1d(ts).size))
 
     return fn
+
+
+def cindex(values, d, weighted=True):
+    """Concordance of time-constant predictions on the event-time matrix of ``d``."""
+    times = unique_event_times(d.time, d.delta)
+    surv = np.tile(np.asarray(values, dtype=float)[:, None], (1, times.size))
+    return concordance(surv, times, d, weighted=weighted)[0]
 
 
 class TestKaplanMeier:
@@ -58,13 +63,13 @@ class TestKaplanMeier:
     def test_event_curve_monotone_right_continuous(self):
         rng = np.random.default_rng(0)
         d = make_data(rng.uniform(0.1, 5, 50), rng.integers(0, 2, 50))
-        k = km_event(d)
+        k = kaplan_meier(d.time, d.delta)
         assert np.all(np.diff(k.survival) <= 0)
         assert k.survival[0] <= 1.0
 
     def test_ties_grouped(self):
         d = make_data([1, 1, 1, 2], [1, 1, 0, 1])
-        k = km_event(d)
+        k = kaplan_meier(d.time, d.delta)
         # at t=1: 2 events of 4 at risk -> 0.5; at t=2: 1 of 1 -> 0
         assert np.allclose(k.survival, [0.5, 0.0])
 
@@ -72,22 +77,22 @@ class TestKaplanMeier:
 class TestCindex:
     def test_perfectly_ordered(self):
         d = make_data([1, 2, 3], [1, 1, 1])
-        assert antolini_cindex(surv_from_values([0.1, 0.5, 0.9]), d) == 1.0
-        assert antolini_cindex(surv_from_values([0.9, 0.5, 0.1]), d) == 0.0
+        assert cindex([0.1, 0.5, 0.9], d) == 1.0
+        assert cindex([0.9, 0.5, 0.1], d) == 0.0
 
     def test_ties_count_half(self):
         d = make_data([1, 2], [1, 1])
-        assert antolini_cindex(surv_from_values([0.5, 0.5]), d) == 0.5
+        assert cindex([0.5, 0.5], d) == 0.5
 
     def test_tied_times_not_comparable(self):
         d = make_data([1, 1], [1, 1])
         with pytest.raises(MetricUndefinedError):
-            antolini_cindex(surv_from_values([0.2, 0.8]), d)
+            cindex([0.2, 0.8], d)
 
     def test_no_events_undefined(self):
         d = make_data([1, 2], [0, 0])
         with pytest.raises(MetricUndefinedError):
-            antolini_cindex(surv_from_values([0.2, 0.8]), d)
+            cindex([0.2, 0.8], d)
 
     def test_matches_bruteforce_small_batches(self):
         rng = np.random.default_rng(123)
@@ -104,9 +109,9 @@ class TestCindex:
             )
             if ref is None:
                 with pytest.raises(MetricUndefinedError):
-                    antolini_cindex(surv_from_values(values), d)
+                    cindex(values, d)
                 continue
-            ours = antolini_cindex(surv_from_values(values), d)
+            ours = cindex(values, d)
             assert abs(ours - ref) < 1e-12
 
     def test_time_dependent_predictions_against_bruteforce(self):
@@ -121,19 +126,17 @@ class TestCindex:
         def s_of(j, t):
             return float(np.exp(-slopes[j] * t**scales[j]))
 
-        def fn(x, ts):
-            ts = np.atleast_1d(ts)
-            return np.exp(-slopes[: x.shape[0], None] * ts[None, :] ** scales[: x.shape[0], None])
-
         d = make_data(times, deltas)
+        grid = unique_event_times(times, deltas)
+        surv = np.exp(-slopes[:, None] * grid[None, :] ** scales[:, None])
         ref = oracles.cindex_bruteforce(s_of, list(times), list(deltas))
-        assert abs(antolini_cindex(fn, d) - ref) < 1e-12
+        assert abs(concordance(surv, grid, d)[0] - ref) < 1e-12
 
     def test_random_predictor_near_half(self):
         rng = np.random.default_rng(5)
         n = 1000
         d = make_data(rng.exponential(1, n) + 0.01, np.ones(n, dtype=int))
-        c = antolini_cindex(surv_from_values(rng.random(n)), d)
+        c = cindex(rng.random(n), d)
         assert abs(c - 0.5) < 0.03
 
     def test_invariant_under_monotone_transform(self):
@@ -143,14 +146,22 @@ class TestCindex:
         if not (d.delta == 1).any():
             d.delta[0] = 1
         vals = rng.random(n)
-        c1 = antolini_cindex(surv_from_values(vals), d)
-        c2 = antolini_cindex(surv_from_values(np.tanh(3.0 * vals)), d)  # strictly monotone
+        c1 = cindex(vals, d)
+        c2 = cindex(np.tanh(3.0 * vals), d)  # strictly monotone
         assert c1 == pytest.approx(c2, abs=1e-12)
+
+    def test_missing_event_time_column_named(self):
+        d = make_data([1.0, 2.0, 3.0], [1, 1, 0])
+        surv = np.full((3, 2), 0.5)
+        with pytest.raises(ValueError, match=r"event time 2\.0"):
+            concordance(surv, np.array([1.0, 2.5]), d)
 
     def test_exclusion_counting(self):
         # last subject censored last: G hits zero before the final event anchor
         d = make_data([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0])
-        _, n_comp, n_excl = cindex_details(surv_from_values([0.9, 0.7, 0.5, 0.3]), d)
+        grid = np.array([1.0, 3.0])
+        surv = np.tile(np.array([[0.9], [0.7], [0.5], [0.3]]), (1, 2))
+        _, n_comp, n_excl = concordance(surv, grid, d)
         assert n_comp >= 1
         assert n_excl >= 0
 
@@ -164,24 +175,21 @@ class TestCindex:
         ref = oracles.cindex_bruteforce(
             lambda j, t: vals[j], list(d.time), list(d.delta), weighted=False
         )
-        assert abs(antolini_cindex(surv_from_values(vals), d, weighted=False) - ref) < 1e-12
+        assert abs(cindex(vals, d, weighted=False) - ref) < 1e-12
 
 
 class TestBrierCurve:
     def test_uninformative_quarter(self):
         d = make_data(np.linspace(1, 5, 9), np.ones(9, dtype=int))
-        curve = brier_curve(surv_from_values(np.full(9, 0.5)), d, np.array([1.0, 2.5, 4.9]))
+        curve = brier_curve(np.full((9, 3), 0.5), np.array([1.0, 2.5, 4.9]), d)
         assert np.allclose(curve.values, 0.25, atol=1e-12)
 
     def test_oracle_step_predictor_zero(self):
         times = np.array([1.0, 2.0, 3.0])
         d = make_data(times, np.ones(3, dtype=int))
 
-        def fn(x, ts):
-            ts = np.atleast_1d(ts)
-            return (times[: x.shape[0], None] > ts[None, :]).astype(float)
-
-        curve = brier_curve(fn, d, np.array([0.5, 1.5, 2.5]))
+        grid = np.array([0.5, 1.5, 2.5])
+        curve = brier_curve((times[:, None] > grid[None, :]).astype(float), grid, d)
         assert np.allclose(curve.values, 0.0)
 
     def test_hand_value_with_censoring(self):
@@ -191,7 +199,7 @@ class TestBrierCurve:
         d = make_data(times, deltas)
         for t in (1.5, 2.5):
             ref = oracles.brier_ref(lambda j, u: vals[j], times, deltas, t)
-            ours = brier_curve(surv_from_values(vals), d, np.array([t])).values[0]
+            ours = brier_curve(np.array(vals)[:, None], np.array([t]), d).values[0]
             assert ours == pytest.approx(ref, abs=1e-12)
 
     def test_unweighted_matches_loss_summands(self):
@@ -208,7 +216,7 @@ class TestBrierCurve:
             ((d.time[:, None] <= grid) & (d.delta[:, None] == 1)) * surv**2
             + (d.time[:, None] > grid) * (1 - surv) ** 2
         ).sum(axis=0) / n
-        curve = brier_curve(surv_from_values(vals), d, grid, weighted=False)
+        curve = brier_curve(surv, grid, d, weighted=False)
         assert np.allclose(curve.values, per_time, atol=1e-12)
 
 
@@ -241,28 +249,40 @@ class TestIbs:
 class TestBootstrap:
     def test_constant_metric_zero_std(self):
         d = make_data(np.linspace(0.5, 8, 40), [0] * 16 + [1] * 24)
-        res = bootstrap(lambda dd: 1.23, d, n_resamples=10, seed=0)
+        res = bootstrap(lambda sel: 1.23, d, n_resamples=10, seed=0)
         assert res.mean == pytest.approx(1.23)
         assert res.std == 0.0
 
     def test_censoring_ratio_preserved_exactly(self):
         d = make_data(np.linspace(0.5, 8, 40), [0] * 16 + [1] * 24)
-        res = bootstrap(lambda dd: dd.censoring_ratio, d, n_resamples=25, seed=1)
+        res = bootstrap(lambda sel: d[sel].censoring_ratio, d, n_resamples=25, seed=1)
         assert res.mean == pytest.approx(0.4)
         assert res.std == pytest.approx(0.0, abs=1e-12)
 
     def test_seeded_reproducible(self):
         rng = np.random.default_rng(2)
         d = make_data(rng.uniform(0.5, 9, 60), rng.integers(0, 2, 60))
-        f = lambda dd: float(dd.time.mean())
+        f = lambda sel: float(d.time[sel].mean())
         a = bootstrap(f, d, n_resamples=20, seed=7)
         b = bootstrap(f, d, n_resamples=20, seed=7)
         assert a == b
 
+    def test_metric_receives_row_indices(self):
+        d = make_data(np.linspace(0.5, 8, 40), [0] * 16 + [1] * 24)
+        seen = [[], []]
+        for calls in seen:
+            bootstrap(lambda sel: calls.append(sel) or 0.0, d, n_resamples=5, seed=3)
+        assert len(seen[0]) == 5
+        for sel, again in zip(*seen):
+            assert sel.dtype.kind == "i" and sel.shape == (len(d),)
+            assert np.all((sel >= 0) & (sel < len(d)))
+            assert (d.delta[sel] == 0).sum() == 16
+            assert np.array_equal(sel, again)
+
     def test_needs_two_resamples(self):
         d = make_data([1.0, 2.0], [1, 1])
         with pytest.raises(ValueError):
-            bootstrap(lambda dd: 0.0, d, n_resamples=1)
+            bootstrap(lambda sel: 0.0, d, n_resamples=1)
 
 
 def test_km_matches_statsmodels():
@@ -272,7 +292,7 @@ def test_km_matches_statsmodels():
     times = np.round(rng.exponential(2.0, n), 1) + 0.05
     deltas = rng.integers(0, 2, n)
     sf = survfunc.SurvfuncRight(times, deltas)
-    km = km_event(make_data(times, deltas))
+    km = kaplan_meier(times, deltas)
     assert np.max(np.abs(km.eval(sf.surv_times) - sf.surv_prob)) < 1e-12
 
 
@@ -290,3 +310,45 @@ class TestEvaluate:
         assert obj["c_index_bootstrap"]["std"] >= 0.0
         assert len(obj["brier_curve"]) > 0
         assert obj["n_bootstrap"] == 10
+
+    def test_model_called_once_on_unique_event_times(self):
+        rng = np.random.default_rng(4)
+        n = 50
+        d = make_data(np.round(rng.uniform(0.3, 8, n), 1), rng.integers(0, 2, n))
+        calls = []
+        values = surv_from_values(rng.random(n))
+
+        def counting(x, ts):
+            calls.append((x, ts))
+            return values(x, ts)
+
+        evaluate(counting, d, n_resamples=10, seed=0)
+        assert len(calls) == 1
+        x, ts = calls[0]
+        assert x is d.x
+        assert np.array_equal(ts, np.unique(d.time[d.delta == 1]))
+
+    def test_bootstrap_matches_calling_the_model_per_resample(self):
+        # crossing curves, so each resample's values depend on its own event times
+        rng = np.random.default_rng(12)
+        n = 40
+        d = SurvivalData(rng.normal(size=(n, 2)), rng.uniform(0.3, 6, n),
+                         rng.integers(0, 2, n), ["a", "b"])
+
+        def fn(x, ts):
+            return np.exp(-np.exp(x[:, :1]) * np.atleast_1d(ts)[None, :] ** np.exp(0.3 * x[:, 1:]))
+
+        def c_ref(sel):
+            dd = d[sel]
+            t = unique_event_times(dd.time, dd.delta)
+            return concordance(fn(dd.x, t), t, dd)[0]
+
+        def ibs_ref(sel):
+            dd = d[sel]
+            t = unique_event_times(dd.time, dd.delta)
+            return ibs(brier_curve(fn(dd.x, t), t, dd), t0=0.0, tmax=float(t[-1]))
+
+        rep = evaluate(fn, d, n_resamples=15, seed=9)
+        seq = np.random.SeedSequence(9).spawn(2)
+        assert rep.c_index_bootstrap == bootstrap(c_ref, d, n_resamples=15, seed=seq[0])
+        assert rep.ibs_bootstrap == bootstrap(ibs_ref, d, n_resamples=15, seed=seq[1])

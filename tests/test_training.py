@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from fhtsurv import fht
 from fhtsurv.data import SurvivalData
-from fhtsurv.metrics import km_event
+from fhtsurv.metrics import kaplan_meier
 from fhtsurv.network import LayerSpec, NetworkSpec, init_network
 from fhtsurv.training import (
     FittedModel,
     TrainConfig,
     TrainingDivergedError,
-    brier_loss,
     brier_terms,
     fit,
     survival_and_grads,
@@ -19,39 +18,40 @@ from fhtsurv.training import (
 )
 
 
-def constant_surv(value):
-    return lambda x, times: np.full((x.shape[0], np.atleast_1d(times).size), value)
+def event_terms(surv_of, d, normalize=True):
+    """``brier_terms`` on the survival matrix ``surv_of(times)`` over the
+    unique event times of ``d`` (a scalar fills the whole matrix)."""
+    times = unique_event_times(d.time, d.delta)
+    surv = np.broadcast_to(np.asarray(surv_of(times), dtype=float), (len(d), times.size))
+    return brier_terms(surv, times, d.time, d.delta, normalize=normalize)
 
 
 class TestBrierLoss:
     def test_single_subject_hand_value(self):
         d = SurvivalData(np.zeros((1, 1)), np.array([1.0]), np.array([1]), ["f"])
-        loss, grad = brier_loss(constant_surv(0.5), d, normalize=False)
+        loss, grad = event_terms(lambda ts: 0.5, d, normalize=False)
         assert loss == pytest.approx(0.25)
         assert grad.shape == (1, 1)
 
     def test_two_subject_hand_value(self):
         # events/censoring: (d=1, T=1), (d=0, T=2); S = 0.5; U = {1}
         d = SurvivalData(np.zeros((2, 1)), np.array([1.0, 2.0]), np.array([1, 0]), ["f"])
-        loss, _ = brier_loss(constant_surv(0.5), d, normalize=False)
+        loss, _ = event_terms(lambda ts: 0.5, d, normalize=False)
         assert loss == pytest.approx(0.5)
-        norm, _ = brier_loss(constant_surv(0.5), d, normalize=True)
+        norm, _ = event_terms(lambda ts: 0.5, d, normalize=True)
         assert norm == pytest.approx(0.25)
 
     def test_oracle_step_predictor_zero_loss(self):
         times = np.array([1.0, 2.0, 3.0])
         d = SurvivalData(np.zeros((3, 1)), times, np.ones(3, dtype=int), ["f"])
 
-        def step_surv(x, ts):
-            ts = np.atleast_1d(ts)
-            return (times[: x.shape[0], None] > ts[None, :]).astype(float)
-
-        loss, _ = brier_loss(step_surv, d, normalize=False)
+        loss, _ = event_terms(lambda ts: (times[:, None] > ts[None, :]).astype(float), d,
+                              normalize=False)
         assert loss == 0.0
 
     def test_censored_before_first_event_no_gradient(self):
         d = SurvivalData(np.zeros((2, 1)), np.array([2.0, 1.0]), np.array([1, 0]), ["f"])
-        _, grad = brier_loss(constant_surv(0.4), d)  # U = {2}, censored at 1 <= 2
+        _, grad = event_terms(lambda ts: 0.4, d)  # U = {2}, censored at 1 <= 2
         assert np.all(grad[1] == 0.0)
 
     def test_subject_order_invariance(self):
@@ -62,18 +62,9 @@ class TestBrierLoss:
             d.delta[0] = 1
         s_vals = rng.random(n)
 
-        def surv(x, ts):
-            return np.tile(s_vals[: x.shape[0], None], (1, np.atleast_1d(ts).size))
-
-        loss1, _ = brier_loss(surv, d)
+        loss1, _ = event_terms(lambda ts: s_vals[:, None], d)
         perm = rng.permutation(n)
-        d2 = d[perm]
-        s2 = s_vals[perm]
-
-        def surv2(x, ts):
-            return np.tile(s2[: x.shape[0], None], (1, np.atleast_1d(ts).size))
-
-        loss2, _ = brier_loss(surv2, d2)
+        loss2, _ = event_terms(lambda ts: s_vals[perm, None], d[perm])
         assert loss1 == pytest.approx(loss2, rel=1e-12)
 
     def test_duplicate_times_deduplicated(self):
@@ -83,7 +74,7 @@ class TestBrierLoss:
     def test_empty_event_set_rejected(self):
         d = SurvivalData(np.zeros((2, 1)), np.array([1.0, 2.0]), np.array([0, 0]), ["f"])
         with pytest.raises(ValueError):
-            brier_loss(constant_surv(0.5), d)
+            event_terms(lambda ts: 0.5, d)
 
     def test_gradient_matches_finite_difference_of_terms(self):
         rng = np.random.default_rng(3)
@@ -179,7 +170,7 @@ class TestFit:
         spec = NetworkSpec(3, (LayerSpec(8, "relu"),), fht.DistKind.INVERSE_GAUSSIAN)
         cfg = TrainConfig(epochs=300, batch_size=128, learning_rate=0.03, seed=2)
         m = fit(d, fht.DistKind.INVERSE_GAUSSIAN, spec, cfg)
-        km = km_event(d)
+        km = kaplan_meier(d.time, d.delta)
         grid = np.quantile(d.time, np.linspace(0.25, 0.75, 20))
         model_marginal = m.survival_matrix(d.x, grid).mean(axis=0)
         km_vals = km.eval(grid)
