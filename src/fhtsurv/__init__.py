@@ -15,10 +15,10 @@ from .fht import (
     LevyParams,
     ig_density,
     ig_survival,
-    ig_survival_grad,
+    ig_survival_and_grads,
     levy_density,
     levy_survival,
-    levy_survival_grad,
+    levy_survival_and_grads,
     transition_density,
 )
 
@@ -31,10 +31,10 @@ __all__ = [
     "InvGaussParams",
     "levy_survival",
     "levy_density",
-    "levy_survival_grad",
+    "levy_survival_and_grads",
     "ig_survival",
     "ig_density",
-    "ig_survival_grad",
+    "ig_survival_and_grads",
     "transition_density",
     "__version__",
 ]

@@ -220,14 +220,11 @@ def cmd_riskmap(args):
 
 def cmd_simulate(args):
     kind = fht.DistKind(args.distribution)
-    if kind == fht.DistKind.LEVY:
-        if args.diffusion is None:
-            raise ValueError("levy simulation needs --diffusion")
-        params = fht.LevyParams(args.x0, args.diffusion)
-    else:
-        if args.drift is None:
-            raise ValueError("invgauss simulation needs --drift")
-        params = fht.InvGaussParams(args.x0, args.drift)
+    name = fht.param_names(kind)[1]
+    second = getattr(args, name)
+    if second is None:
+        raise ValueError(f"{kind.value} simulation needs --{name}")
+    params = fht.make_params(kind, args.x0, second)
     cfg = SimConfig(
         n_paths=args.paths,
         dt=args.dt,
@@ -243,9 +240,7 @@ def cmd_simulate(args):
     se = np.sqrt(np.maximum(closed * (1.0 - closed), 1e-300) / cfg.n_paths)
     summary = {
         "kind": kind.value,
-        "params": {"x0": args.x0,
-                   ("diffusion" if kind == fht.DistKind.LEVY else "drift"):
-                   (args.diffusion if kind == fht.DistKind.LEVY else args.drift)},
+        "params": {"x0": args.x0, name: second},
         "n_paths": cfg.n_paths,
         "dt": cfg.dt,
         "t_max": cfg.t_max,

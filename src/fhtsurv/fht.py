@@ -8,27 +8,35 @@ barrier at the origin:
 * Brownian motion with negative drift ``mu`` and unit diffusion (hitting
   times follow an inverse Gaussian distribution).
 
-Survival functions, densities, log densities, analytic parameter gradients
-of the survival functions, and the absorbed-boundary transition density are
-provided.  Everything broadcasts over numpy arrays and is free of shared
-state, so concurrent use is safe.
+Survival functions (alone, and together with their analytic parameter
+partials), densities, log densities and the absorbed-boundary transition
+density are provided.  Everything broadcasts over numpy arrays
+and is free of shared state, so concurrent use is safe.  Each kind has one
+row in a dispatch table keyed by :class:`DistKind`; the kind-generic entry
+points (:func:`survival`, :func:`survival_and_grads`, :func:`density`,
+:func:`make_params`, :func:`coefficients`) look the kind up there.
 
 Conventions: the drifted process fixes ``D = 1`` (the law depends only on
 ``x0/|mu|`` and ``x0^2/(2D)``, so ``D`` merely rescales time), and ``t = 0``
 is rejected rather than special-cased so callers deal with the boundary
-explicitly.
+explicitly.  The driftless law depends on ``(x0, D)`` only through
+``x0^2/D``: its survival is ``erf(sqrt(x0^2/D / (4t)))``, so Levy risk is
+constant along every curve of constant ``x0^2/D``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .special import erf, log_norm_cdf, norm_cdf, norm_pdf
+from .special import erf, erfcx, norm_cdf
 
 _SQRT_PI = 1.7724538509055160273
+_SQRT_2 = 1.4142135623730950488
+_SQRT_2PI = 2.5066282746310005024
 
 
 class FhtDomainError(ValueError):
@@ -94,6 +102,18 @@ def levy_survival(p: LevyParams, t):
     return erf(p.x0 / np.sqrt(4.0 * p.diffusion * t))
 
 
+def levy_survival_and_grads(p: LevyParams, t):
+    """(S, dS/dx0, dS/dD) with S = erf(u), u = x0 / sqrt(4 D t).
+
+    Both partials share (2/sqrt(pi)) u exp(-u^2); S is bit-identical to
+    :func:`levy_survival`.
+    """
+    t = _check_time(t)
+    u = p.x0 / np.sqrt(4.0 * p.diffusion * t)
+    pref = (2.0 / _SQRT_PI) * np.exp(-u * u) * u
+    return erf(u), pref / p.x0, -pref / (2.0 * p.diffusion)
+
+
 def levy_density(p: LevyParams, t):
     """Hitting-time density x0 / sqrt(4 pi D t^3) * exp(-x0^2 / (4 D t)).
 
@@ -118,26 +138,20 @@ def levy_log_density(p: LevyParams, t):
     )
 
 
-def levy_survival_grad(p: LevyParams, t):
-    """Analytic (dS/dx0, dS/dD); S = erf(u) with u = x0 / sqrt(4 D t)."""
-    t = _check_time(t)
-    u = p.x0 / np.sqrt(4.0 * p.diffusion * t)
-    pref = (2.0 / _SQRT_PI) * np.exp(-u * u)
-    ds_dx0 = pref * u / p.x0
-    ds_dd = -pref * u / (2.0 * p.diffusion)
-    return ds_dx0, ds_dd
+def _ig_terms(p: InvGaussParams, t):
+    """Survival of the drifted case and the terms its partials reuse.
 
-
-def _ig_pieces(p: InvGaussParams, t):
-    """Common terms of the drifted-case survival: a, b arguments and the
-    overflow-safe image weight exp(-mu*x0) * Phi(b)."""
+    S = Phi(a) - W with a = (x0+mu t)/sqrt(2t), b = (mu t-x0)/sqrt(2t) and
+    the image term W = exp(-mu x0) Phi(b).  Since -mu x0 - b^2/2 = -a^2/2,
+    W = exp(-a^2/2) erfcx(-b/sqrt(2)) / 2, where -b > 0 (x0 > 0, mu < 0):
+    no factor can overflow, however strong the drift.  Returns
+    ``(S, sqrt(2t), exp(-a^2/2), W)``.
+    """
     s = np.sqrt(2.0 * t)
     a = (p.x0 + p.drift * t) / s
-    b = (p.drift * t - p.x0) / s
-    # exp(-mu*x0) overflows on its own for strongly negative drift; the
-    # product with Phi(b) does not, so form it in log space.
-    image = np.exp(-p.drift * p.x0 + log_norm_cdf(b))
-    return a, b, image
+    e = np.exp(-0.5 * a * a)
+    image = 0.5 * e * erfcx((p.x0 - p.drift * t) / (_SQRT_2 * s))
+    return np.clip(norm_cdf(a) - image, 0.0, 1.0), s, e, image
 
 
 def ig_survival(p: InvGaussParams, t):
@@ -146,9 +160,18 @@ def ig_survival(p: InvGaussParams, t):
     Values are clipped to [0, 1]; exact zeros can occur by underflow at
     extreme times even though the law is strictly positive.
     """
-    t = _check_time(t)
-    a, _, image = _ig_pieces(p, t)
-    return np.clip(norm_cdf(a) - image, 0.0, 1.0)
+    return _ig_terms(p, _check_time(t))[0]
+
+
+def ig_survival_and_grads(p: InvGaussParams, t):
+    """(S, dS/dx0, dS/dmu) for the drifted case.
+
+    Using phi(a) = exp(-mu*x0) phi(b), the partials collapse to
+    dS/dx0 = 2 phi(a)/sqrt(2t) + mu * W and dS/dmu = x0 * W with
+    W = exp(-mu*x0) Phi(b); S is bit-identical to :func:`ig_survival`.
+    """
+    surv, s, e, image = _ig_terms(p, _check_time(t))
+    return surv, 2.0 * e / (_SQRT_2PI * s) + p.drift * image, p.x0 * image
 
 
 def ig_density(p: InvGaussParams, t):
@@ -164,19 +187,60 @@ def ig_log_density(p: InvGaussParams, t):
     return np.log(p.x0) - 0.5 * np.log(4.0 * np.pi * t ** 3) - z * z / (4.0 * t)
 
 
-def ig_survival_grad(p: InvGaussParams, t):
-    """Analytic (dS/dx0, dS/dmu) for the drifted case.
+class _Kind(NamedTuple):
+    params: type
+    survival: Callable
+    survival_and_grads: Callable
+    density: Callable
+    coefficients: Callable  # params -> (x0, mu, D) of dX = mu dt + sqrt(2D) dW
 
-    Using phi(a) = exp(-mu*x0) phi(b), the partials collapse to
-    dS/dx0 = 2 phi(a)/sqrt(2t) + mu * W and dS/dmu = x0 * W with
-    W = exp(-mu*x0) Phi(b).
-    """
-    t = _check_time(t)
-    a, _, image = _ig_pieces(p, t)
-    pa = norm_pdf(a)
-    ds_dx0 = 2.0 * pa / np.sqrt(2.0 * t) + p.drift * image
-    ds_dmu = p.x0 * image
-    return ds_dx0, ds_dmu
+
+_KINDS = {
+    DistKind.LEVY: _Kind(
+        LevyParams, levy_survival, levy_survival_and_grads, levy_density,
+        lambda p: (p.x0, 0.0, p.diffusion),
+    ),
+    DistKind.INVERSE_GAUSSIAN: _Kind(
+        InvGaussParams, ig_survival, ig_survival_and_grads, ig_density,
+        lambda p: (p.x0, p.drift, 1.0),
+    ),
+}
+
+
+def _kind(kind) -> _Kind:
+    try:
+        return _KINDS[DistKind(kind)]
+    except ValueError:
+        raise FhtDomainError(f"unknown distribution kind: {kind!r}") from None
+
+
+def survival(kind: DistKind, params, t):
+    """Survival function P(T > t) of the given kind."""
+    return _kind(kind).survival(params, t)
+
+
+def survival_and_grads(kind: DistKind, params, t):
+    """(S, dS/dx0, dS/dtheta), theta the kind's second parameter."""
+    return _kind(kind).survival_and_grads(params, t)
+
+
+def density(kind: DistKind, params, t):
+    return _kind(kind).density(params, t)
+
+
+def make_params(kind: DistKind, x0, second):
+    """Build the parameter struct for a kind from its two raw columns."""
+    return _kind(kind).params(x0, second)
+
+
+def param_names(kind: DistKind):
+    """Field names of the kind's parameter struct: ("x0", second)."""
+    return tuple(f.name for f in fields(_kind(kind).params))
+
+
+def coefficients(kind: DistKind, params):
+    """(x0, mu, D) of the latent diffusion dX = mu dt + sqrt(2D) dW."""
+    return _kind(kind).coefficients(params)
 
 
 def transition_density(kind: DistKind, params, x, t):
@@ -190,46 +254,7 @@ def transition_density(kind: DistKind, params, x, t):
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)) or not np.all(x >= 0.0):
         raise FhtDomainError("x must be finite and >= 0")
-    if kind == DistKind.LEVY:
-        x0, d, mu = params.x0, params.diffusion, 0.0
-    elif kind == DistKind.INVERSE_GAUSSIAN:
-        x0, d, mu = params.x0, 1.0, params.drift
-    else:
-        raise FhtDomainError(f"unknown distribution kind: {kind!r}")
+    x0, mu, d = coefficients(kind, params)
     v = x - x0 - mu * t
     free = np.exp(-v * v / (4.0 * d * t)) / np.sqrt(4.0 * np.pi * d * t)
     return free * -np.expm1(-x * x0 / (d * t))
-
-
-def survival(kind: DistKind, params, t):
-    """Dispatch on the distribution kind."""
-    if kind == DistKind.LEVY:
-        return levy_survival(params, t)
-    if kind == DistKind.INVERSE_GAUSSIAN:
-        return ig_survival(params, t)
-    raise FhtDomainError(f"unknown distribution kind: {kind!r}")
-
-
-def density(kind: DistKind, params, t):
-    if kind == DistKind.LEVY:
-        return levy_density(params, t)
-    if kind == DistKind.INVERSE_GAUSSIAN:
-        return ig_density(params, t)
-    raise FhtDomainError(f"unknown distribution kind: {kind!r}")
-
-
-def survival_grad(kind: DistKind, params, t):
-    if kind == DistKind.LEVY:
-        return levy_survival_grad(params, t)
-    if kind == DistKind.INVERSE_GAUSSIAN:
-        return ig_survival_grad(params, t)
-    raise FhtDomainError(f"unknown distribution kind: {kind!r}")
-
-
-def make_params(kind: DistKind, x0, second):
-    """Build the parameter struct for a kind from its two raw columns."""
-    if kind == DistKind.LEVY:
-        return LevyParams(x0=x0, diffusion=second)
-    if kind == DistKind.INVERSE_GAUSSIAN:
-        return InvGaussParams(x0=x0, drift=second)
-    raise FhtDomainError(f"unknown distribution kind: {kind!r}")

@@ -13,6 +13,11 @@ The default distance is Euclidean after mapping the second parameter axis
 to log scale for the driftless kind (its learned range spans decades) and
 leaving both axes raw for the drifted kind; pass ``log_second=False`` (or a
 custom metric to ``idw_time``) for plain Euclidean.
+
+The driftless law depends on ``(x0, D)`` only through ``x0^2/D``, so Levy
+risk is constant along every curve of constant ``x0^2/D`` (a straight line
+of slope 2 in ``(log x0, log D)``); subjects spread along such a curve
+differ in their parameters but not in their predicted survival.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fht import DistKind
+from .fht import DistKind, param_names
 
 EXACT_MATCH_DIST = 1e-12
 _GRID_CHUNK = 64
@@ -120,12 +125,6 @@ class RiskMap:
                     fh.write(f"{_num(px)},{_num(py)},{_num(t)},{int(d)}\n")
 
 
-_AXIS_NAMES = {
-    DistKind.LEVY: ("x0", "diffusion"),
-    DistKind.INVERSE_GAUSSIAN: ("x0", "drift"),
-}
-
-
 def default_axes(kind: DistKind, params: np.ndarray, resolution=200, log_second=None):
     """Axes spanning the 1st-99th percentile of the parameters, padded 10%,
     then widened if needed so every training point lies inside the grid.
@@ -134,7 +133,7 @@ def default_axes(kind: DistKind, params: np.ndarray, resolution=200, log_second=
     """
     if log_second is None:
         log_second = kind == DistKind.LEVY
-    names = _AXIS_NAMES[kind]
+    names = param_names(kind)
     axes = []
     for j, name in enumerate(names):
         col = params[:, j]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import multiprocessing
 import numpy as np
 
-from .fht import DistKind, FhtDomainError
+from .fht import DistKind, coefficients
 
 _BLOCK_PATHS = 8192
 _CHUNK_STEPS = 256
@@ -62,14 +62,6 @@ class FptSamples:
     @property
     def n_paths(self):
         return self.hit_times.size
-
-
-def _kind_coefficients(kind, params):
-    if kind == DistKind.LEVY:
-        return float(params.x0), 0.0, float(params.diffusion)
-    if kind == DistKind.INVERSE_GAUSSIAN:
-        return float(params.x0), float(params.drift), 1.0
-    raise FhtDomainError(f"unknown distribution kind: {kind!r}")
 
 
 def _run_block(args):
@@ -141,7 +133,7 @@ def _run_block(args):
 
 
 def _block_tasks(kind, params, cfg):
-    x0, mu, diff = _kind_coefficients(kind, params)
+    x0, mu, diff = map(float, coefficients(kind, params))
     n_steps = int(np.ceil(cfg.t_max / cfg.dt - 1e-9))
     root = np.random.SeedSequence(cfg.seed)
     n_blocks = (cfg.n_paths + _BLOCK_PATHS - 1) // _BLOCK_PATHS

@@ -115,22 +115,23 @@ class _Sgd:
 
 
 def _subsample_times(times_sorted, cap, rng):
-    """One uniformly drawn time per contiguous stratum of the sorted set."""
-    if cap is None or times_sorted.size <= cap:
+    """One uniformly drawn time per contiguous stratum of the sorted set.
+
+    The strata are those of ``np.array_split(times_sorted, cap)``: the first
+    ``n % cap`` hold ``n // cap + 1`` times, the rest ``n // cap``.
+    """
+    n = times_sorted.size
+    if cap is None or n <= cap:
         return times_sorted
-    picks = np.empty(cap)
-    for i, bucket in enumerate(np.array_split(times_sorted, cap)):
-        picks[i] = bucket[rng.integers(bucket.size)]
-    return picks
+    q, r = divmod(n, cap)
+    k = np.arange(cap)
+    return times_sorted[k * q + np.minimum(k, r) + rng.integers(q + (k < r))]
 
 
 def survival_and_grads(kind: DistKind, param_cols: np.ndarray, times: np.ndarray):
     """Survival matrix and its two parameter partials, all (n, |times|)."""
     p = fht.make_params(kind, param_cols[:, 0:1], param_cols[:, 1:2])
-    t_row = times[None, :]
-    surv = fht.survival(kind, p, t_row)
-    g0, g1 = fht.survival_grad(kind, p, t_row)
-    return surv, g0, g1
+    return fht.survival_and_grads(kind, p, times[None, :])
 
 
 @dataclass

@@ -1,15 +1,16 @@
 """Independent oracles used to freeze expected values.
 
 Everything here deliberately avoids the package's own numerics: the error
-function comes from the C standard library via ``math``, integrals from
-scipy's adaptive quadrature, and the concordance/Brier oracles are direct
-pair enumerations in pure Python.
+function comes from the C standard library via ``math`` and the log normal
+CDF from scipy's ``log_ndtr``, integrals from scipy's adaptive quadrature,
+and the concordance/Brier oracles are direct pair enumerations in pure
+Python.
 """
 
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 
 def erf_ref(x):
@@ -32,6 +33,15 @@ def ig_survival_ref(x0, mu, t):
     a = (x0 + mu * t) / math.sqrt(2.0 * t)
     b = (mu * t - x0) / math.sqrt(2.0 * t)
     return norm_cdf_ref(a) - math.exp(-mu * x0) * norm_cdf_ref(b)
+
+
+def ig_survival_logspace_ref(x0, mu, t):
+    """The same law with the image term exp(-mu x0) Phi(b) formed in log
+    space through scipy's ``log_ndtr``, so it stays finite where
+    ``exp(-mu x0)`` alone overflows."""
+    a = (x0 + mu * t) / math.sqrt(2.0 * t)
+    b = (mu * t - x0) / math.sqrt(2.0 * t)
+    return norm_cdf_ref(a) - math.exp(-mu * x0 + float(special.log_ndtr(b)))
 
 
 def ig_density_ref(x0, mu, t):

@@ -11,6 +11,7 @@ from fhtsurv.training import (
     FittedModel,
     TrainConfig,
     TrainingDivergedError,
+    _subsample_times,
     brier_terms,
     fit,
     survival_and_grads,
@@ -105,6 +106,32 @@ def toy_data(n=120, seed=0, censor_frac=0.2):
 
 def toy_spec(kind=fht.DistKind.LEVY):
     return NetworkSpec(4, (LayerSpec(8, "relu"),), kind)
+
+
+def subsample_loop_ref(times_sorted, cap, rng):
+    """The strata drawn one at a time, as ``np.array_split`` cuts them."""
+    if cap is None or times_sorted.size <= cap:
+        return times_sorted
+    return np.array([b[rng.integers(b.size)] for b in np.array_split(times_sorted, cap)])
+
+
+class TestSubsampleTimes:
+    @pytest.mark.parametrize("cap", [None, 1, 7, 100, 256, 763, 764, 765, 2000])
+    def test_same_picks_and_stream_as_per_stratum_loop(self, cap):
+        times = np.sort(np.random.default_rng(3).uniform(0.1, 10.0, 764))
+        ours, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(50):
+            got = _subsample_times(times, cap, ours)
+            assert np.array_equal(got, subsample_loop_ref(times, cap, ref))
+        # both generators advanced alike, so later batches stay aligned
+        assert ours.integers(1 << 30) == ref.integers(1 << 30)
+
+    def test_one_time_per_stratum(self):
+        times = np.arange(10.0)
+        picks = _subsample_times(times, 4, np.random.default_rng(0))
+        # strata of array_split(range(10), 4): [0,1,2] [3,4,5] [6,7] [8,9]
+        for p, (lo, hi) in zip(picks, [(0, 2), (3, 5), (6, 7), (8, 9)]):
+            assert lo <= p <= hi
 
 
 class TestFit:
