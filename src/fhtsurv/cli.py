@@ -105,9 +105,9 @@ def _train_config(cfg, seed):
         epochs=int(cfg["epochs"]),
         batch_size=int(cfg["batch_size"]),
         learning_rate=float(cfg["learning_rate"]),
-        optimizer=cfg.get("optimizer", "adam"),
+        optimizer=cfg["optimizer"],
         seed=seed,
-        eval_time_cap=cfg.get("eval_time_cap", 256),
+        eval_time_cap=cfg["eval_time_cap"],
     )
 
 
@@ -265,13 +265,17 @@ def cmd_simulate(args):
 
 
 def cmd_rerun(args):
+    started = time.time()
     manifest = read_json(args.manifest)
     if manifest.get("format") != "fhtsurv-manifest":
         raise ValueError("not a manifest file")
     command = manifest["command"]
+    config = manifest["args"].get("config")
+    if config and read_json(config) != manifest["config_snapshot"]:
+        raise ValueError(f"config file {config} has changed since the manifest was written")
     ns = argparse.Namespace(**manifest["args"])
     outputs = _COMMANDS[command](ns)
-    _write_manifest(command, manifest["args"], outputs, time.time())
+    _write_manifest(command, manifest["args"], outputs, started)
     return outputs
 
 

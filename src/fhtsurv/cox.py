@@ -19,6 +19,8 @@ import numpy as np
 
 from .modelio import decode_array, encode_array, read_json, write_json_atomic
 
+RIDGE_EPS = 1e-9
+
 
 class CoxConvergenceError(RuntimeError):
     pass
@@ -41,18 +43,11 @@ class CoxModel:
         h0 = np.where(idx < 0, 0.0, self.baseline_cumhaz[np.maximum(idx, 0)])
         return h0
 
-    def baseline_survival(self, times) -> np.ndarray:
-        return np.exp(-self.cumulative_hazard(times))
-
     def survival_matrix(self, x: np.ndarray, times) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         h0 = self.cumulative_hazard(times)
         risk = np.exp(x @ self.beta)
         return np.exp(-np.outer(risk, h0))
-
-    def predict_survival(self, x, t):
-        out = self.survival_matrix(np.atleast_2d(x), t)[0]
-        return float(out[0]) if np.ndim(t) == 0 else out
 
     def to_dict(self) -> dict:
         return {
@@ -132,7 +127,7 @@ def _partial_lik_parts(xs, ds, start, d_count, eta, want_hessian):
     return loglik, grad, info
 
 
-def fit_cox(data, ridge_eps=1e-9, max_iter=100, tol=1e-8) -> CoxModel:
+def fit_cox(data, max_iter=100, tol=1e-8) -> CoxModel:
     """Newton-Raphson partial-likelihood fit with Breslow ties."""
     time_obs = np.asarray(data.time, dtype=np.float64)
     delta = np.asarray(data.delta)
@@ -155,7 +150,7 @@ def fit_cox(data, ridge_eps=1e-9, max_iter=100, tol=1e-8) -> CoxModel:
     loglik, grad, info = _partial_lik_parts(xs, ds, start, d_count, xs @ beta, True)
     n_iter = 0
     converged = float(np.max(np.abs(grad))) < tol
-    ridge = ridge_eps
+    ridge = RIDGE_EPS
     while not converged and n_iter < max_iter:
         n_iter += 1
         try:

@@ -41,15 +41,6 @@ class PreprocessError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One subject: encoded covariates, event indicator, observed time."""
-
-    x: np.ndarray
-    delta: int
-    time: float
-
-
 @dataclass
 class SurvivalData:
     """Column store of encoded survival records."""
@@ -63,8 +54,15 @@ class SurvivalData:
         self.x = np.asarray(self.x, dtype=np.float64)
         self.time = np.asarray(self.time, dtype=np.float64)
         self.delta = np.asarray(self.delta, dtype=np.int64)
-        if self.x.ndim != 2 or self.x.shape[0] != self.time.size != self.delta.size:
-            raise ValueError("inconsistent array shapes")
+        if (
+            self.x.ndim != 2
+            or self.x.shape[0] != self.time.size
+            or self.delta.size != self.time.size
+        ):
+            raise ValueError(
+                f"inconsistent array shapes: x {self.x.shape}, time {self.time.shape}, "
+                f"delta {self.delta.shape}"
+            )
         if not np.all(self.time > 0.0):
             raise ValueError("times must be > 0")
         if not np.all((self.delta == 0) | (self.delta == 1)):
@@ -74,8 +72,7 @@ class SurvivalData:
         return self.time.size
 
     def __getitem__(self, idx):
-        if np.isscalar(idx) and isinstance(idx, (int, np.integer)):
-            return SurvivalRecord(self.x[idx], int(self.delta[idx]), float(self.time[idx]))
+        """Rows selected by an index array, slice or mask, as a new dataset."""
         return SurvivalData(self.x[idx], self.time[idx], self.delta[idx], self.feature_names)
 
     @property
@@ -111,8 +108,13 @@ def _clean_cell(value):
     return value.strip()
 
 
-def load_csv(path, time_col="time", event_col="event", feature_cols=None) -> RawDataset:
-    """Read a survival CSV; raises LoadError naming the offending row/column."""
+def load_csv(path) -> RawDataset:
+    """Read a survival CSV; raises LoadError naming the offending row/column.
+
+    The ``time`` and ``event`` columns are mandatory; every other column is
+    a feature.
+    """
+    time_col, event_col = "time", "event"
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -123,15 +125,10 @@ def load_csv(path, time_col="time", event_col="event", feature_cols=None) -> Raw
         for col in (time_col, event_col):
             if col not in header:
                 raise LoadError(f"{path}: missing mandatory column '{col}'")
-        if feature_cols is None:
-            feature_cols = [h for h in header if h not in (time_col, event_col)]
-        else:
-            for col in feature_cols:
-                if col not in header:
-                    raise LoadError(f"{path}: missing feature column '{col}'")
+        feature_names = [h for h in header if h not in (time_col, event_col)]
         pos = {h: i for i, h in enumerate(header)}
         times, deltas = [], []
-        features = {c: [] for c in feature_cols}
+        features = {c: [] for c in feature_names}
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise LoadError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
@@ -161,7 +158,7 @@ def load_csv(path, time_col="time", event_col="event", feature_cols=None) -> Raw
                 )
             times.append(t)
             deltas.append(int(e))
-            for c in feature_cols:
+            for c in feature_names:
                 features[c].append(_clean_cell(row[pos[c]]))
     if not times:
         raise LoadError(f"{path}: no data rows")
@@ -169,7 +166,7 @@ def load_csv(path, time_col="time", event_col="event", feature_cols=None) -> Raw
         time=np.asarray(times),
         delta=np.asarray(deltas, dtype=np.int64),
         features=features,
-        feature_names=list(feature_cols),
+        feature_names=feature_names,
     )
 
 

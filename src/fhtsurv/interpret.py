@@ -9,10 +9,9 @@ a convex combination of the source times that acts as a risk proxy across
 the whole plane.  A query closer than 1e-12 to a source takes that source's
 time (the formula's limit).
 
-The default distance is Euclidean after mapping the second parameter axis
-to log scale for the driftless kind (its learned range spans decades) and
-leaving both axes raw for the drifted kind; pass ``log_second=False`` (or a
-custom metric to ``idw_time``) for plain Euclidean.
+Distances are Euclidean in the coordinates of the map's axes.  By default
+the second parameter axis is on log scale for the driftless kind (its
+learned range spans decades) and both axes are raw for the drifted kind.
 
 The driftless law depends on ``(x0, D)`` only through ``x0^2/D``, so Levy
 risk is constant along every curve of constant ``x0^2/D`` (a straight line
@@ -32,13 +31,9 @@ EXACT_MATCH_DIST = 1e-12
 _GRID_CHUNK = 64
 
 
-def euclidean_distances(queries: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    diff = queries[:, None, :] - sources[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
-
-
-def idw_time(query, source_params, source_times, metric=None):
-    """Interpolate event times at query points (convex in the source times)."""
+def idw_time(query, source_params, source_times):
+    """Interpolate event times at query points (convex in the source times),
+    with Euclidean distances between the given coordinates."""
     source_params = np.atleast_2d(np.asarray(source_params, dtype=np.float64))
     source_times = np.asarray(source_times, dtype=np.float64)
     if source_params.shape[0] == 0:
@@ -48,7 +43,8 @@ def idw_time(query, source_params, source_times, metric=None):
     query = np.asarray(query, dtype=np.float64)
     scalar = query.ndim == 1
     queries = np.atleast_2d(query)
-    dist = (metric or euclidean_distances)(queries, source_params)
+    diff = queries[:, None, :] - source_params[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
     out = np.empty(queries.shape[0])
     exact = dist < EXACT_MATCH_DIST
     hit = exact.any(axis=1)
@@ -125,19 +121,16 @@ class RiskMap:
                     fh.write(f"{_num(px)},{_num(py)},{_num(t)},{int(d)}\n")
 
 
-def default_axes(kind: DistKind, params: np.ndarray, resolution=200, log_second=None):
+def default_axes(kind: DistKind, params: np.ndarray, resolution=200):
     """Axes spanning the 1st-99th percentile of the parameters, padded 10%,
     then widened if needed so every training point lies inside the grid.
 
-    The second axis defaults to log scale for the driftless kind.
+    The second axis is on log scale for the driftless kind.
     """
-    if log_second is None:
-        log_second = kind == DistKind.LEVY
-    names = param_names(kind)
     axes = []
-    for j, name in enumerate(names):
+    for j, name in enumerate(param_names(kind)):
         col = params[:, j]
-        log_axis = log_second and j == 1
+        log_axis = j == 1 and kind == DistKind.LEVY
         if log_axis:
             col = np.log(col)
         lo, hi = np.percentile(col, [1.0, 99.0])

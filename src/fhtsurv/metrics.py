@@ -16,8 +16,8 @@ weight ``1 / G(T_i-)^2`` where ``G`` is the Kaplan-Meier estimate of the
 censoring survival; the Brier decomposition weights past events by
 ``1 / G(T_i-)`` and still-at-risk subjects by ``1 / G(t)``.  Terms whose
 weight is undefined because ``G`` has reached zero are excluded and
-counted.  Every estimator accepts ``weighted=False`` for unweighted
-sensitivity checks.
+counted.  ``concordance`` and ``brier_curve`` accept ``weighted=False`` for
+unweighted sensitivity checks; ``evaluate`` always weights.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ class EvalReport:
         }
 
 
-def evaluate(surv_fn, data, n_resamples=100, seed=0, weighted=True) -> EvalReport:
+def evaluate(surv_fn, data, n_resamples=100, seed=0) -> EvalReport:
     """Standard evaluation: concordance, Brier curve on the event-time grid,
     integrated Brier score over [0, last event time], and bootstrap spread
     for both headline metrics.
@@ -261,18 +261,18 @@ def evaluate(surv_fn, data, n_resamples=100, seed=0, weighted=True) -> EvalRepor
     """
     times = np.unique(data.time[data.delta == 1])
     surv = np.asarray(surv_fn(data.x, times), dtype=np.float64)
-    c_val, n_comp, n_excl = concordance(surv, times, data, weighted=weighted)
-    curve = brier_curve(surv, times, data, weighted=weighted)
+    c_val, n_comp, n_excl = concordance(surv, times, data)
+    curve = brier_curve(surv, times, data)
     ibs_val = ibs(curve, t0=0.0, tmax=float(times[-1]))
 
     def c_metric(sel):
-        return concordance(surv[sel], times, data[sel], weighted=weighted)[0]
+        return concordance(surv[sel], times, data[sel])[0]
 
     def ibs_metric(sel):
         d = data[sel]
         g = np.unique(d.time[d.delta == 1])
         s = np.take(surv[sel], _columns(times, g), axis=1)
-        return ibs(brier_curve(s, g, d, weighted=weighted), t0=0.0, tmax=float(g[-1]))
+        return ibs(brier_curve(s, g, d), t0=0.0, tmax=float(g[-1]))
 
     seq = np.random.SeedSequence(seed).spawn(2)
     c_boot = bootstrap(c_metric, data, n_resamples=n_resamples, seed=seq[0])

@@ -45,7 +45,6 @@ class LayerSpec:
     width: int
     activation: str = "relu"
     dropout: float = 0.0
-    batch_norm: bool = True
 
     def __post_init__(self):
         if self.width < 1:
@@ -130,10 +129,8 @@ class Network:
 
     def trainable_names(self):
         names = []
-        for i, layer in enumerate(self.spec.hidden):
-            names += [f"h{i}.w", f"h{i}.b"]
-            if layer.batch_norm:
-                names += [f"h{i}.gamma", f"h{i}.beta"]
+        for i in range(len(self.spec.hidden)):
+            names += [f"h{i}.w", f"h{i}.b", f"h{i}.gamma", f"h{i}.beta"]
         names += ["out.w", "out.b"]
         return names
 
@@ -167,26 +164,23 @@ class Network:
         for i, layer in enumerate(self.spec.hidden):
             lc = {"a_in": a}
             z = a @ self.weights[f"h{i}.w"] + self.weights[f"h{i}.b"]
-            if layer.batch_norm:
-                if train:
-                    if n < 2:
-                        raise ValueError("batch size must be >= 2 to train with batch norm")
-                    m = z.mean(axis=0)
-                    v = z.var(axis=0)
-                    inv_std = 1.0 / np.sqrt(v + BN_EPS)
-                    zhat = (z - m) * inv_std
-                    rm, rv = self.weights[f"h{i}.run_mean"], self.weights[f"h{i}.run_var"]
-                    rm *= BN_MOMENTUM
-                    rm += (1.0 - BN_MOMENTUM) * m
-                    rv *= BN_MOMENTUM
-                    rv += (1.0 - BN_MOMENTUM) * v
-                else:
-                    inv_std = 1.0 / np.sqrt(self.weights[f"h{i}.run_var"] + BN_EPS)
-                    zhat = (z - self.weights[f"h{i}.run_mean"]) * inv_std
-                y = self.weights[f"h{i}.gamma"] * zhat + self.weights[f"h{i}.beta"]
-                lc.update(zhat=zhat, inv_std=inv_std)
+            if train:
+                if n < 2:
+                    raise ValueError("batch size must be >= 2 to train with batch norm")
+                m = z.mean(axis=0)
+                v = z.var(axis=0)
+                inv_std = 1.0 / np.sqrt(v + BN_EPS)
+                zhat = (z - m) * inv_std
+                rm, rv = self.weights[f"h{i}.run_mean"], self.weights[f"h{i}.run_var"]
+                rm *= BN_MOMENTUM
+                rm += (1.0 - BN_MOMENTUM) * m
+                rv *= BN_MOMENTUM
+                rv += (1.0 - BN_MOMENTUM) * v
             else:
-                y = z
+                inv_std = 1.0 / np.sqrt(self.weights[f"h{i}.run_var"] + BN_EPS)
+                zhat = (z - self.weights[f"h{i}.run_mean"]) * inv_std
+            y = self.weights[f"h{i}.gamma"] * zhat + self.weights[f"h{i}.beta"]
+            lc.update(zhat=zhat, inv_std=inv_std)
             if train and layer.dropout > 0.0:
                 mask = self._dropout_rng.random(y.shape) >= layer.dropout
                 y = y * mask / (1.0 - layer.dropout)
@@ -221,21 +215,18 @@ class Network:
             d_y = _act_backward(layer.activation, lc["act_in"], lc["act_out"], d_a)
             if train and layer.dropout > 0.0:
                 d_y = d_y * lc["mask"] / (1.0 - layer.dropout)
-            if layer.batch_norm:
-                zhat, inv_std = lc["zhat"], lc["inv_std"]
-                grads[f"h{i}.gamma"] = (d_y * zhat).sum(axis=0)
-                grads[f"h{i}.beta"] = d_y.sum(axis=0)
-                d_zhat = d_y * self.weights[f"h{i}.gamma"]
-                if train:
-                    d_z = inv_std * (
-                        d_zhat
-                        - d_zhat.mean(axis=0)
-                        - zhat * (d_zhat * zhat).mean(axis=0)
-                    )
-                else:
-                    d_z = d_zhat * inv_std
+            zhat, inv_std = lc["zhat"], lc["inv_std"]
+            grads[f"h{i}.gamma"] = (d_y * zhat).sum(axis=0)
+            grads[f"h{i}.beta"] = d_y.sum(axis=0)
+            d_zhat = d_y * self.weights[f"h{i}.gamma"]
+            if train:
+                d_z = inv_std * (
+                    d_zhat
+                    - d_zhat.mean(axis=0)
+                    - zhat * (d_zhat * zhat).mean(axis=0)
+                )
             else:
-                d_z = d_y
+                d_z = d_zhat * inv_std
             grads[f"h{i}.w"] = lc["a_in"].T @ d_z
             grads[f"h{i}.b"] = d_z.sum(axis=0)
             d_a = d_z @ self.weights[f"h{i}.w"].T
@@ -251,12 +242,7 @@ class Network:
             "kind": self.kind.value,
             "input_dim": self.spec.input_dim,
             "hidden": [
-                {
-                    "width": l.width,
-                    "activation": l.activation,
-                    "dropout": l.dropout,
-                    "batch_norm": l.batch_norm,
-                }
+                {"width": l.width, "activation": l.activation, "dropout": l.dropout}
                 for l in self.spec.hidden
             ],
             "arrays": {k: encode_array(v) for k, v in sorted(self.weights.items())},
@@ -268,15 +254,17 @@ class Network:
             raise ValueError("not a network file")
         if obj.get("version") != 1:
             raise ValueError(f"unsupported network version {obj.get('version')!r}")
+        for i, h in enumerate(obj["hidden"]):
+            # older model files carry a per-layer flag; only batch-normalized layers load
+            if h.get("batch_norm", True) is not True:
+                raise ValueError(
+                    f"hidden layer {i}: batch_norm={h['batch_norm']!r} is not supported; "
+                    "every hidden layer applies batch normalization"
+                )
         spec = NetworkSpec(
             input_dim=obj["input_dim"],
             hidden=tuple(
-                LayerSpec(
-                    width=h["width"],
-                    activation=h["activation"],
-                    dropout=h["dropout"],
-                    batch_norm=h["batch_norm"],
-                )
+                LayerSpec(width=h["width"], activation=h["activation"], dropout=h["dropout"])
                 for h in obj["hidden"]
             ),
             kind=DistKind(obj["kind"]),
@@ -299,11 +287,10 @@ def init_network(spec: NetworkSpec, seed=0) -> Network:
             std = np.sqrt(2.0 / fan_in)
         weights[f"h{i}.w"] = rng.normal(0.0, std, size=(fan_in, layer.width))
         weights[f"h{i}.b"] = np.zeros(layer.width)
-        if layer.batch_norm:
-            weights[f"h{i}.gamma"] = np.ones(layer.width)
-            weights[f"h{i}.beta"] = np.zeros(layer.width)
-            weights[f"h{i}.run_mean"] = np.zeros(layer.width)
-            weights[f"h{i}.run_var"] = np.ones(layer.width)
+        weights[f"h{i}.gamma"] = np.ones(layer.width)
+        weights[f"h{i}.beta"] = np.zeros(layer.width)
+        weights[f"h{i}.run_mean"] = np.zeros(layer.width)
+        weights[f"h{i}.run_var"] = np.ones(layer.width)
         fan_in = layer.width
     weights["out.w"] = rng.normal(
         0.0, np.sqrt(2.0 / (fan_in + N_DIST_PARAMS)), size=(fan_in, N_DIST_PARAMS)

@@ -7,9 +7,8 @@ set ``U`` of unique observed event times of the training data:
                              + 1(T_i > t) (1 - S(t|x_i))^2 ]
 
 Subjects censored at or before ``t`` drop out of the ``t`` term entirely.
-The implementation divides by ``|U| * n`` by default so learning rates
-transfer across dataset sizes; the optimum is unchanged and the raw sum is
-available via ``normalize=False``.
+The implementation divides by ``|U| * n`` so learning rates transfer
+across dataset sizes; the optimum is unchanged.
 
 Minibatch semantics: the inner sum runs over the batch while ``U`` stays
 the full training-set event-time set, capped (default 256) by drawing one
@@ -31,6 +30,10 @@ from .fht import DistKind
 from .modelio import read_json, write_json_atomic
 from .network import Network, NetworkSpec, init_network
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class TrainingDivergedError(RuntimeError):
     pass
@@ -42,9 +45,6 @@ class TrainConfig:
     batch_size: int
     learning_rate: float
     optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     eval_time_cap: int | None = 256
 
@@ -65,8 +65,8 @@ def unique_event_times(time_obs, delta) -> np.ndarray:
     return np.unique(np.asarray(time_obs)[np.asarray(delta) == 1])
 
 
-def brier_terms(surv, times, time_obs, delta, normalize=True):
-    """Loss and dLoss/dS for a precomputed survival matrix (n, |times|)."""
+def brier_terms(surv, times, time_obs, delta):
+    """Normalized loss and dLoss/dS for a precomputed survival matrix (n, |times|)."""
     surv = np.asarray(surv, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     time_obs = np.asarray(time_obs, dtype=np.float64)
@@ -79,30 +79,29 @@ def brier_terms(surv, times, time_obs, delta, normalize=True):
     at_risk = time_obs[:, None] > times[None, :]
     loss = float(np.sum(event_before * surv**2) + np.sum(at_risk * (1.0 - surv) ** 2))
     d_surv = 2.0 * (event_before * surv - at_risk * (1.0 - surv))
-    if normalize:
-        scale = surv.shape[0] * times.size
-        loss /= scale
-        d_surv /= scale
+    scale = surv.shape[0] * times.size
+    loss /= scale
+    d_surv /= scale
     return loss, d_surv
 
 
 class _Adam:
-    def __init__(self, arrays, lr, b1, b2, eps):
-        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
+    def __init__(self, arrays, lr):
+        self.lr = lr
         self.m = [np.zeros_like(a) for a in arrays]
         self.v = [np.zeros_like(a) for a in arrays]
         self.t = 0
 
     def step(self, arrays, grads):
         self.t += 1
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            a -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            a -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 class _Sgd:
@@ -153,11 +152,6 @@ class FittedModel:
         p = fht.make_params(self.kind, cols[:, 0:1], cols[:, 1:2])
         return fht.survival(self.kind, p, times[None, :])
 
-    def predict_survival(self, x: np.ndarray, t):
-        """Survival of a single (preprocessed) covariate vector at time(s) t."""
-        out = self.survival_matrix(np.atleast_2d(x), t)[0]
-        return float(out[0]) if np.ndim(t) == 0 else out
-
     def to_dict(self) -> dict:
         return {
             "format": "fhtsurv-model",
@@ -196,6 +190,11 @@ def fit(data, kind: DistKind, net_spec: NetworkSpec, cfg: TrainConfig, recipe=No
     """Train a network on survival data; bit-reproducible for a given seed."""
     kind = DistKind(kind)
     n = len(data)
+    if data.x.shape[1] != net_spec.input_dim:
+        raise ValueError(
+            f"data has {data.x.shape[1]} feature columns but the network expects "
+            f"input_dim {net_spec.input_dim}"
+        )
     u_full = unique_event_times(data.time, data.delta)
     if u_full.size == 0:
         raise ValueError("training data has no uncensored subject")
@@ -207,11 +206,10 @@ def fit(data, kind: DistKind, net_spec: NetworkSpec, cfg: TrainConfig, recipe=No
 
     arrays = net.trainable_arrays()
     if cfg.optimizer == "adam":
-        opt = _Adam(arrays, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        opt = _Adam(arrays, cfg.learning_rate)
     else:
         opt = _Sgd(cfg.learning_rate)
 
-    has_bn = any(l.batch_norm for l in net_spec.hidden)
     trace = []
     names = net.trainable_names()
     for epoch in range(cfg.epochs):
@@ -220,8 +218,8 @@ def fit(data, kind: DistKind, net_spec: NetworkSpec, cfg: TrainConfig, recipe=No
         epoch_count = 0
         for start in range(0, n, cfg.batch_size):
             sel = perm[start : start + cfg.batch_size]
-            if sel.size < 2 and has_bn:
-                continue  # variance undefined for a singleton batch
+            if sel.size < 2 and net_spec.hidden:
+                continue  # batch-norm variance undefined for a singleton batch
             u_batch = _subsample_times(u_full, cfg.eval_time_cap, times_rng)
             try:
                 param_cols, cache = net.forward(data.x[sel], train=True)

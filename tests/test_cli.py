@@ -1,11 +1,15 @@
 import hashlib
 import json
 import os
+import re
+import shlex
+import types
 
 import numpy as np
 import pytest
 
-from fhtsurv.cli import _model_config, main
+from fhtsurv import cli
+from fhtsurv.cli import _model_config, build_parser, main
 from fhtsurv.data import NonPhConfig, apply_preprocess, generate_nonph, load_csv, write_csv
 from fhtsurv.interpret import risk_grid
 from fhtsurv.modelio import read_json
@@ -68,6 +72,34 @@ class TestGenerate:
         first = sha(out)
         assert main(["rerun", "--manifest", str(out) + ".manifest.json"]) == 0
         assert sha(out) == first
+
+    def test_rerun_refuses_changed_config(self, tmp_path, capsys):
+        out = tmp_path / "nonph.csv"
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"n_raw": 400, "n_keep": 160}))
+        assert main(["generate", "--out", str(out), "--config", str(cfg), "--seed", "2"]) == 0
+        first = sha(out)
+        cfg.write_text(json.dumps({"n_raw": 400, "n_keep": 120}))
+        assert main(["rerun", "--manifest", str(out) + ".manifest.json"]) == 1
+        assert str(cfg) in capsys.readouterr().err
+        assert sha(out) == first
+
+    def test_rerun_times_the_command(self, tmp_path, monkeypatch):
+        out = tmp_path / "nonph.csv"
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"n_raw": 400, "n_keep": 160}))
+        assert main(["generate", "--out", str(out), "--config", str(cfg), "--seed", "2"]) == 0
+        clock = [1000.0]
+        generate = cli._COMMANDS["generate"]
+
+        def slow_generate(args):
+            clock[0] += 5.0
+            return generate(args)
+
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(time=lambda: clock[0]))
+        monkeypatch.setitem(cli._COMMANDS, "generate", slow_generate)
+        assert main(["rerun", "--manifest", str(out) + ".manifest.json"]) == 0
+        assert read_json(str(out) + ".manifest.json")["wall_clock_s"] == 5.0
 
 
 class TestTrainEval:
@@ -212,3 +244,27 @@ def test_unknown_config_key_rejected(small_csv, tmp_path, capsys):
                "--out", str(tmp_path / "m.json")])
     assert rc == 1
     assert "unknown model config keys" in capsys.readouterr().err
+
+
+class TestReadme:
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def readme_lines(self):
+        with open(os.path.join(self.ROOT, "README.md"), encoding="utf-8") as fh:
+            return fh.read().replace("\\\n", " ").splitlines()
+
+    def test_every_command_parses(self):
+        commands = [ln.strip() for ln in self.readme_lines() if ln.strip().startswith("fhtsurv ")]
+        assert len(commands) >= 8
+        parser = build_parser()
+        for line in commands:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
+
+    def test_named_scripts_exist(self):
+        paths = set(re.findall(r"scripts/[\w./-]*\w", "\n".join(self.readme_lines())))
+        assert paths
+        for path in sorted(paths):
+            assert os.path.exists(os.path.join(self.ROOT, path)), path

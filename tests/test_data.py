@@ -138,6 +138,21 @@ class TestPreprocess:
         assert np.array_equal(a.x, b.x)
 
 
+class TestSurvivalData:
+    @pytest.mark.parametrize("n_x, n_time, n_delta", [(5, 5, 4), (4, 5, 5), (5, 4, 5)])
+    def test_length_mismatch_rejected(self, n_x, n_time, n_delta):
+        with pytest.raises(ValueError, match=r"x \(.*time \(.*delta \("):
+            SurvivalData(np.zeros((n_x, 2)), np.ones(n_time), np.ones(n_delta, dtype=int))
+
+    def test_rows_select_a_dataset(self):
+        d = SurvivalData(np.arange(6.0).reshape(3, 2), [1.0, 2.0, 3.0], [1, 0, 1], ["a", "b"])
+        sub = d[np.array([2, 0])]
+        assert np.array_equal(sub.x, [[4.0, 5.0], [0.0, 1.0]])
+        assert list(sub.time) == [3.0, 1.0] and list(sub.delta) == [1, 1]
+        with pytest.raises(ValueError):
+            d[0]
+
+
 class TestSplits:
     def test_spec_arithmetic(self):
         delta = np.array([0] * 40 + [1] * 60)

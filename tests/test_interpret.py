@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fhtsurv import fht
 from fhtsurv.data import SurvivalData
-from fhtsurv.interpret import AxisSpec, default_axes, euclidean_distances, idw_time, risk_grid
+from fhtsurv.interpret import AxisSpec, default_axes, idw_time, risk_grid
 from fhtsurv.network import LayerSpec, NetworkSpec
 from fhtsurv.training import TrainConfig, fit
 
@@ -64,7 +64,7 @@ class TestIdw:
         times = rng.uniform(1.0, 7.0, 7)
         q = rng.normal(size=(3, 2))
         base = idw_time(q, src, times)
-        scaled = idw_time(q, src, times, metric=lambda a, b: 17.3 * euclidean_distances(a, b))
+        scaled = idw_time(17.3 * q, 17.3 * src, times)
         assert np.allclose(base, scaled, atol=1e-12)
 
     def test_empty_sources_rejected(self):

@@ -215,3 +215,14 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             Network.from_dict({"format": "something-else"})
+
+    def test_batch_norm_key_of_older_files(self):
+        net = init_network(small_spec(), seed=3)
+        obj = net.to_dict()
+        assert all("batch_norm" not in h for h in obj["hidden"])
+        for h in obj["hidden"]:
+            h["batch_norm"] = True
+        assert Network.from_dict(obj).spec == net.spec
+        obj["hidden"][1]["batch_norm"] = False
+        with pytest.raises(ValueError, match="hidden layer 1"):
+            Network.from_dict(obj)

@@ -19,35 +19,32 @@ from fhtsurv.training import (
 )
 
 
-def event_terms(surv_of, d, normalize=True):
+def event_terms(surv_of, d):
     """``brier_terms`` on the survival matrix ``surv_of(times)`` over the
     unique event times of ``d`` (a scalar fills the whole matrix)."""
     times = unique_event_times(d.time, d.delta)
     surv = np.broadcast_to(np.asarray(surv_of(times), dtype=float), (len(d), times.size))
-    return brier_terms(surv, times, d.time, d.delta, normalize=normalize)
+    return brier_terms(surv, times, d.time, d.delta)
 
 
 class TestBrierLoss:
     def test_single_subject_hand_value(self):
         d = SurvivalData(np.zeros((1, 1)), np.array([1.0]), np.array([1]), ["f"])
-        loss, grad = event_terms(lambda ts: 0.5, d, normalize=False)
-        assert loss == pytest.approx(0.25)
+        loss, grad = event_terms(lambda ts: 0.5, d)
+        assert loss == pytest.approx(0.25)  # n * |U| = 1, so the raw sum
         assert grad.shape == (1, 1)
 
     def test_two_subject_hand_value(self):
         # events/censoring: (d=1, T=1), (d=0, T=2); S = 0.5; U = {1}
         d = SurvivalData(np.zeros((2, 1)), np.array([1.0, 2.0]), np.array([1, 0]), ["f"])
-        loss, _ = event_terms(lambda ts: 0.5, d, normalize=False)
-        assert loss == pytest.approx(0.5)
-        norm, _ = event_terms(lambda ts: 0.5, d, normalize=True)
-        assert norm == pytest.approx(0.25)
+        loss, _ = event_terms(lambda ts: 0.5, d)
+        assert loss == pytest.approx(0.5 / 2)  # raw sum 0.5 over n * |U| = 2 terms
 
     def test_oracle_step_predictor_zero_loss(self):
         times = np.array([1.0, 2.0, 3.0])
         d = SurvivalData(np.zeros((3, 1)), times, np.ones(3, dtype=int), ["f"])
 
-        loss, _ = event_terms(lambda ts: (times[:, None] > ts[None, :]).astype(float), d,
-                              normalize=False)
+        loss, _ = event_terms(lambda ts: (times[:, None] > ts[None, :]).astype(float), d)
         assert loss == 0.0
 
     def test_censored_before_first_event_no_gradient(self):
@@ -227,11 +224,19 @@ class TestFit:
         assert np.all(np.diff(s, axis=1) <= 1e-12)
 
 
+class TestInputWidth:
+    def test_width_mismatch_names_both_widths(self):
+        d = toy_data(40, seed=1)  # 4 feature columns
+        spec = NetworkSpec(3, (LayerSpec(8, "relu"),), fht.DistKind.LEVY)
+        with pytest.raises(ValueError, match="4 feature columns.*input_dim 3"):
+            fit(d, fht.DistKind.LEVY, spec, TrainConfig(1, 16, 0.01))
+
+
 class TestPredict:
     def test_limit_at_small_time(self):
         d = toy_data(60, seed=2)
         m = fit(d, fht.DistKind.LEVY, toy_spec(), TrainConfig(2, 32, 0.01, seed=3))
-        assert m.predict_survival(d.x[0], 1e-9) == pytest.approx(1.0, abs=1e-12)
+        assert m.survival_matrix(d.x[:1], 1e-9)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_manual_composition(self):
         d = toy_data(60, seed=2)
@@ -247,7 +252,7 @@ class TestPredict:
     def test_monotone_over_grid(self):
         d = toy_data(60, seed=4)
         m = fit(d, fht.DistKind.INVERSE_GAUSSIAN, toy_spec(fht.DistKind.INVERSE_GAUSSIAN), TrainConfig(2, 32, 0.01, seed=3))
-        s = m.predict_survival(d.x[0], np.geomspace(0.01, 20, 50))
+        s = m.survival_matrix(d.x[:1], np.geomspace(0.01, 20, 50))[0]
         assert np.all(np.diff(s) <= 1e-15)
 
 
