@@ -19,7 +19,6 @@ from .fht import (
     levy_density,
     levy_survival,
     levy_survival_and_grads,
-    transition_density,
 )
 
 __version__ = "0.1.0"
@@ -35,7 +34,6 @@ __all__ = [
     "ig_survival",
     "ig_density",
     "ig_survival_and_grads",
-    "transition_density",
     "__version__",
 ]
 

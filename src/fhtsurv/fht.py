@@ -9,12 +9,12 @@ barrier at the origin:
   times follow an inverse Gaussian distribution).
 
 Survival functions (alone, and together with their analytic parameter
-partials), densities, log densities and the absorbed-boundary transition
-density are provided.  Everything broadcasts over numpy arrays
-and is free of shared state, so concurrent use is safe.  Each kind has one
-row in a dispatch table keyed by :class:`DistKind`; the kind-generic entry
-points (:func:`survival`, :func:`survival_and_grads`, :func:`density`,
-:func:`make_params`, :func:`coefficients`) look the kind up there.
+partials) and densities are provided.  Everything broadcasts over numpy
+arrays and is free of shared state, so concurrent use is safe.  Each kind
+has one row in a dispatch table keyed by :class:`DistKind`; the
+kind-generic entry points (:func:`survival`, :func:`survival_and_grads`,
+:func:`density`, :func:`make_params`, :func:`coefficients`) look the kind
+up there.
 
 Conventions: the drifted process fixes ``D = 1`` (the law depends only on
 ``x0/|mu|`` and ``x0^2/(2D)``, so ``D`` merely rescales time), and ``t = 0``
@@ -129,15 +129,6 @@ def levy_density(p: LevyParams, t):
     )
 
 
-def levy_log_density(p: LevyParams, t):
-    t = _check_time(t)
-    return (
-        np.log(p.x0)
-        - 0.5 * np.log(4.0 * np.pi * p.diffusion * t**3)
-        - p.x0 * p.x0 / (4.0 * p.diffusion * t)
-    )
-
-
 def _ig_terms(p: InvGaussParams, t):
     """Survival of the drifted case and the terms its partials reuse.
 
@@ -179,12 +170,6 @@ def ig_density(p: InvGaussParams, t):
     t = _check_time(t)
     z = p.x0 + p.drift * t
     return p.x0 / np.sqrt(4.0 * np.pi * t ** 3) * np.exp(-z * z / (4.0 * t))
-
-
-def ig_log_density(p: InvGaussParams, t):
-    t = _check_time(t)
-    z = p.x0 + p.drift * t
-    return np.log(p.x0) - 0.5 * np.log(4.0 * np.pi * t ** 3) - z * z / (4.0 * t)
 
 
 class _Kind(NamedTuple):
@@ -241,20 +226,3 @@ def param_names(kind: DistKind):
 def coefficients(kind: DistKind, params):
     """(x0, mu, D) of the latent diffusion dX = mu dt + sqrt(2D) dW."""
     return _kind(kind).coefficients(params)
-
-
-def transition_density(kind: DistKind, params, x, t):
-    """Density of the absorbed process at position x > 0 and time t > 0.
-
-    Written as the free Gaussian times ``1 - exp(-x*x0/(D t))``, which is the
-    method-of-images result in a form that cannot go negative and vanishes
-    exactly at the barrier.
-    """
-    t = _check_time(t)
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)) or not np.all(x >= 0.0):
-        raise FhtDomainError("x must be finite and >= 0")
-    x0, mu, d = coefficients(kind, params)
-    v = x - x0 - mu * t
-    free = np.exp(-v * v / (4.0 * d * t)) / np.sqrt(4.0 * np.pi * d * t)
-    return free * -np.expm1(-x * x0 / (d * t))

@@ -1,18 +1,35 @@
 """Monte Carlo first-passage simulator used as an empirical oracle.
 
-Paths follow the Euler-Maruyama update ``X_{k+1} = X_k + mu dt +
-sqrt(2 D dt) xi`` and are absorbed at the first step whose endpoint is at or
-below zero.  Optionally a Brownian-bridge correction also absorbs paths that
-dip below zero inside a step: conditional on endpoints ``a, b > 0`` the
-within-step crossing probability is ``exp(-a b / (D dt))``, which for the
-Gaussian transition of (arithmetic) Brownian motion is exact.
+The latent process ``dX = mu dt + sqrt(2 D) dW`` starts at ``x0 > 0`` and is
+absorbed at zero.  Hit times are multiples of ``dt``: a path is absorbed in
+the first ``dt`` step whose end is at or below zero or, with the
+Brownian-bridge correction, in the first ``dt`` step in which the continuous
+path crosses zero.  Given step ends ``a, b > 0`` that has probability
+``exp(-a b / (D dt))``, which is exact for arithmetic Brownian motion, so
+bridge-corrected hit times have the law of ``ceil(tau / dt) dt`` for the
+continuous first-passage time ``tau``.
+
+Paths are not stepped per ``dt``.  They move on a coarse grid of
+``2**_COARSE_LOG2`` ``dt`` steps by exact Gaussian transitions, and a coarse
+step from ``a`` to ``b`` over time ``h`` is refined only where its own
+crossing probability ``exp(-a b / (D h))`` is at least ``exp(-40)``
+(``a b < 40 D h``, which includes ``b <= 0``), up to the path's first coarse
+point at or below zero.  Refinement fills in the ``dt`` points by dyadic
+Brownian-bridge midpoints (a sub-interval of length ``h`` gets mean
+``(left + right) / 2`` and variance ``D h / 2``) and applies the per-``dt``
+test above; the hit is the first crossing in the earliest crossed coarse
+step.  A ``dt`` point at or below zero implies a crossing of the continuous
+path, so the steps left coarse hide a hit with probability below
+``exp(-40)`` in either mode (P. Glasserman, *Monte Carlo Methods in
+Financial Engineering*, 2004, section 3.1; A. Beskos and G. O. Roberts,
+*Exact simulation of diffusions*, Ann. Appl. Probab. 15, 2005).
 
 Paths are split into fixed-size blocks, each driven by its own spawned RNG
 substream, so results are bit-identical for a given seed regardless of how
-many worker processes are used.  Within a block the walk is advanced in
-vectorized chunks of steps; absorbed paths are compacted away between
-chunks.  Increments use float32 (the carry between chunks stays float64),
-whose rounding is orders of magnitude below Monte Carlo noise.
+many worker processes are used.  Within a block the coarse walk is advanced
+in vectorized chunks of steps; absorbed paths are compacted away between
+chunks.  Gaussian increments use float32 (positions stay float64), whose
+rounding is orders of magnitude below Monte Carlo noise.
 """
 
 from __future__ import annotations
@@ -26,9 +43,16 @@ import numpy as np
 from .fht import DistKind, coefficients
 
 _BLOCK_PATHS = 8192
+# coarse steps per vectorized chunk
 _CHUNK_STEPS = 256
-# Bridge crossings with a*b > 40*D*dt have probability < exp(-40) ~ 4e-18;
-# exponential deviates are only drawn where the product is below this bound.
+# a coarse step spans 2**_COARSE_LOG2 dt steps
+_COARSE_LOG2 = 5
+_FINE_STEPS = 1 << _COARSE_LOG2
+# Coarse steps refined per batch; bounds the fine-path arrays to a few MB.
+_REFINE_STEPS = 8192
+# A step from a to b over time h crosses zero with probability
+# exp(-a b / (D h)), below exp(-40) ~ 4e-18 where a*b >= 40*D*h; only steps
+# under that bound are refined or given an exponential deviate.
 _BRIDGE_LOG_BOUND = 40.0
 
 
@@ -38,7 +62,7 @@ class SimConfig:
     dt: float = 1e-4
     t_max: float = 10.0
     seed: int = 0
-    bridge_correction: bool = False
+    bridge_correction: bool = True
     n_jobs: int = 1
 
     def __post_init__(self):
@@ -64,70 +88,98 @@ class FptSamples:
         return self.hit_times.size
 
 
+def _first_fine_crossings(rng, left, right, diff, dt, bridge):
+    """Refine coarse steps from ``left`` to ``right`` (> 0) onto the dt grid.
+
+    The interior dt points are drawn as dyadic Brownian-bridge midpoints, and
+    the per-dt crossing test is then applied to the fine path.  Returns, per
+    coarse step, the 1-based index of its first crossed dt step, 0 if none.
+    """
+    first = np.zeros(left.size, dtype=np.int64)
+    scale = diff * dt
+    for lo in range(0, left.size, _REFINE_STEPS):
+        hi = min(lo + _REFINE_STEPS, left.size)
+        # one column per coarse step, one row per dt point
+        fine = np.empty((_FINE_STEPS + 1, hi - lo))
+        fine[0] = left[lo:hi]
+        fine[-1] = right[lo:hi]
+        h = _FINE_STEPS
+        while h > 1:
+            # midpoint of a sub-interval of h dt steps: mean of its ends,
+            # variance D h dt / 2
+            mid = fine[h // 2 :: h]
+            np.add(fine[:-1:h], fine[h::h], out=mid)
+            mid *= 0.5
+            noise = rng.standard_normal(mid.shape, dtype=np.float32)
+            noise *= np.float32(np.sqrt(scale * h / 2.0))
+            mid += noise
+            h //= 2
+        if bridge:
+            ab = fine[:-1] * fine[1:]
+            mask = ab < _BRIDGE_LOG_BOUND * scale
+            crossed = np.zeros_like(mask)
+            # "<=" so that a step ending at or below zero always crosses
+            crossed[mask] = ab[mask] <= scale * rng.standard_exponential(np.count_nonzero(mask))
+        else:
+            crossed = fine[1:] <= 0.0
+        first[lo:hi] = np.where(crossed.any(axis=0), crossed.argmax(axis=0) + 1, 0)
+    return first
+
+
 def _run_block(args):
     """Simulate one block of paths; returns hit times with inf for survivors."""
     n_block, x0, mu, diff, dt, n_steps, bridge, seed_seq = args
     rng = np.random.Generator(np.random.Philox(seed_seq))
-    sigma = np.sqrt(2.0 * diff * dt)
-    bridge_scale = diff * dt
-    thresh = _BRIDGE_LOG_BOUND * bridge_scale
-    # A path whose previous position and whole chunk stay above this level
-    # cannot produce any pair product below thresh, so it needs no bridge
-    # checks.  Bridge off: crossing requires the path to reach zero.  The
-    # small margin absorbs float32 rounding so the prefilter stays a
-    # superset of the rows that could possibly cross.
-    guard = np.sqrt(thresh) + 1e-4 if bridge else 1e-4
+    span = _FINE_STEPS * dt
+    sigma = np.sqrt(2.0 * diff * span)
+    # drift of the coarse walk in standard-normal units
+    ramp = (mu * span / sigma * np.arange(1, _CHUNK_STEPS + 1)).astype(np.float32)
+    thresh = _BRIDGE_LOG_BOUND * diff * span
+    # a coarse step needs refining only if one of its ends lies below this
+    level = np.sqrt(thresh)
+    n_coarse = -(-n_steps // _FINE_STEPS)
 
     hit = np.full(n_block, np.inf)
     alive_idx = np.arange(n_block)
     pos = np.full(n_block, x0, dtype=np.float64)
     buf = np.empty(n_block * _CHUNK_STEPS, dtype=np.float32)
     step = 0
-    while step < n_steps and alive_idx.size:
-        k = min(_CHUNK_STEPS, n_steps - step)
+    while step < n_coarse and alive_idx.size:
+        k = min(_CHUNK_STEPS, n_coarse - step)
         n_alive = alive_idx.size
-        # The walk is accumulated in standard-normal units; positions are
-        # pos + sigma * walk + mu * dt * step.  Only candidate rows are ever
-        # reconstructed in process units.
+        # Coarse positions are pos + sigma * walk; only rows that come near
+        # the barrier are ever reconstructed in process units.
         walk = buf[: n_alive * k].reshape(n_alive, k)
         rng.standard_normal(dtype=np.float32, out=walk)
         np.cumsum(walk, axis=1, out=walk)
-        drift_floor = min(mu * dt * k, 0.0)
-        floor = pos + sigma * walk.min(axis=1).astype(np.float64) + drift_floor
-        cand = (floor < guard) | (pos < guard)
-
-        absorbed_rows = np.zeros(n_alive, dtype=bool)
-        first_step = np.zeros(n_alive, dtype=np.int64)
-        if cand.any():
-            sub = np.flatnonzero(cand)
-            p_sub = sigma * walk[sub].astype(np.float64)
-            p_sub += pos[sub, None]
-            if mu != 0.0:
-                p_sub += mu * dt * np.arange(1, k + 1)
-            if bridge:
-                ab = np.empty_like(p_sub)
-                ab[:, 0] = pos[sub] * p_sub[:, 0]
-                np.multiply(p_sub[:, :-1], p_sub[:, 1:], out=ab[:, 1:])
-                mask = ab < thresh
-                crossed = np.zeros_like(mask)
-                n_draw = int(mask.sum())
-                if n_draw:
-                    exp_draws = rng.standard_exponential(n_draw)
-                    crossed[mask] = ab[mask] < bridge_scale * exp_draws
-            else:
-                crossed = p_sub <= 0.0
-            row_hit = crossed.any(axis=1)
-            absorbed_rows[sub] = row_hit
-            first_step[sub] = crossed.argmax(axis=1)
-
-        if absorbed_rows.any():
-            rows = np.flatnonzero(absorbed_rows)
-            hit[alive_idx[rows]] = (step + first_step[rows] + 1) * dt
-            keep = ~absorbed_rows
-            alive_idx = alive_idx[keep]
-            pos = pos[keep] + sigma * walk[keep, -1].astype(np.float64) + mu * dt * k
-        else:
-            pos += sigma * walk[:, -1].astype(np.float64) + mu * dt * k
+        if mu != 0.0:
+            walk += ramp[:k]
+        low = pos + sigma * np.minimum(walk.min(axis=1), 0.0).astype(np.float64)
+        sub = np.flatnonzero(low < level)
+        keep = np.ones(n_alive, dtype=bool)
+        if sub.size:
+            pts = np.empty((sub.size, k + 1))
+            pts[:, 0] = pos[sub]
+            ends = pts[:, 1:]
+            ends[:] = walk[sub]
+            ends *= sigma
+            ends += pos[sub, None]
+            refine = pts[:, :-1] * ends < thresh
+            # a row has crossed by its first end at or below zero
+            refine[:, 1:] &= ~np.logical_or.accumulate(ends[:, :-1] <= 0.0, axis=1)
+            row, col = np.nonzero(refine)
+            first = _first_fine_crossings(rng, pts[row, col], ends[row, col], diff, dt, bridge)
+            crossed = first > 0
+            row, col, first = row[crossed], col[crossed], first[crossed]
+            # the earliest crossed coarse step of each row
+            rows, at = np.unique(row, return_index=True)
+            fine_step = (step + col[at]) * _FINE_STEPS + first[at]
+            dead = sub[rows]
+            inside = fine_step <= n_steps
+            hit[alive_idx[dead[inside]]] = fine_step[inside] * dt
+            keep[dead] = False
+        alive_idx = alive_idx[keep]
+        pos = pos[keep] + sigma * walk[keep, -1].astype(np.float64)
         step += k
     return hit
 

@@ -30,7 +30,7 @@ _INV_SQRT_PI = 5.6418958354775628695e-1
 _SQRT_2 = 1.4142135623730950488
 _THRESH = 0.46875
 
-# Horner coefficients, highest power first, for np.polyval.
+# Polynomial coefficients, highest power first, for _horner.
 # erf(x) = x * A(x^2) / B(x^2) on |x| <= 0.46875
 _A = (1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2,
       3.77485237685302021e2, 3.20937758913846947e3)
@@ -50,6 +50,16 @@ _Q = (1.0, 2.56852019228982242e0, 1.87295284992346725e0,
       5.27905102951428412e-1, 6.05183413124413191e-2, 2.33520497626869185e-3)
 
 
+def _horner(coeffs, x):
+    """The polynomial with ``coeffs`` (highest power first) at ``x``, with the
+    operations of ``np.polyval`` in its order but updated in place."""
+    out = np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        out *= x
+        out += c
+    return out
+
+
 def _calerf(x):
     """Cody's three ranges: returns ``(y, small, r)`` with ``y = |x|``,
     ``r = erf(x)`` where ``small`` (|x| <= 0.46875) and ``r = erfcx(y)``
@@ -61,12 +71,12 @@ def _calerf(x):
     tail = ~(small | mid)
     xs = x[small]
     z = xs * xs
-    r[small] = xs * np.polyval(_A, z) / np.polyval(_B, z)
+    r[small] = xs * _horner(_A, z) / _horner(_B, z)
     ym = y[mid]
-    r[mid] = np.polyval(_C, ym) / np.polyval(_D, ym)
+    r[mid] = _horner(_C, ym) / _horner(_D, ym)
     w = 1.0 / y[tail]
     z = w * w
-    r[tail] = (_INV_SQRT_PI - z * np.polyval(_P, z) / np.polyval(_Q, z)) * w
+    r[tail] = (_INV_SQRT_PI - z * _horner(_P, z) / _horner(_Q, z)) * w
     return y, small, r
 
 

@@ -164,3 +164,75 @@ def idw_ref(query, points, times, transform=None):
         num += w * t
         den += w
     return num / den
+
+
+def fine_fpt_reference(args):
+    """The simulator's former block kernel: one Gaussian step per ``dt``.
+
+    Takes the same task tuple as ``fhtsurv.simulate._run_block``, ``(n_block,
+    x0, mu, diff, dt, n_steps, bridge, seed_seq)``, and returns hit times
+    (``inf`` for survivors).  Each path is advanced on the ``dt`` grid and
+    absorbed at the first grid point at or below zero or, with ``bridge``, at
+    the first step whose Brownian-bridge crossing test ``exp(-a b / (D dt))``
+    fires.  Kept as the reference law that the coarse-step sampler must
+    reproduce.
+    """
+    n_block, x0, mu, diff, dt, n_steps, bridge, seed_seq = args
+    chunk_steps = 256
+    rng = np.random.Generator(np.random.Philox(seed_seq))
+    sigma = np.sqrt(2.0 * diff * dt)
+    bridge_scale = diff * dt
+    thresh = 40.0 * bridge_scale
+    # A path whose previous position and whole chunk stay above this level
+    # cannot produce any pair product below thresh, so it needs no checks.
+    guard = np.sqrt(thresh) + 1e-4 if bridge else 1e-4
+
+    hit = np.full(n_block, np.inf)
+    alive_idx = np.arange(n_block)
+    pos = np.full(n_block, x0, dtype=np.float64)
+    buf = np.empty(n_block * chunk_steps, dtype=np.float32)
+    step = 0
+    while step < n_steps and alive_idx.size:
+        k = min(chunk_steps, n_steps - step)
+        n_alive = alive_idx.size
+        walk = buf[: n_alive * k].reshape(n_alive, k)
+        rng.standard_normal(dtype=np.float32, out=walk)
+        np.cumsum(walk, axis=1, out=walk)
+        drift_floor = min(mu * dt * k, 0.0)
+        floor = pos + sigma * walk.min(axis=1).astype(np.float64) + drift_floor
+        cand = (floor < guard) | (pos < guard)
+
+        absorbed_rows = np.zeros(n_alive, dtype=bool)
+        first_step = np.zeros(n_alive, dtype=np.int64)
+        if cand.any():
+            sub = np.flatnonzero(cand)
+            p_sub = sigma * walk[sub].astype(np.float64)
+            p_sub += pos[sub, None]
+            if mu != 0.0:
+                p_sub += mu * dt * np.arange(1, k + 1)
+            if bridge:
+                ab = np.empty_like(p_sub)
+                ab[:, 0] = pos[sub] * p_sub[:, 0]
+                np.multiply(p_sub[:, :-1], p_sub[:, 1:], out=ab[:, 1:])
+                mask = ab < thresh
+                crossed = np.zeros_like(mask)
+                n_draw = int(mask.sum())
+                if n_draw:
+                    exp_draws = rng.standard_exponential(n_draw)
+                    crossed[mask] = ab[mask] < bridge_scale * exp_draws
+            else:
+                crossed = p_sub <= 0.0
+            row_hit = crossed.any(axis=1)
+            absorbed_rows[sub] = row_hit
+            first_step[sub] = crossed.argmax(axis=1)
+
+        if absorbed_rows.any():
+            rows = np.flatnonzero(absorbed_rows)
+            hit[alive_idx[rows]] = (step + first_step[rows] + 1) * dt
+            keep = ~absorbed_rows
+            alive_idx = alive_idx[keep]
+            pos = pos[keep] + sigma * walk[keep, -1].astype(np.float64) + mu * dt * k
+        else:
+            pos += sigma * walk[:, -1].astype(np.float64) + mu * dt * k
+        step += k
+    return hit

@@ -12,14 +12,11 @@ from fhtsurv.fht import (
     InvGaussParams,
     LevyParams,
     ig_density,
-    ig_log_density,
     ig_survival,
     ig_survival_and_grads,
     levy_density,
-    levy_log_density,
     levy_survival,
     levy_survival_and_grads,
-    transition_density,
 )
 
 import oracles
@@ -89,11 +86,6 @@ class TestLevyDensity:
             fd = -oracles.central_diff(lambda u: float(levy_survival(p, u)), t, h)
             f = float(levy_density(p, t))
             assert abs(fd - f) / f < 1e-5
-
-    def test_log_density_consistent(self):
-        p = LevyParams(0.8, 2.0)
-        ts = np.geomspace(0.02, 20, 40)
-        assert np.allclose(np.exp(levy_log_density(p, ts)), levy_density(p, ts), rtol=1e-12)
 
 
 class TestInvGaussSurvival:
@@ -175,11 +167,6 @@ class TestInvGaussDensity:
             f = float(ig_density(p, t))
             assert abs(fd - f) / f < 1e-5
 
-    def test_log_density_consistent(self):
-        p = InvGaussParams(1.1, -0.6)
-        ts = np.geomspace(0.05, 10, 30)
-        assert np.allclose(np.exp(ig_log_density(p, ts)), ig_density(p, ts), rtol=1e-12)
-
 
 class TestGradients:
     def test_levy_frozen_gradient(self):
@@ -253,39 +240,3 @@ class TestDispatch:
         for c in (0.25, 3.0, 40.0):
             other = levy_survival(LevyParams(math.sqrt(c), c), ts)
             assert np.max(np.abs(other - base)) < 1e-15
-
-
-class TestTransitionDensity:
-    def test_absorbing_boundary(self):
-        assert transition_density(DistKind.LEVY, LevyParams(1.0, 1.0), 0.0, 1.0) == 0.0
-
-    def test_non_negative(self):
-        xs = np.linspace(0.0, 6.0, 200)
-        vals = transition_density(DistKind.LEVY, LevyParams(1.0, 1.0), xs, 0.7)
-        assert np.all(vals >= 0.0)
-
-    def test_levy_integrates_to_survival(self):
-        val = oracles.quad(
-            lambda x: float(transition_density(DistKind.LEVY, LevyParams(1.0, 1.0), x, 1.0)),
-            0.0,
-            np.inf,
-            limit=300,
-        )
-        assert abs(val - 0.5204998778130465) < 1e-8  # erf(0.5), frozen from the oracle
-
-    def test_ig_integrates_to_survival(self):
-        p = InvGaussParams(1.0, -1.0)
-        for t in (0.3, 1.0, 3.0):
-            val = oracles.quad(
-                lambda x: float(
-                    transition_density(DistKind.INVERSE_GAUSSIAN, p, x, t)
-                ),
-                0.0,
-                np.inf,
-                limit=300,
-            )
-            assert abs(val - float(ig_survival(p, t))) < 1e-8
-
-    def test_domain_error_on_negative_position(self):
-        with pytest.raises(FhtDomainError):
-            transition_density(DistKind.LEVY, LevyParams(1.0, 1.0), -0.1, 1.0)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from fhtsurv import fht
 from fhtsurv.simulate import (
     FptSamples,
     SimConfig,
+    _block_tasks,
     empirical_survival,
     simulate_fpt,
     simulate_many,
@@ -96,6 +98,58 @@ class TestSimulate:
             SimConfig(n_paths=10, dt=0.0)
         with pytest.raises(ValueError):
             SimConfig(n_paths=10, t_max=-1.0)
+
+
+def binned_chi_square_p(a, b, n_bins=20):
+    """p-value of a two-sample chi-square test on hit times; the bins are
+    quantiles of the pooled finite times, survivors form one more bin."""
+    pooled = np.concatenate([a, b])
+    edges = np.unique(np.quantile(pooled[np.isfinite(pooled)], np.linspace(0, 1, n_bins + 1)[1:-1]))
+
+    def cells(x):
+        finite = np.bincount(np.searchsorted(edges, x[np.isfinite(x)], side="right"),
+                             minlength=edges.size + 1)
+        return np.append(finite, np.isinf(x).sum())
+
+    table = np.array([cells(a), cells(b)])
+    return stats.chi2_contingency(table[:, table.sum(axis=0) > 0])[1]
+
+
+class TestAgainstFineStepSampler:
+    """The coarse-step sampler against the former one-step-per-dt kernel."""
+
+    @pytest.mark.parametrize("bridge", [True, False])
+    @pytest.mark.parametrize("kind, params", [
+        (fht.DistKind.LEVY, fht.LevyParams(1.0, 1.0)),
+        (fht.DistKind.INVERSE_GAUSSIAN, fht.InvGaussParams(1.0, -0.5)),
+    ])
+    def test_same_law_as_fine_steps(self, kind, params, bridge):
+        cfg = SimConfig(100000, 1e-2, 5.0, 21, bridge)
+        ref_cfg = SimConfig(100000, 1e-2, 5.0, 22, bridge)
+        ref = np.concatenate([oracles.fine_fpt_reference(t) for t in _block_tasks(kind, params, ref_cfg)])
+        ours = simulate_fpt(kind, params, cfg).hit_times
+        assert binned_chi_square_p(ours, ref) > 0.01
+
+
+class TestGridEdges:
+    def test_steps_not_a_multiple_of_the_coarse_step(self):
+        # 37 dt steps: the last coarse step runs past t_max
+        dt = 0.01
+        cfg = SimConfig(n_paths=40000, dt=dt, t_max=0.37, seed=31)
+        p = fht.LevyParams(1.0, 1.0)
+        hits = simulate_fpt(fht.DistKind.LEVY, p, cfg).hit_times
+        finite = hits[np.isfinite(hits)]
+        assert finite.size > 0
+        assert np.array_equal(finite, np.round(finite / dt) * dt)
+        assert finite.max() <= 37 * dt
+        z = z_scores(fht.DistKind.LEVY, p, cfg, np.array([10, 20, 30, 37]) * dt)
+        assert np.max(np.abs(z)) < 3.0
+
+    def test_hits_inside_the_first_coarse_step(self):
+        dt = 1e-4
+        cfg = SimConfig(n_paths=40000, dt=dt, t_max=64 * dt, seed=32)
+        z = z_scores(fht.DistKind.LEVY, fht.LevyParams(0.05, 1.0), cfg, np.array([4, 16, 48]) * dt)
+        assert np.max(np.abs(z)) < 3.0
 
 
 class TestEmpiricalSurvival:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 
+from fhtsurv import special
 from fhtsurv.special import erf, erfc, erfcx, norm_cdf
 
 
@@ -96,3 +97,15 @@ def test_non_finite_arguments():
         assert list(erfc(np.array([np.inf, -np.inf, 1e300]))) == [0.0, 2.0, 0.0]
         assert erfcx(np.inf) == 0.0
     assert np.isnan(erf(np.nan)) and np.isnan(erfc(np.nan)) and np.isnan(erfcx(np.nan))
+
+
+def test_horner_identical_to_polyval():
+    # each Cody range's polynomials on that range's own argument
+    rng = np.random.default_rng(17)
+    small = rng.uniform(0.0, special._THRESH, 20000) ** 2
+    mid = rng.uniform(special._THRESH, 4.0, 20000)
+    tail = 1.0 / np.exp(rng.uniform(np.log(4.0), np.log(1e9), 20000)) ** 2
+    for coeffs, z in [(special._A, small), (special._B, small), (special._C, mid),
+                      (special._D, mid), (special._P, tail), (special._Q, tail)]:
+        z = np.append(z, [0.0, np.nan])
+        assert np.array_equal(special._horner(coeffs, z), np.polyval(coeffs, z), equal_nan=True)
