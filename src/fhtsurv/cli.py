@@ -9,9 +9,10 @@ the outputs byte for byte.
 Model configuration files are JSON with the keys ``distribution``
 (``levy`` or ``invgauss``), ``hidden_sizes``, ``activation``, ``dropout``,
 ``epochs``, ``batch_size``, ``learning_rate``, and optionally
-``optimizer``, ``eval_time_cap``.  Defaults mirror the synthetic-benchmark
-configuration (hidden 16,16, relu, no dropout, 450 epochs, batch 256,
-learning rate 0.0039, driftless kind).
+``eval_time_cap`` and ``optimizer`` (training always uses Adam; the key
+accepts only ``"adam"`` so older files still load).  Defaults mirror the
+synthetic-benchmark configuration (hidden 16,16, relu, no dropout, 450
+epochs, batch 256, learning rate 0.0039, driftless kind).
 """
 
 from __future__ import annotations
@@ -101,11 +102,14 @@ def _net_spec(cfg, input_dim):
 
 
 def _train_config(cfg, seed):
+    if cfg["optimizer"] != "adam":
+        raise ValueError(
+            f"model config key 'optimizer' must be \"adam\", got {cfg['optimizer']!r}"
+        )
     return TrainConfig(
         epochs=int(cfg["epochs"]),
         batch_size=int(cfg["batch_size"]),
         learning_rate=float(cfg["learning_rate"]),
-        optimizer=cfg["optimizer"],
         seed=seed,
         eval_time_cap=cfg["eval_time_cap"],
     )

@@ -75,10 +75,6 @@ class SurvivalData:
         """Rows selected by an index array, slice or mask, as a new dataset."""
         return SurvivalData(self.x[idx], self.time[idx], self.delta[idx], self.feature_names)
 
-    @property
-    def censoring_ratio(self):
-        return float(np.mean(self.delta == 0))
-
 
 @dataclass
 class RawDataset:

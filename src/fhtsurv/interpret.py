@@ -7,11 +7,17 @@ two-dimensional parameter space; a query point's interpolated event time is
 
 a convex combination of the source times that acts as a risk proxy across
 the whole plane.  A query closer than 1e-12 to a source takes that source's
-time (the formula's limit).
+time (the formula's limit), or the mean time of the sources it coincides
+with.
 
-Distances are Euclidean in the coordinates of the map's axes.  By default
-the second parameter axis is on log scale for the driftless kind (its
-learned range spans decades) and both axes are raw for the drifted kind.
+Queries are evaluated in fixed blocks of ``_QUERY_BLOCK`` rows, one
+coordinate at a time, so the working memory is O(block x sources) float64
+values however many queries a map has; no (queries x sources x 2)
+difference array is formed.
+
+Distances are Euclidean in the coordinates of the map's axes.  The second
+parameter axis is on log scale for the driftless kind (its learned range
+spans decades) and both axes are raw for the drifted kind.
 
 The driftless law depends on ``(x0, D)`` only through ``x0^2/D``, so Levy
 risk is constant along every curve of constant ``x0^2/D`` (a straight line
@@ -28,12 +34,17 @@ import numpy as np
 from .fht import DistKind, param_names
 
 EXACT_MATCH_DIST = 1e-12
-_GRID_CHUNK = 64
+_QUERY_BLOCK = 128
 
 
 def idw_time(query, source_params, source_times):
     """Interpolate event times at query points (convex in the source times),
-    with Euclidean distances between the given coordinates."""
+    with Euclidean distances between the given coordinates.
+
+    Queries are evaluated ``_QUERY_BLOCK`` rows at a time, so the working
+    memory is one ``(block, sources)`` array of squared distances and its
+    weights whatever the number of queries.
+    """
     source_params = np.atleast_2d(np.asarray(source_params, dtype=np.float64))
     source_times = np.asarray(source_times, dtype=np.float64)
     if source_params.shape[0] == 0:
@@ -43,17 +54,25 @@ def idw_time(query, source_params, source_times):
     query = np.asarray(query, dtype=np.float64)
     scalar = query.ndim == 1
     queries = np.atleast_2d(query)
-    diff = queries[:, None, :] - source_params[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    if queries.shape[1] != 2 or source_params.shape[1] != 2:
+        raise ValueError("query and source points need 2 coordinates each")
     out = np.empty(queries.shape[0])
-    exact = dist < EXACT_MATCH_DIST
-    hit = exact.any(axis=1)
-    for i in np.flatnonzero(hit):
-        out[i] = source_times[exact[i]].mean()
-    rest = ~hit
-    if rest.any():
-        w = 1.0 / np.sqrt(dist[rest])
-        out[rest] = (w @ source_times) / w.sum(axis=1)
+    for start in range(0, queries.shape[0], _QUERY_BLOCK):
+        q = queries[start : start + _QUERY_BLOCK]
+        block = out[start : start + _QUERY_BLOCK]
+        sq = q[:, 0:1] - source_params[:, 0]
+        sq *= sq
+        dy = q[:, 1:2] - source_params[:, 1]
+        dy *= dy
+        sq += dy
+        dist = np.sqrt(sq, out=sq)
+        hit = dist.min(axis=1) < EXACT_MATCH_DIST
+        for i in np.flatnonzero(hit):
+            block[i] = source_times[dist[i] < EXACT_MATCH_DIST].mean()
+        w = dist[~hit] if hit.any() else dist
+        np.sqrt(w, out=w)
+        np.divide(1.0, w, out=w)
+        block[~hit] = (w @ source_times) / w.sum(axis=1)
     return float(out[0]) if scalar else out
 
 
@@ -152,7 +171,7 @@ def _metric_coords(points: np.ndarray, axes) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def risk_grid(model, train_data, axes=None, resolution=200, overlay_data=None) -> RiskMap:
+def risk_grid(model, train_data, resolution=200, overlay_data=None) -> RiskMap:
     """Interpolated event-time map over the model's parameter plane.
 
     Sources are the uncensored training subjects' predicted parameters and
@@ -163,22 +182,12 @@ def risk_grid(model, train_data, axes=None, resolution=200, overlay_data=None) -
     uncensored = train_data.delta == 1
     if not uncensored.any():
         raise ValueError("need at least one uncensored training record")
-    src_params = params[uncensored]
-    src_times = train_data.time[uncensored]
-    if axes is None:
-        axes = default_axes(model.kind, params, resolution=resolution)
+    axes = default_axes(model.kind, params, resolution=resolution)
     x_axis, y_axis = axes
-
-    src_coords = _metric_coords(src_params, axes)
-    xg, yg = x_axis.grid(), y_axis.grid()
-    grid = np.empty((y_axis.resolution, x_axis.resolution))
-    for start in range(0, y_axis.resolution, _GRID_CHUNK):
-        rows = yg[start : start + _GRID_CHUNK]
-        qx, qy = np.meshgrid(xg, rows)
-        queries = np.stack([qx.ravel(), qy.ravel()], axis=1)
-        q_coords = _metric_coords(queries, axes)
-        vals = idw_time(q_coords, src_coords, src_times)
-        grid[start : start + len(rows)] = vals.reshape(len(rows), x_axis.resolution)
+    qx, qy = np.meshgrid(x_axis.grid(), y_axis.grid())
+    queries = _metric_coords(np.stack([qx.ravel(), qy.ravel()], axis=1), axes)
+    src_coords = _metric_coords(params[uncensored], axes)
+    grid = idw_time(queries, src_coords, train_data.time[uncensored]).reshape(qx.shape)
 
     if overlay_data is None:
         overlay_params, overlay_times, overlay_delta = params, train_data.time, train_data.delta

@@ -44,7 +44,6 @@ class TrainConfig:
     epochs: int
     batch_size: int
     learning_rate: float
-    optimizer: str = "adam"
     seed: int = 0
     eval_time_cap: int | None = 256
 
@@ -55,8 +54,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be > 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError("optimizer must be 'adam' or 'sgd'")
         if self.eval_time_cap is not None and self.eval_time_cap < 1:
             raise ValueError("eval_time_cap must be >= 1 or None")
 
@@ -102,15 +99,6 @@ class _Adam:
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
             a -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-
-
-class _Sgd:
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, arrays, grads):
-        for a, g in zip(arrays, grads):
-            a -= self.lr * g
 
 
 def _subsample_times(times_sorted, cap, rng):
@@ -205,10 +193,7 @@ def fit(data, kind: DistKind, net_spec: NetworkSpec, cfg: TrainConfig, recipe=No
     times_rng = np.random.default_rng(times_seq)
 
     arrays = net.trainable_arrays()
-    if cfg.optimizer == "adam":
-        opt = _Adam(arrays, cfg.learning_rate)
-    else:
-        opt = _Sgd(cfg.learning_rate)
+    opt = _Adam(arrays, cfg.learning_rate)
 
     trace = []
     names = net.trainable_names()

@@ -246,6 +246,26 @@ def test_unknown_config_key_rejected(small_csv, tmp_path, capsys):
     assert "unknown model config keys" in capsys.readouterr().err
 
 
+def test_optimizer_other_than_adam_rejected(small_csv, tmp_path, capsys):
+    cfg = tmp_path / "sgd.json"
+    cfg.write_text(json.dumps({"hidden_sizes": [8], "epochs": 1, "optimizer": "sgd"}))
+    out = tmp_path / "m.json"
+    rc = main(["train", "--data", small_csv, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'optimizer'" in err and "'sgd'" in err
+    assert not out.exists()
+
+
+def test_optimizer_adam_still_loads(small_csv, quick_cfg, trained_model, tmp_path):
+    cfg = tmp_path / "adam.json"
+    cfg.write_text(json.dumps(dict(read_json(quick_cfg), optimizer="adam")))
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", small_csv, "--config", str(cfg),
+                 "--out", str(out), "--seed", "5"]) == 0
+    assert sha(out) == sha(trained_model)
+
+
 class TestReadme:
     ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

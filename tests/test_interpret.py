@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,14 @@ from hypothesis import strategies as st
 
 from fhtsurv import fht
 from fhtsurv.data import SurvivalData
-from fhtsurv.interpret import AxisSpec, default_axes, idw_time, risk_grid
+from fhtsurv.interpret import (
+    _QUERY_BLOCK,
+    AxisSpec,
+    _metric_coords,
+    default_axes,
+    idw_time,
+    risk_grid,
+)
 from fhtsurv.network import LayerSpec, NetworkSpec
 from fhtsurv.training import TrainConfig, fit
 
@@ -66,6 +75,41 @@ class TestIdw:
         base = idw_time(q, src, times)
         scaled = idw_time(17.3 * q, 17.3 * src, times)
         assert np.allclose(base, scaled, atol=1e-12)
+
+    def test_memory_bounded_by_query_block(self):
+        rng = np.random.default_rng(5)
+        queries = rng.normal(size=(10_000, 2))
+        src = rng.normal(size=(1_000, 2))
+        times = rng.uniform(0.5, 9.0, 1_000)
+        tracemalloc.start()
+        try:
+            idw_time(queries, src, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_exact_hits_across_block_boundaries(self):
+        rng = np.random.default_rng(6)
+        src = rng.normal(size=(40, 2))
+        src[39] = src[17]  # a duplicated source point
+        times = rng.uniform(0.5, 9.0, 40)
+        n = 3 * _QUERY_BLOCK + 5
+        queries = rng.normal(size=(n, 2)) * 2
+        hits = {0: 3, _QUERY_BLOCK - 1: 17, _QUERY_BLOCK: 25, n - 1: 8}
+        for row, k in hits.items():
+            queries[row] = src[k]
+        vals = idw_time(queries, src, times)
+        assert vals[_QUERY_BLOCK - 1] == (times[17] + times[39]) / 2
+        for row, k in hits.items():
+            if k != 17:
+                assert vals[row] == times[k]
+        for row in set(range(n)) - set(hits):
+            assert abs(vals[row] - oracles.idw_ref(queries[row], src, times)) < 1e-12
+
+    def test_points_need_two_coordinates(self):
+        with pytest.raises(ValueError, match="2 coordinates"):
+            idw_time(np.zeros((4, 3)), np.ones((5, 3)), np.ones(5))
 
     def test_empty_sources_rejected(self):
         with pytest.raises(ValueError):
@@ -132,17 +176,9 @@ class TestRiskGrid:
         params = model.params_for(data.x)
         unc = np.flatnonzero(data.delta == 1)
         j = unc[0]
-        x_axis, y_axis = default_axes(model.kind, params, resolution=8)
-        import dataclasses
-
-        x_axis = dataclasses.replace(x_axis, lo=float(params[j, 0]) - 1.0, hi=float(params[j, 0]))
-        rmap = risk_grid(model, data, axes=(x_axis, y_axis), resolution=8)
-        # the grid's last x column passes exactly through the source's x0;
-        # interpolate at the exact parameter pair instead for a strict check
-        from fhtsurv.interpret import _metric_coords
-
-        q = _metric_coords(params[j : j + 1], (x_axis, y_axis))
-        src = _metric_coords(params[unc], (x_axis, y_axis))
+        axes = default_axes(model.kind, params, resolution=8)
+        q = _metric_coords(params[j : j + 1], axes)
+        src = _metric_coords(params[unc], axes)
         assert idw_time(q, src, data.time[unc])[0] == pytest.approx(float(data.time[j]))
 
     def test_overlay_defaults_to_training_records(self):

@@ -255,7 +255,7 @@ class TestBootstrap:
 
     def test_censoring_ratio_preserved_exactly(self):
         d = make_data(np.linspace(0.5, 8, 40), [0] * 16 + [1] * 24)
-        res = bootstrap(lambda sel: d[sel].censoring_ratio, d, n_resamples=25, seed=1)
+        res = bootstrap(lambda sel: 1.0 - d.delta[sel].mean(), d, n_resamples=25, seed=1)
         assert res.mean == pytest.approx(0.4)
         assert res.std == pytest.approx(0.0, abs=1e-12)
 
