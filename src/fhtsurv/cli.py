@@ -7,12 +7,14 @@ rerun --manifest <path>`` re-executes the recorded command and reproduces
 the outputs byte for byte.
 
 Model configuration files are JSON with the keys ``distribution``
-(``levy`` or ``invgauss``), ``hidden_sizes``, ``activation``, ``dropout``,
-``epochs``, ``batch_size``, ``learning_rate``, and optionally
-``eval_time_cap`` and ``optimizer`` (training always uses Adam; the key
-accepts only ``"adam"`` so older files still load).  Defaults mirror the
-synthetic-benchmark configuration (hidden 16,16, relu, no dropout, 450
-epochs, batch 256, learning rate 0.0039, driftless kind).
+(``levy`` or ``invgauss``), ``hidden_sizes``, ``epochs``, ``batch_size``
+and ``learning_rate``.  The keys ``activation``, ``dropout``,
+``eval_time_cap`` and ``optimizer`` are accepted so older files still
+load, but each takes only the one value training uses (``FIXED_CONFIG``):
+hidden layers are ReLU without dropout, at most 256 event times enter each
+batch's loss, and the optimizer is Adam.  Defaults mirror the
+synthetic-benchmark configuration (hidden 16,16, 450 epochs, batch 256,
+learning rate 0.0039, driftless kind).
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from .data import (
 from .interpret import risk_grid
 from .metrics import concordance, evaluate
 from .modelio import read_json, write_json_atomic
-from .network import LayerSpec, NetworkSpec
+from .network import NetworkSpec
 from .simulate import SimConfig, empirical_survival, simulate_fpt, write_samples_csv
-from .training import FittedModel, TrainConfig, fit
+from .training import EVAL_TIME_CAP, FittedModel, TrainConfig, fit
 
 DEFAULT_MODEL_CONFIG = {
     "distribution": "levy",
@@ -52,8 +54,10 @@ DEFAULT_MODEL_CONFIG = {
     "batch_size": 256,
     "learning_rate": 0.0039,
     "optimizer": "adam",
-    "eval_time_cap": 256,
+    "eval_time_cap": EVAL_TIME_CAP,
 }
+# keys kept so older config files load; each accepts only its default
+FIXED_CONFIG = ("activation", "dropout", "optimizer", "eval_time_cap")
 
 
 def _manifest_path(out_path):
@@ -91,27 +95,24 @@ def _model_config(path_or_none, overrides=None):
     unknown = set(cfg) - set(DEFAULT_MODEL_CONFIG)
     if unknown:
         raise ValueError(f"unknown model config keys: {sorted(unknown)}")
+    for key in FIXED_CONFIG:
+        want = DEFAULT_MODEL_CONFIG[key]
+        if cfg[key] != want:
+            raise ValueError(f"model config key '{key}' must be {want!r}, got {cfg[key]!r}")
     return cfg
 
 
 def _net_spec(cfg, input_dim):
-    layers = tuple(
-        LayerSpec(int(w), cfg["activation"], float(cfg["dropout"])) for w in cfg["hidden_sizes"]
-    )
-    return NetworkSpec(input_dim, layers, fht.DistKind(cfg["distribution"]))
+    widths = tuple(int(w) for w in cfg["hidden_sizes"])
+    return NetworkSpec(input_dim, widths, fht.DistKind(cfg["distribution"]))
 
 
 def _train_config(cfg, seed):
-    if cfg["optimizer"] != "adam":
-        raise ValueError(
-            f"model config key 'optimizer' must be \"adam\", got {cfg['optimizer']!r}"
-        )
     return TrainConfig(
         epochs=int(cfg["epochs"]),
         batch_size=int(cfg["batch_size"]),
         learning_rate=float(cfg["learning_rate"]),
         seed=seed,
-        eval_time_cap=cfg["eval_time_cap"],
     )
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import PreprocessRecipe
 from .modelio import decode_array, encode_array, read_json, write_json_atomic
 
 RIDGE_EPS = 1e-9
@@ -76,8 +77,6 @@ class CoxModel:
             raise ValueError("not a cox model file")
         recipe = None
         if obj.get("recipe") is not None:
-            from .data import PreprocessRecipe
-
             recipe = PreprocessRecipe.from_dict(obj["recipe"])
         p = obj["payload"]
         return cls(

@@ -16,8 +16,8 @@ weight ``1 / G(T_i-)^2`` where ``G`` is the Kaplan-Meier estimate of the
 censoring survival; the Brier decomposition weights past events by
 ``1 / G(T_i-)`` and still-at-risk subjects by ``1 / G(t)``.  Terms whose
 weight is undefined because ``G`` has reached zero are excluded and
-counted.  ``concordance`` and ``brier_curve`` accept ``weighted=False`` for
-unweighted sensitivity checks; ``evaluate`` always weights.
+counted.  Without censoring ``G`` is 1 everywhere, so both reduce to their
+unweighted forms.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ class KmCurve:
 
     times: np.ndarray
     survival: np.ndarray
-    at_risk: np.ndarray
-    n: int
 
     def eval(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -70,17 +68,11 @@ def kaplan_meier(time_obs, flag) -> KmCurve:
     order = np.argsort(time_obs, kind="stable")
     ts, fs = time_obs[order], flag[order]
     uniq, start = np.unique(ts, return_index=True)
-    n = ts.size
-    at_risk_all = n - start
+    at_risk = ts.size - start
     d = np.add.reduceat(fs.astype(np.int64), start)
     keep = d > 0
-    factors = 1.0 - d[keep] / at_risk_all[keep]
-    return KmCurve(
-        times=uniq[keep],
-        survival=np.cumprod(factors),
-        at_risk=at_risk_all[keep],
-        n=n,
-    )
+    factors = 1.0 - d[keep] / at_risk[keep]
+    return KmCurve(times=uniq[keep], survival=np.cumprod(factors))
 
 
 def km_censoring(data) -> KmCurve:
@@ -102,7 +94,7 @@ def _columns(times, wanted) -> np.ndarray:
     return cols
 
 
-def concordance(surv, times, data, weighted=True):
+def concordance(surv, times, data):
     """Time-dependent concordance with tie and exclusion accounting.
 
     Returns ``(value, n_comparable, n_excluded_pairs)``.  A pair (i, j) is
@@ -123,14 +115,10 @@ def concordance(surv, times, data, weighted=True):
     n_comp = comparable.sum(axis=0)
     conc = ((surv > s_own[None, :]) & comparable).sum(axis=0)
     tied = ((surv == s_own[None, :]) & comparable).sum(axis=0)
-    if weighted:
-        g_left = km_censoring(data).eval_left(t_ev)
-        valid = g_left > 0.0
-        w = np.zeros(ev.size)
-        w[valid] = 1.0 / g_left[valid] ** 2
-    else:
-        valid = np.ones(ev.size, dtype=bool)
-        w = np.ones(ev.size)
+    g_left = km_censoring(data).eval_left(t_ev)
+    valid = g_left > 0.0
+    w = np.zeros(ev.size)
+    w[valid] = 1.0 / g_left[valid] ** 2
     den = float((w * n_comp)[valid].sum())
     if den == 0.0:
         raise MetricUndefinedError("no comparable pairs")
@@ -146,7 +134,7 @@ class BrierCurve:
     n_excluded: int = 0
 
 
-def brier_curve(surv, times, data, weighted=True) -> BrierCurve:
+def brier_curve(surv, times, data) -> BrierCurve:
     """IPCW-weighted time-dependent Brier score at each of ``times``.
 
     B(t) = mean_i [ 1(T_i <= t, event) S(t|x_i)^2 / G(T_i-)
@@ -158,13 +146,9 @@ def brier_curve(surv, times, data, weighted=True) -> BrierCurve:
     surv = np.asarray(surv, dtype=np.float64)
     past_event = (time_obs[:, None] <= t_grid[None, :]) & (delta[:, None] == 1)
     at_risk = time_obs[:, None] > t_grid[None, :]
-    if weighted:
-        g = km_censoring(data)
-        g_subj = g.eval_left(time_obs)
-        g_grid = g.eval(t_grid)
-    else:
-        g_subj = np.ones(n)
-        g_grid = np.ones(t_grid.size)
+    g = km_censoring(data)
+    g_subj = g.eval_left(time_obs)
+    g_grid = g.eval(t_grid)
     w_subj = np.where(g_subj > 0.0, 1.0 / np.where(g_subj > 0.0, g_subj, 1.0), 0.0)
     w_grid = np.where(g_grid > 0.0, 1.0 / np.where(g_grid > 0.0, g_grid, 1.0), 0.0)
     term_event = past_event * surv**2 * w_subj[:, None]

@@ -1,9 +1,8 @@
 """Feedforward network mapping covariates to constrained diffusion parameters.
 
-Architecture per hidden layer: affine, then batch normalization, then
-dropout (when enabled, it sits between the normalization and the
-activation), then the activation.  The output layer is affine into two raw
-values that a link layer squeezes onto the parameter domain:
+Architecture per hidden layer: affine, then batch normalization, then ReLU.
+The output layer is affine into two raw values that a link layer squeezes
+onto the parameter domain:
 
     x0 = softplus(r0) + eps        (always)
     D  = softplus(r1) + eps        (driftless kind)
@@ -12,16 +11,16 @@ values that a link layer squeezes onto the parameter domain:
 with eps = 1e-6, so any finite raw output yields valid parameters.
 Softplus is used instead of exp to keep the link gradient bounded.
 
-Initialization: He fan-in scaling for relu/elu layers, Glorot for tanh,
-zero biases, batch-norm scale 1 / shift 0, and the output bias chosen so an
-untrained network starts near x0 = 1 and D = 1 (or mu = -0.1), which keeps
-the initial survival curves away from the saturated regions of erf/Phi.
+Initialization: He fan-in scaling for the hidden layers and Glorot for the
+output layer, zero biases, batch-norm scale 1 / shift 0, and the output
+bias chosen so an untrained network starts near x0 = 1 and D = 1 (or
+mu = -0.1), which keeps the initial survival curves away from the
+saturated regions of erf/Phi.
 
 Everything is plain numpy with explicit reverse-mode gradients; there is no
-autodiff.  Training-mode forward passes consume the network's own dropout
-RNG and update batch-norm running statistics (momentum 0.9, variance
-epsilon 1e-5, biased batch variance); eval-mode passes are pure functions
-of the weights and input.
+autodiff.  Training-mode forward passes update batch-norm running
+statistics (momentum 0.9, variance epsilon 1e-5, biased batch variance);
+eval-mode passes are pure functions of the weights and input.
 """
 
 from __future__ import annotations
@@ -36,27 +35,15 @@ from .modelio import decode_array, encode_array
 LINK_EPS = 1e-6
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
-_ACTIVATIONS = ("relu", "elu", "tanh")
 N_DIST_PARAMS = 2
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    width: int
-    activation: str = "relu"
-    dropout: float = 0.0
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("layer width must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+# per-layer keys of older model files, with the one value each still loads
+_FIXED_LAYER_KEYS = {"batch_norm": True, "activation": "relu", "dropout": 0.0}
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """Input width, the width of each hidden layer, and the distribution kind."""
+
     input_dim: int
     hidden: tuple
     kind: DistKind
@@ -64,7 +51,10 @@ class NetworkSpec:
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        object.__setattr__(self, "hidden", tuple(self.hidden))
+        hidden = tuple(self.hidden)
+        if not all(isinstance(w, int) and w >= 1 for w in hidden):
+            raise ValueError(f"hidden layer widths must be positive integers, got {hidden!r}")
+        object.__setattr__(self, "hidden", hidden)
         object.__setattr__(self, "kind", DistKind(self.kind))
 
 
@@ -96,29 +86,12 @@ def link_backward(kind: DistKind, raw: np.ndarray, d_params: np.ndarray) -> np.n
     return d_raw
 
 
-def _act_forward(name, x):
-    if name == "relu":
-        return np.maximum(x, 0.0)
-    if name == "elu":
-        return np.where(x > 0.0, x, np.expm1(np.minimum(x, 0.0)))
-    return np.tanh(x)
-
-
-def _act_backward(name, x, out, d_out):
-    if name == "relu":
-        return d_out * (x > 0.0)
-    if name == "elu":
-        return d_out * np.where(x > 0.0, 1.0, out + 1.0)
-    return d_out * (1.0 - out * out)
-
-
 class Network:
     """Parameter container with explicit forward/backward passes."""
 
-    def __init__(self, spec: NetworkSpec, weights, dropout_rng=None):
+    def __init__(self, spec: NetworkSpec, weights):
         self.spec = spec
         self.weights = weights  # dict name -> ndarray
-        self._dropout_rng = dropout_rng or np.random.default_rng(0)
 
     # ------------------------------------------------------------------
     # construction and parameter access
@@ -138,11 +111,7 @@ class Network:
         return [self.weights[n] for n in self.trainable_names()]
 
     def copy(self) -> "Network":
-        return Network(
-            self.spec,
-            {k: v.copy() for k, v in self.weights.items()},
-            np.random.default_rng(0),
-        )
+        return Network(self.spec, {k: v.copy() for k, v in self.weights.items()})
 
     # ------------------------------------------------------------------
     # forward / backward
@@ -150,8 +119,8 @@ class Network:
     def forward(self, x: np.ndarray, train: bool = False):
         """Map a batch (n, input_dim) to parameters (n, 2) plus a cache.
 
-        Train mode samples dropout masks from the network's RNG and updates
-        batch-norm running statistics; eval mode is deterministic.
+        Train mode normalizes with batch statistics and updates the batch-norm
+        running statistics; eval mode is a pure function of weights and input.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
@@ -161,7 +130,7 @@ class Network:
         n = x.shape[0]
         cache = {"x": x, "train": train, "layers": []}
         a = x
-        for i, layer in enumerate(self.spec.hidden):
+        for i in range(len(self.spec.hidden)):
             lc = {"a_in": a}
             z = a @ self.weights[f"h{i}.w"] + self.weights[f"h{i}.b"]
             if train:
@@ -180,14 +149,8 @@ class Network:
                 inv_std = 1.0 / np.sqrt(self.weights[f"h{i}.run_var"] + BN_EPS)
                 zhat = (z - self.weights[f"h{i}.run_mean"]) * inv_std
             y = self.weights[f"h{i}.gamma"] * zhat + self.weights[f"h{i}.beta"]
-            lc.update(zhat=zhat, inv_std=inv_std)
-            if train and layer.dropout > 0.0:
-                mask = self._dropout_rng.random(y.shape) >= layer.dropout
-                y = y * mask / (1.0 - layer.dropout)
-                lc["mask"] = mask
-            lc["act_in"] = y
-            a = _act_forward(layer.activation, y)
-            lc["act_out"] = a
+            lc.update(zhat=zhat, inv_std=inv_std, act_in=y)
+            a = np.maximum(y, 0.0)
             cache["layers"].append(lc)
         raw = a @ self.weights["out.w"] + self.weights["out.b"]
         cache["a_last"] = a
@@ -210,11 +173,8 @@ class Network:
         grads["out.b"] = d_raw.sum(axis=0)
         d_a = d_raw @ self.weights["out.w"].T
         for i in range(len(self.spec.hidden) - 1, -1, -1):
-            layer = self.spec.hidden[i]
             lc = cache["layers"][i]
-            d_y = _act_backward(layer.activation, lc["act_in"], lc["act_out"], d_a)
-            if train and layer.dropout > 0.0:
-                d_y = d_y * lc["mask"] / (1.0 - layer.dropout)
+            d_y = d_a * (lc["act_in"] > 0.0)
             zhat, inv_std = lc["zhat"], lc["inv_std"]
             grads[f"h{i}.gamma"] = (d_y * zhat).sum(axis=0)
             grads[f"h{i}.beta"] = d_y.sum(axis=0)
@@ -241,10 +201,7 @@ class Network:
             "version": 1,
             "kind": self.kind.value,
             "input_dim": self.spec.input_dim,
-            "hidden": [
-                {"width": l.width, "activation": l.activation, "dropout": l.dropout}
-                for l in self.spec.hidden
-            ],
+            "hidden": [{"width": w} for w in self.spec.hidden],
             "arrays": {k: encode_array(v) for k, v in sorted(self.weights.items())},
         }
 
@@ -255,18 +212,15 @@ class Network:
         if obj.get("version") != 1:
             raise ValueError(f"unsupported network version {obj.get('version')!r}")
         for i, h in enumerate(obj["hidden"]):
-            # older model files carry a per-layer flag; only batch-normalized layers load
-            if h.get("batch_norm", True) is not True:
-                raise ValueError(
-                    f"hidden layer {i}: batch_norm={h['batch_norm']!r} is not supported; "
-                    "every hidden layer applies batch normalization"
-                )
+            for key, value in _FIXED_LAYER_KEYS.items():
+                if key in h and h[key] != value:
+                    raise ValueError(
+                        f"hidden layer {i}: {key}={h[key]!r} is not supported; every "
+                        "hidden layer is batch-normalized ReLU without dropout"
+                    )
         spec = NetworkSpec(
             input_dim=obj["input_dim"],
-            hidden=tuple(
-                LayerSpec(width=h["width"], activation=h["activation"], dropout=h["dropout"])
-                for h in obj["hidden"]
-            ),
+            hidden=tuple(h["width"] for h in obj["hidden"]),
             kind=DistKind(obj["kind"]),
         )
         weights = {k: decode_array(v) for k, v in obj["arrays"].items()}
@@ -276,22 +230,17 @@ class Network:
 def init_network(spec: NetworkSpec, seed=0) -> Network:
     """Reproducibly initialize a network (see module docstring for scheme)."""
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    w_seq, d_seq = root.spawn(2)
-    rng = np.random.default_rng(w_seq)
+    rng = np.random.default_rng(root.spawn(1)[0])
     weights = {}
     fan_in = spec.input_dim
-    for i, layer in enumerate(spec.hidden):
-        if layer.activation == "tanh":
-            std = np.sqrt(2.0 / (fan_in + layer.width))
-        else:
-            std = np.sqrt(2.0 / fan_in)
-        weights[f"h{i}.w"] = rng.normal(0.0, std, size=(fan_in, layer.width))
-        weights[f"h{i}.b"] = np.zeros(layer.width)
-        weights[f"h{i}.gamma"] = np.ones(layer.width)
-        weights[f"h{i}.beta"] = np.zeros(layer.width)
-        weights[f"h{i}.run_mean"] = np.zeros(layer.width)
-        weights[f"h{i}.run_var"] = np.ones(layer.width)
-        fan_in = layer.width
+    for i, width in enumerate(spec.hidden):
+        weights[f"h{i}.w"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, width))
+        weights[f"h{i}.b"] = np.zeros(width)
+        weights[f"h{i}.gamma"] = np.ones(width)
+        weights[f"h{i}.beta"] = np.zeros(width)
+        weights[f"h{i}.run_mean"] = np.zeros(width)
+        weights[f"h{i}.run_var"] = np.ones(width)
+        fan_in = width
     weights["out.w"] = rng.normal(
         0.0, np.sqrt(2.0 / (fan_in + N_DIST_PARAMS)), size=(fan_in, N_DIST_PARAMS)
     )
@@ -299,4 +248,4 @@ def init_network(spec: NetworkSpec, seed=0) -> Network:
     weights["out.b"] = np.array(
         [_inv_softplus(1.0 - LINK_EPS), _inv_softplus(second - LINK_EPS)]
     )
-    return Network(spec, weights, np.random.default_rng(d_seq))
+    return Network(spec, weights)

@@ -11,9 +11,10 @@ The implementation divides by ``|U| * n`` so learning rates transfer
 across dataset sizes; the optimum is unchanged.
 
 Minibatch semantics: the inner sum runs over the batch while ``U`` stays
-the full training-set event-time set, capped (default 256) by drawing one
-time per contiguous stratum of the sorted set each batch, which bounds the
-O(|U| * batch) cost without shrinking the time range.
+the full training-set event-time set, capped at ``EVAL_TIME_CAP`` (256)
+times by drawing one time per contiguous stratum of the sorted set each
+batch, which bounds the O(|U| * batch) cost without shrinking the time
+range.
 
 Gradients flow from the loss through the closed-form survival functions
 (analytic parameter partials) into the network via its reverse pass.
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fht
+from .data import PreprocessRecipe
 from .fht import DistKind
 from .modelio import read_json, write_json_atomic
 from .network import Network, NetworkSpec, init_network
@@ -33,6 +35,7 @@ from .network import Network, NetworkSpec, init_network
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+EVAL_TIME_CAP = 256
 
 
 class TrainingDivergedError(RuntimeError):
@@ -45,7 +48,6 @@ class TrainConfig:
     batch_size: int
     learning_rate: float
     seed: int = 0
-    eval_time_cap: int | None = 256
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -54,8 +56,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be > 0")
-        if self.eval_time_cap is not None and self.eval_time_cap < 1:
-            raise ValueError("eval_time_cap must be >= 1 or None")
 
 
 def unique_event_times(time_obs, delta) -> np.ndarray:
@@ -108,7 +108,7 @@ def _subsample_times(times_sorted, cap, rng):
     ``n % cap`` hold ``n // cap + 1`` times, the rest ``n // cap``.
     """
     n = times_sorted.size
-    if cap is None or n <= cap:
+    if n <= cap:
         return times_sorted
     q, r = divmod(n, cap)
     k = np.arange(cap)
@@ -159,8 +159,6 @@ class FittedModel:
             raise ValueError("not a network model file")
         recipe = None
         if obj.get("recipe") is not None:
-            from .data import PreprocessRecipe
-
             recipe = PreprocessRecipe.from_dict(obj["recipe"])
         return cls(
             network=Network.from_dict(obj["payload"]),
@@ -205,7 +203,7 @@ def fit(data, kind: DistKind, net_spec: NetworkSpec, cfg: TrainConfig, recipe=No
             sel = perm[start : start + cfg.batch_size]
             if sel.size < 2 and net_spec.hidden:
                 continue  # batch-norm variance undefined for a singleton batch
-            u_batch = _subsample_times(u_full, cfg.eval_time_cap, times_rng)
+            u_batch = _subsample_times(u_full, EVAL_TIME_CAP, times_rng)
             try:
                 param_cols, cache = net.forward(data.x[sel], train=True)
             except ValueError as exc:

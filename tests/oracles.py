@@ -93,7 +93,7 @@ def km_eval(steps, t):
     return out
 
 
-def cindex_bruteforce(surv_lookup, times, deltas, weighted=True):
+def cindex_bruteforce(surv_lookup, times, deltas):
     """Direct enumeration of Antolini's time-dependent concordance.
 
     ``surv_lookup(j, t)`` returns subject j's predicted survival at time t.
@@ -109,12 +109,9 @@ def cindex_bruteforce(surv_lookup, times, deltas, weighted=True):
         if deltas[i] != 1:
             continue
         g = km_eval_left(steps, times[i])
-        if weighted:
-            if g <= 0.0:
-                continue
-            w = 1.0 / g**2
-        else:
-            w = 1.0
+        if g <= 0.0:
+            continue
+        w = 1.0 / g**2
         s_i = surv_lookup(i, times[i])
         for j in range(n):
             if times[j] <= times[i]:
@@ -130,7 +127,7 @@ def cindex_bruteforce(surv_lookup, times, deltas, weighted=True):
     return num / den
 
 
-def brier_ref(surv_lookup, times, deltas, t, weighted=True):
+def brier_ref(surv_lookup, times, deltas, t):
     """Direct evaluation of the IPCW Brier score at one time point."""
     n = len(times)
     steps = km_censoring_ref(times, deltas)
@@ -138,31 +135,36 @@ def brier_ref(surv_lookup, times, deltas, t, weighted=True):
     for i in range(n):
         s = surv_lookup(i, t)
         if times[i] <= t and deltas[i] == 1:
-            g = km_eval_left(steps, times[i]) if weighted else 1.0
+            g = km_eval_left(steps, times[i])
             if g > 0.0:
                 total += s * s / g
         elif times[i] > t:
-            g = km_eval(steps, t) if weighted else 1.0
+            g = km_eval(steps, t)
             if g > 0.0:
                 total += (1.0 - s) ** 2 / g
     return total / n
 
 
 def idw_ref(query, points, times, transform=None):
-    """Scalar re-evaluation of the inverse-distance time interpolation."""
+    """Scalar re-evaluation of the inverse-distance time interpolation; a
+    query within 1e-12 of one or more sources takes the mean of their times."""
     q = list(query)
     if transform:
         q = transform(q)
     num = 0.0
     den = 0.0
+    coincident = []
     for p, t in zip(points, times):
         pp = transform(list(p)) if transform else list(p)
         d = math.sqrt(sum((a - b) ** 2 for a, b in zip(q, pp)))
         if d < 1e-12:
-            return t
+            coincident.append(t)
+            continue
         w = 1.0 / math.sqrt(d)
         num += w * t
         den += w
+    if coincident:
+        return sum(coincident) / len(coincident)
     return num / den
 
 

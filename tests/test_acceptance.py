@@ -24,7 +24,7 @@ from fhtsurv.data import (
 )
 from fhtsurv.interpret import idw_time
 from fhtsurv.metrics import brier_curve, concordance, evaluate
-from fhtsurv.network import LayerSpec, NetworkSpec, init_network
+from fhtsurv.network import NetworkSpec, init_network
 from fhtsurv.simulate import SimConfig, empirical_survival, simulate_many
 from fhtsurv.training import (
     TrainConfig,
@@ -120,7 +120,7 @@ def test_criterion_3_end_to_end_gradients(kind):
     """Brier-loss gradients of every trainable match central differences
     (step 1e-5) with max relative error < 1e-4 on a 4-subject toy."""
     rng = np.random.default_rng(8)
-    spec = NetworkSpec(3, (LayerSpec(5, "tanh"), LayerSpec(4, "elu")), kind)
+    spec = NetworkSpec(3, (5, 4), kind)
     net = init_network(spec, seed=7)
     for i, width in enumerate((5, 4)):
         net.weights[f"h{i}.run_mean"] += rng.normal(0, 0.3, width)
@@ -213,9 +213,7 @@ def test_criterion_5_nonph_desk_scale_reproduction():
     start = time.time()
     data = generate_nonph(NonPhConfig(seed=1234))
     train, test = stratified_split(data, test_frac=0.2, seed=7)
-    spec = NetworkSpec(
-        20, (LayerSpec(16, "relu", 0.0), LayerSpec(16, "relu", 0.0)), fht.DistKind.LEVY
-    )
+    spec = NetworkSpec(20, (16, 16), fht.DistKind.LEVY)
     cfg = TrainConfig(epochs=450, batch_size=256, learning_rate=0.0039, seed=11)
 
     cv_scores = []

@@ -266,6 +266,34 @@ def test_optimizer_adam_still_loads(small_csv, quick_cfg, trained_model, tmp_pat
     assert sha(out) == sha(trained_model)
 
 
+@pytest.mark.parametrize("key,value", [("activation", "tanh"), ("dropout", 0.3),
+                                       ("eval_time_cap", 128)])
+def test_fixed_config_key_other_value_rejected(small_csv, tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"hidden_sizes": [8], "epochs": 1, key: value}))
+    out = tmp_path / "m.json"
+    rc = main(["train", "--data", small_csv, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert f"model config key '{key}' must be" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text(json.dumps({"levy": {"hidden_sizes": [8], "epochs": 1, key: value}}))
+    rc = main(["compare", "--data", small_csv, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert f"model config key '{key}' must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fixed_config_keys_at_their_value_still_load(small_csv, quick_cfg, trained_model,
+                                                     tmp_path):
+    cfg = tmp_path / "fixed.json"
+    fixed = {"activation": "relu", "dropout": 0.0, "eval_time_cap": 256}
+    cfg.write_text(json.dumps(dict(read_json(quick_cfg), **fixed)))
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", small_csv, "--config", str(cfg),
+                 "--out", str(out), "--seed", "5"]) == 0
+    assert sha(out) == sha(trained_model)
+
+
 class TestReadme:
     ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -282,6 +310,12 @@ class TestReadme:
                 parser.parse_args(shlex.split(line)[1:])
             except SystemExit:
                 pytest.fail(f"README command does not parse: {line}")
+
+    def test_config_block_matches_defaults(self):
+        text = "\n".join(self.readme_lines())
+        start = text.index("### Model config")
+        block = re.search(r"```json\n(.*?)```", text[start:], re.S).group(1)
+        assert json.loads(block) == cli.DEFAULT_MODEL_CONFIG
 
     def test_named_scripts_exist(self):
         paths = set(re.findall(r"scripts/[\w./-]*\w", "\n".join(self.readme_lines())))

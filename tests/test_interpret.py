@@ -15,7 +15,7 @@ from fhtsurv.interpret import (
     idw_time,
     risk_grid,
 )
-from fhtsurv.network import LayerSpec, NetworkSpec
+from fhtsurv.network import NetworkSpec
 from fhtsurv.training import TrainConfig, fit
 
 import oracles
@@ -100,11 +100,7 @@ class TestIdw:
         for row, k in hits.items():
             queries[row] = src[k]
         vals = idw_time(queries, src, times)
-        assert vals[_QUERY_BLOCK - 1] == (times[17] + times[39]) / 2
-        for row, k in hits.items():
-            if k != 17:
-                assert vals[row] == times[k]
-        for row in set(range(n)) - set(hits):
+        for row in range(n):
             assert abs(vals[row] - oracles.idw_ref(queries[row], src, times)) < 1e-12
 
     def test_points_need_two_coordinates(self):
@@ -156,7 +152,7 @@ def tiny_model(kind=fht.DistKind.LEVY, n=60, seed=0):
     t = np.exp(0.5 * x[:, 0]) * rng.exponential(1.0, n) + 0.01
     delta = (rng.random(n) > 0.2).astype(int)
     data = SurvivalData(x, t, delta, ["a", "b", "c"])
-    spec = NetworkSpec(3, (LayerSpec(6, "relu"),), kind)
+    spec = NetworkSpec(3, (6,), kind)
     model = fit(data, kind, spec, TrainConfig(3, 32, 0.01, seed=1))
     return model, data
 
@@ -214,7 +210,7 @@ class TestRiskGrid:
 
         data = generate_nonph(NonPhConfig(seed=21, n_raw=2000, n_keep=800))
         train, test = stratified_split(data, 0.2, seed=0)
-        spec = NetworkSpec(20, (LayerSpec(16, "relu"), LayerSpec(16, "relu")), fht.DistKind.LEVY)
+        spec = NetworkSpec(20, (16, 16), fht.DistKind.LEVY)
         model = fit(train, fht.DistKind.LEVY, spec, TrainConfig(60, 256, 0.0039, seed=2))
         params = model.params_for(test.x)
         coords = np.column_stack([params[:, 0], np.log(params[:, 1])])

@@ -34,11 +34,11 @@ def surv_from_values(values):
     return fn
 
 
-def cindex(values, d, weighted=True):
+def cindex(values, d):
     """Concordance of time-constant predictions on the event-time matrix of ``d``."""
     times = unique_event_times(d.time, d.delta)
     surv = np.tile(np.asarray(values, dtype=float)[:, None], (1, times.size))
-    return concordance(surv, times, d, weighted=weighted)[0]
+    return concordance(surv, times, d)[0]
 
 
 class TestKaplanMeier:
@@ -165,18 +165,6 @@ class TestCindex:
         assert n_comp >= 1
         assert n_excl >= 0
 
-    def test_unweighted_mode(self):
-        rng = np.random.default_rng(11)
-        n = 30
-        d = make_data(rng.uniform(0.2, 6, n), rng.integers(0, 2, n))
-        if not (d.delta == 1).any():
-            d.delta[0] = 1
-        vals = rng.random(n)
-        ref = oracles.cindex_bruteforce(
-            lambda j, t: vals[j], list(d.time), list(d.delta), weighted=False
-        )
-        assert abs(cindex(vals, d, weighted=False) - ref) < 1e-12
-
 
 class TestBrierCurve:
     def test_uninformative_quarter(self):
@@ -203,20 +191,18 @@ class TestBrierCurve:
             assert ours == pytest.approx(ref, abs=1e-12)
 
     def test_unweighted_matches_loss_summands(self):
+        # without censoring G = 1 everywhere, so the IPCW curve is the
+        # unweighted per-time summand of the training loss
         rng = np.random.default_rng(3)
         n = 25
-        d = make_data(rng.uniform(0.3, 6, n), rng.integers(0, 2, n))
-        if not (d.delta == 1).any():
-            d.delta[0] = 1
-        vals = rng.random(n)
+        d = make_data(rng.uniform(0.3, 6, n), np.ones(n, dtype=int))
         grid = unique_event_times(d.time, d.delta)
-        surv = np.tile(vals[:, None], (1, grid.size))
-        _, _ = brier_terms(surv, grid, d.time, d.delta)  # shape check
-        per_time = (
-            ((d.time[:, None] <= grid) & (d.delta[:, None] == 1)) * surv**2
-            + (d.time[:, None] > grid) * (1 - surv) ** 2
-        ).sum(axis=0) / n
-        curve = brier_curve(surv, grid, d, weighted=False)
+        surv = rng.random((n, grid.size))
+        past_event = d.time[:, None] <= grid
+        per_time = (past_event * surv**2 + ~past_event * (1 - surv) ** 2).sum(axis=0) / n
+        loss, _ = brier_terms(surv, grid, d.time, d.delta)
+        assert loss == pytest.approx(per_time.mean(), rel=1e-12)
+        curve = brier_curve(surv, grid, d)
         assert np.allclose(curve.values, per_time, atol=1e-12)
 
 

@@ -4,7 +4,6 @@ import pytest
 from fhtsurv.fht import DistKind
 from fhtsurv.network import (
     LINK_EPS,
-    LayerSpec,
     Network,
     NetworkSpec,
     init_network,
@@ -13,8 +12,8 @@ from fhtsurv.network import (
 )
 
 
-def small_spec(kind=DistKind.LEVY, act="relu", dropout=0.0):
-    return NetworkSpec(3, (LayerSpec(5, act, dropout), LayerSpec(4, act, dropout)), kind)
+def small_spec(kind=DistKind.LEVY):
+    return NetworkSpec(3, (5, 4), kind)
 
 
 class TestInit:
@@ -31,9 +30,9 @@ class TestInit:
         assert any(not np.array_equal(a.weights[k], b.weights[k]) for k in a.weights)
 
     def test_fan_in_scaling_variance(self):
-        # relu layers use He scaling: pre-activation variance about 2x input variance
+        # He scaling: pre-activation variance about 2x input variance
         rng = np.random.default_rng(0)
-        spec = NetworkSpec(64, (LayerSpec(64, "relu"),), DistKind.LEVY)
+        spec = NetworkSpec(64, (64,), DistKind.LEVY)
         net = init_network(spec, seed=5)
         x = rng.standard_normal((10000, 64))
         z = x @ net.weights["h0.w"] + net.weights["h0.b"]
@@ -73,7 +72,7 @@ class TestLink:
 
 class TestForward:
     def test_eval_deterministic(self):
-        net = init_network(small_spec(dropout=0.5), seed=9)
+        net = init_network(small_spec(), seed=9)
         x = np.random.default_rng(2).normal(size=(5, 3))
         a, _ = net.forward(x)
         b, _ = net.forward(x)
@@ -92,13 +91,6 @@ class TestForward:
         net = init_network(small_spec(), seed=0)
         with pytest.raises(ValueError):
             net.forward(np.zeros((1, 3)), train=True)
-
-    def test_dropout_uses_owned_rng(self):
-        net = init_network(small_spec(dropout=0.5), seed=4)
-        x = np.random.default_rng(5).normal(size=(6, 3))
-        a, _ = net.forward(x, train=True)
-        b, _ = net.forward(x, train=True)
-        assert not np.array_equal(a, b)  # rng state advances
 
     def test_running_stats_converge_and_eval_stabilizes(self):
         # epochs over a fixed dataset drive the running statistics to a
@@ -158,13 +150,12 @@ class TestBackward:
         assert np.allclose(grads["out.w"], x.T @ d_raw_target, atol=1e-12)
         assert np.allclose(grads["out.b"], d_raw_target.sum(axis=0), atol=1e-12)
 
-    @pytest.mark.parametrize("act", ["relu", "elu", "tanh"])
     @pytest.mark.parametrize("train", [False, True])
-    def test_finite_difference_full_network(self, act, train):
+    def test_finite_difference_full_network(self, train):
         # quadratic loss on the linked parameters; train mode exercises the
         # batch-statistics path of the normalization backward
         rng = np.random.default_rng(10)
-        spec = NetworkSpec(3, (LayerSpec(4, act), LayerSpec(3, act)), DistKind.LEVY)
+        spec = NetworkSpec(3, (4, 3), DistKind.LEVY)
         net = init_network(spec, seed=13)
         x = rng.normal(size=(6, 3))
         target = rng.random((6, 2)) + 0.5
@@ -204,10 +195,12 @@ class TestBackward:
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):
-        net = init_network(small_spec(DistKind.INVERSE_GAUSSIAN, "elu", 0.3), seed=21)
+        net = init_network(small_spec(DistKind.INVERSE_GAUSSIAN), seed=21)
         # push the running stats away from init so they round-trip too
         net.forward(np.random.default_rng(0).normal(size=(16, 3)), train=True)
-        clone = Network.from_dict(net.to_dict())
+        obj = net.to_dict()
+        assert obj["hidden"] == [{"width": 5}, {"width": 4}]
+        clone = Network.from_dict(obj)
         assert clone.spec == net.spec
         for k in net.weights:
             assert np.array_equal(net.weights[k], clone.weights[k]), k
@@ -226,3 +219,21 @@ class TestSerialization:
         obj["hidden"][1]["batch_norm"] = False
         with pytest.raises(ValueError, match="hidden layer 1"):
             Network.from_dict(obj)
+
+    @pytest.mark.parametrize("key,value,other", [("activation", "relu", "elu"), ("dropout", 0.0, 0.5)])
+    def test_layer_keys_of_older_files(self, key, value, other):
+        net = init_network(small_spec(), seed=3)
+        obj = net.to_dict()
+        for h in obj["hidden"]:
+            h[key] = value
+        assert Network.from_dict(obj).spec == net.spec
+        obj["hidden"][1][key] = other
+        with pytest.raises(ValueError, match=f"hidden layer 1: {key}="):
+            Network.from_dict(obj)
+
+
+class TestSpec:
+    @pytest.mark.parametrize("hidden", [(0,), (4, -1), (2.5,), ("8",)])
+    def test_bad_widths_rejected(self, hidden):
+        with pytest.raises(ValueError, match="hidden layer widths"):
+            NetworkSpec(3, hidden, DistKind.LEVY)

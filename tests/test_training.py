@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fhtsurv import fht
 from fhtsurv.data import SurvivalData
 from fhtsurv.metrics import kaplan_meier
-from fhtsurv.network import LayerSpec, NetworkSpec, init_network
+from fhtsurv.network import NetworkSpec, init_network
 from fhtsurv.training import (
     FittedModel,
     TrainConfig,
@@ -102,18 +102,18 @@ def toy_data(n=120, seed=0, censor_frac=0.2):
 
 
 def toy_spec(kind=fht.DistKind.LEVY):
-    return NetworkSpec(4, (LayerSpec(8, "relu"),), kind)
+    return NetworkSpec(4, (8,), kind)
 
 
 def subsample_loop_ref(times_sorted, cap, rng):
     """The strata drawn one at a time, as ``np.array_split`` cuts them."""
-    if cap is None or times_sorted.size <= cap:
+    if times_sorted.size <= cap:
         return times_sorted
     return np.array([b[rng.integers(b.size)] for b in np.array_split(times_sorted, cap)])
 
 
 class TestSubsampleTimes:
-    @pytest.mark.parametrize("cap", [None, 1, 7, 100, 256, 763, 764, 765, 2000])
+    @pytest.mark.parametrize("cap", [1, 7, 100, 256, 763, 764, 765, 2000])
     def test_same_picks_and_stream_as_per_stratum_loop(self, cap):
         times = np.sort(np.random.default_rng(3).uniform(0.1, 10.0, 764))
         ours, ref = np.random.default_rng(11), np.random.default_rng(11)
@@ -191,7 +191,7 @@ class TestFit:
             np.ones(n, dtype=int),
             ["a", "b", "c"],
         )
-        spec = NetworkSpec(3, (LayerSpec(8, "relu"),), fht.DistKind.INVERSE_GAUSSIAN)
+        spec = NetworkSpec(3, (8,), fht.DistKind.INVERSE_GAUSSIAN)
         cfg = TrainConfig(epochs=300, batch_size=128, learning_rate=0.03, seed=2)
         m = fit(d, fht.DistKind.INVERSE_GAUSSIAN, spec, cfg)
         km = kaplan_meier(d.time, d.delta)
@@ -207,7 +207,7 @@ class TestFit:
         ok = 0
         for seed in range(10):
             cfg = TrainConfig(epochs=10, batch_size=64, learning_rate=0.005, seed=seed)
-            spec = NetworkSpec(20, (LayerSpec(8, "relu"),), fht.DistKind.LEVY)
+            spec = NetworkSpec(20, (8,), fht.DistKind.LEVY)
             m = fit(d, fht.DistKind.LEVY, spec, cfg)
             diffs = np.diff(m.loss_trace)
             if np.all(diffs < 0):
@@ -227,7 +227,7 @@ class TestFit:
 class TestInputWidth:
     def test_width_mismatch_names_both_widths(self):
         d = toy_data(40, seed=1)  # 4 feature columns
-        spec = NetworkSpec(3, (LayerSpec(8, "relu"),), fht.DistKind.LEVY)
+        spec = NetworkSpec(3, (8,), fht.DistKind.LEVY)
         with pytest.raises(ValueError, match="4 feature columns.*input_dim 3"):
             fit(d, fht.DistKind.LEVY, spec, TrainConfig(1, 16, 0.01))
 
@@ -259,9 +259,9 @@ class TestPredict:
 class TestEndToEndGradient:
     @pytest.mark.parametrize("kind", [fht.DistKind.LEVY, fht.DistKind.INVERSE_GAUSSIAN])
     def test_brier_gradients_match_finite_differences(self, kind):
-        # 4 subjects, 2 hidden layers, dropout off, batch norm in eval mode
+        # 4 subjects, 2 hidden ReLU layers, batch norm in eval mode
         rng = np.random.default_rng(8)
-        spec = NetworkSpec(3, (LayerSpec(5, "tanh"), LayerSpec(4, "elu")), kind)
+        spec = NetworkSpec(3, (5, 4), kind)
         net = init_network(spec, seed=7)
         for i in range(2):
             net.weights[f"h{i}.run_mean"] += rng.normal(0, 0.3, 5 if i == 0 else 4)
