@@ -37,14 +37,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name):
-    # lazy submodule access: fhtsurv.training, fhtsurv.metrics, ...
-    import importlib
-
-    if name in (
-        "cli", "cox", "data", "interpret", "metrics",
-        "modelio", "network", "simulate", "special", "training",
-    ):
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,14 +7,14 @@ rerun --manifest <path>`` re-executes the recorded command and reproduces
 the outputs byte for byte.
 
 Model configuration files are JSON with the keys ``distribution``
-(``levy`` or ``invgauss``), ``hidden_sizes``, ``epochs``, ``batch_size``
-and ``learning_rate``.  The keys ``activation``, ``dropout``,
-``eval_time_cap`` and ``optimizer`` are accepted so older files still
-load, but each takes only the one value training uses (``FIXED_CONFIG``):
-hidden layers are ReLU without dropout, at most 256 event times enter each
-batch's loss, and the optimizer is Adam.  Defaults mirror the
-synthetic-benchmark configuration (hidden 16,16, 450 epochs, batch 256,
-learning rate 0.0039, driftless kind).
+(``levy`` or ``invgauss``), ``hidden_sizes`` (a list of integer widths),
+``epochs`` and ``batch_size`` (integers), and ``learning_rate``.  The keys
+``activation``, ``dropout``, ``eval_time_cap`` and ``optimizer`` are
+accepted so older files still load, but each takes only the one value
+training uses (``FIXED_CONFIG``): hidden layers are ReLU without dropout,
+at most 256 event times enter each batch's loss, and the optimizer is Adam.
+Defaults mirror the synthetic-benchmark configuration (hidden 16,16, 450
+epochs, batch 256, learning rate 0.0039, driftless kind).
 """
 
 from __future__ import annotations
@@ -99,18 +99,29 @@ def _model_config(path_or_none, overrides=None):
         want = DEFAULT_MODEL_CONFIG[key]
         if cfg[key] != want:
             raise ValueError(f"model config key '{key}' must be {want!r}, got {cfg[key]!r}")
+    for key in ("epochs", "batch_size"):
+        if not _is_int(cfg[key]):
+            raise ValueError(f"model config key '{key}' must be an integer, got {cfg[key]!r}")
+    widths = cfg["hidden_sizes"]
+    if not isinstance(widths, list) or not all(_is_int(w) for w in widths):
+        raise ValueError(
+            f"model config key 'hidden_sizes' must be a list of integers, got {widths!r}"
+        )
     return cfg
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _net_spec(cfg, input_dim):
-    widths = tuple(int(w) for w in cfg["hidden_sizes"])
-    return NetworkSpec(input_dim, widths, fht.DistKind(cfg["distribution"]))
+    return NetworkSpec(input_dim, tuple(cfg["hidden_sizes"]), fht.DistKind(cfg["distribution"]))
 
 
 def _train_config(cfg, seed):
     return TrainConfig(
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
+        epochs=cfg["epochs"],
+        batch_size=cfg["batch_size"],
         learning_rate=float(cfg["learning_rate"]),
         seed=seed,
     )
@@ -141,7 +152,7 @@ def cmd_train(args):
     recipe = fit_preprocess(raw)
     data = apply_preprocess(recipe, raw)
     spec = _net_spec(cfg, data.x.shape[1])
-    model = fit(data, spec.kind, spec, _train_config(cfg, args.seed), recipe=recipe)
+    model = fit(data, spec, _train_config(cfg, args.seed), recipe=recipe)
     model.save(args.out)
     return [args.out]
 
@@ -163,7 +174,7 @@ def _cv_scores(data, spec, tcfg, folds, seed):
     for i, val_idx in enumerate(fold_idx):
         mask = np.ones(len(data), dtype=bool)
         mask[val_idx] = False
-        model = fit(data[np.flatnonzero(mask)], spec.kind, spec, tcfg)
+        model = fit(data[np.flatnonzero(mask)], spec, tcfg)
         val = data[val_idx]
         times = np.unique(val.time[val.delta == 1])
         scores.append(concordance(model.survival_matrix(val.x, times), times, val)[0])
@@ -192,7 +203,7 @@ def cmd_compare(args):
         cfg["distribution"] = kind_name
         spec = _net_spec(cfg, train.x.shape[1])
         tcfg = _train_config(cfg, kind_seed)
-        model = fit(train, spec.kind, spec, tcfg, recipe=recipe)
+        model = fit(train, spec, tcfg, recipe=recipe)
         rep = evaluate(model.survival_matrix, test, n_resamples=args.bootstrap, seed=boot_seed)
         entry = rep.to_dict()
         if args.folds:

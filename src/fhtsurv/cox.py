@@ -95,8 +95,8 @@ class CoxModel:
         return cls.from_dict(read_json(path))
 
 
-def _partial_lik_parts(xs, ds, start, d_count, eta, want_hessian):
-    """Log partial likelihood, gradient, and (optionally) negative Hessian.
+def _partial_lik_parts(xs, ds, start, d_count, eta):
+    """Log partial likelihood, gradient, and negative Hessian.
 
     ``xs/ds/eta`` are sorted by time ascending; ``start`` marks the first
     index of each distinct event time so suffix sums give the risk sets.
@@ -115,8 +115,6 @@ def _partial_lik_parts(xs, ds, start, d_count, eta, want_hessian):
     loglik = float(np.sum(ev_sum_eta - d_count * (np.log(s0_j) + shift)))
     mu = s1_j / s0_j[:, None]
     grad = (ev_sum_x - d_count[:, None] * mu).sum(axis=0)
-    if not want_hessian:
-        return loglik, grad, None
     s2 = np.cumsum((r[:, None, None] * (xs[:, :, None] * xs[:, None, :]))[::-1], axis=0)[::-1]
     s2_j = s2[start]
     info = np.zeros((m, m))
@@ -146,7 +144,7 @@ def fit_cox(data, max_iter=100, tol=1e-8) -> CoxModel:
     event_times = uniq[has_ev]
 
     beta = np.zeros(m)
-    loglik, grad, info = _partial_lik_parts(xs, ds, start, d_count, xs @ beta, True)
+    loglik, grad, info = _partial_lik_parts(xs, ds, start, d_count, xs @ beta)
     n_iter = 0
     converged = float(np.max(np.abs(grad))) < tol
     ridge = RIDGE_EPS
@@ -165,9 +163,7 @@ def fit_cox(data, max_iter=100, tol=1e-8) -> CoxModel:
         scale = 1.0
         for _ in range(40):
             cand = beta + scale * step
-            ll_new, grad_new, info_new = _partial_lik_parts(
-                xs, ds, start, d_count, xs @ cand, True
-            )
+            ll_new, grad_new, info_new = _partial_lik_parts(xs, ds, start, d_count, xs @ cand)
             if np.isfinite(ll_new) and ll_new >= loglik - 1e-12:
                 break
             scale *= 0.5

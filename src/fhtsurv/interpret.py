@@ -118,7 +118,7 @@ class RiskMap:
     overlay_times: np.ndarray
     overlay_delta: np.ndarray
 
-    def write_csv(self, grid_path, overlay_path=None) -> None:
+    def write_csv(self, grid_path, overlay_path) -> None:
         xg, yg = self.x_axis.grid(), self.y_axis.grid()
         with open(grid_path, "w", encoding="utf-8") as fh:
             for ax, nm in ((self.x_axis, "x_axis"), (self.y_axis, "y_axis")):
@@ -131,13 +131,10 @@ class RiskMap:
             for iy, yv in enumerate(yg):
                 for ix, xv in enumerate(xg):
                     fh.write(f"{_num(xv)},{_num(yv)},{_num(self.grid[iy, ix])}\n")
-        if overlay_path is not None:
-            with open(overlay_path, "w", encoding="utf-8") as fh:
-                fh.write(f"{self.x_axis.name},{self.y_axis.name},time,event\n")
-                for (px, py), t, d in zip(
-                    self.overlay_params, self.overlay_times, self.overlay_delta
-                ):
-                    fh.write(f"{_num(px)},{_num(py)},{_num(t)},{int(d)}\n")
+        with open(overlay_path, "w", encoding="utf-8") as fh:
+            fh.write(f"{self.x_axis.name},{self.y_axis.name},time,event\n")
+            for (px, py), t, d in zip(self.overlay_params, self.overlay_times, self.overlay_delta):
+                fh.write(f"{_num(px)},{_num(py)},{_num(t)},{int(d)}\n")
 
 
 def default_axes(kind: DistKind, params: np.ndarray, resolution=200):

@@ -15,9 +15,9 @@ documented choice): concordance pairs anchored at event time ``T_i`` carry
 weight ``1 / G(T_i-)^2`` where ``G`` is the Kaplan-Meier estimate of the
 censoring survival; the Brier decomposition weights past events by
 ``1 / G(T_i-)`` and still-at-risk subjects by ``1 / G(t)``.  Terms whose
-weight is undefined because ``G`` has reached zero are excluded and
-counted.  Without censoring ``G`` is 1 everywhere, so both reduce to their
-unweighted forms.
+weight is undefined because ``G`` has reached zero are excluded; concordance
+also counts the pairs it excludes.  Without censoring ``G`` is 1 everywhere,
+so both reduce to their unweighted forms.
 """
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ def concordance(surv, times, data):
 class BrierCurve:
     times: np.ndarray
     values: np.ndarray
-    n_excluded: int = 0
 
 
 def brier_curve(surv, times, data) -> BrierCurve:
@@ -154,25 +153,19 @@ def brier_curve(surv, times, data) -> BrierCurve:
     term_event = past_event * surv**2 * w_subj[:, None]
     term_risk = at_risk * (1.0 - surv) ** 2 * w_grid[None, :]
     values = (term_event + term_risk).sum(axis=0) / n
-    n_excluded = int((past_event & (g_subj[:, None] == 0.0)).sum())
-    n_excluded += int((at_risk & (g_grid[None, :] == 0.0)).sum())
-    return BrierCurve(times=t_grid, values=values, n_excluded=n_excluded)
+    return BrierCurve(times=t_grid, values=values)
 
 
-def ibs(curve: BrierCurve, t0=None, tmax=None) -> float:
-    """Window-normalized trapezoidal integral of the Brier curve.
+def ibs(curve: BrierCurve) -> float:
+    """Trapezoidal integral of the Brier curve over [0, last grid time],
+    divided by that time.
 
-    The curve is interpolated linearly between grid points and extended
-    constantly beyond them when the window is wider than the grid.
+    The curve is linear between grid points and constant, at its first
+    value, from 0 to the first grid time.
     """
-    t0 = float(curve.times[0]) if t0 is None else float(t0)
-    tmax = float(curve.times[-1]) if tmax is None else float(tmax)
-    if not tmax > t0:
-        raise ValueError("tmax must exceed t0")
-    inner = curve.times[(curve.times > t0) & (curve.times < tmax)]
-    knots = np.concatenate([[t0], inner, [tmax]])
-    vals = np.interp(knots, curve.times, curve.values)
-    return float(np.trapezoid(vals, knots) / (tmax - t0))
+    knots = np.concatenate([[0.0], curve.times])
+    vals = np.concatenate([curve.values[:1], curve.values])
+    return float(np.trapezoid(vals, knots) / curve.times[-1])
 
 
 class BootstrapResult(NamedTuple):
@@ -247,7 +240,7 @@ def evaluate(surv_fn, data, n_resamples=100, seed=0) -> EvalReport:
     surv = np.asarray(surv_fn(data.x, times), dtype=np.float64)
     c_val, n_comp, n_excl = concordance(surv, times, data)
     curve = brier_curve(surv, times, data)
-    ibs_val = ibs(curve, t0=0.0, tmax=float(times[-1]))
+    ibs_val = ibs(curve)
 
     def c_metric(sel):
         return concordance(surv[sel], times, data[sel])[0]
@@ -256,7 +249,7 @@ def evaluate(surv_fn, data, n_resamples=100, seed=0) -> EvalReport:
         d = data[sel]
         g = np.unique(d.time[d.delta == 1])
         s = np.take(surv[sel], _columns(times, g), axis=1)
-        return ibs(brier_curve(s, g, d), t0=0.0, tmax=float(g[-1]))
+        return ibs(brier_curve(s, g, d))
 
     seq = np.random.SeedSequence(seed).spawn(2)
     c_boot = bootstrap(c_metric, data, n_resamples=n_resamples, seed=seq[0])

@@ -25,8 +25,9 @@ Financial Engineering*, 2004, section 3.1; A. Beskos and G. O. Roberts,
 *Exact simulation of diffusions*, Ann. Appl. Probab. 15, 2005).
 
 Paths are split into fixed-size blocks, each driven by its own spawned RNG
-substream, so results are bit-identical for a given seed regardless of how
-many worker processes are used.  Within a block the coarse walk is advanced
+substream.  ``simulate_fpt`` runs the blocks of one setting on
+``SimConfig.n_jobs`` worker processes, and its result is bit-identical for a
+given seed whatever that number.  Within a block the coarse walk is advanced
 in vectorized chunks of steps; absorbed paths are compacted away between
 chunks.  Gaussian increments use float32 (positions stay float64), whose
 rounding is orders of magnitude below Monte Carlo noise.
@@ -81,11 +82,6 @@ class FptSamples:
     """Per-path hitting times; ``inf`` marks paths alive at ``t_max``."""
 
     hit_times: np.ndarray
-    t_max: float
-
-    @property
-    def n_paths(self):
-        return self.hit_times.size
 
 
 def _first_fine_crossings(rng, left, right, diff, dt, bridge):
@@ -198,37 +194,17 @@ def _block_tasks(kind, params, cfg):
     return tasks
 
 
-def _run_tasks(tasks, n_jobs):
-    if n_jobs > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=n_jobs, mp_context=ctx) as pool:
-            return list(pool.map(_run_block, tasks))
-    return [_run_block(t) for t in tasks]
-
-
 def simulate_fpt(kind: DistKind, params, cfg: SimConfig) -> FptSamples:
-    """Sample first-passage times for every path under the given config."""
-    parts = _run_tasks(_block_tasks(kind, params, cfg), cfg.n_jobs)
-    return FptSamples(hit_times=np.concatenate(parts), t_max=cfg.t_max)
-
-
-def simulate_many(runs, n_jobs=1):
-    """Run several (kind, params, cfg) simulations on one worker pool.
-
-    Results are identical to calling :func:`simulate_fpt` per run; pooling
-    the blocks just avoids idle workers between runs.
-    """
-    all_tasks = []
-    bounds = []
-    for kind, params, cfg in runs:
-        tasks = _block_tasks(kind, params, cfg)
-        bounds.append((len(all_tasks), len(all_tasks) + len(tasks)))
-        all_tasks.extend(tasks)
-    parts = _run_tasks(all_tasks, n_jobs)
-    return [
-        FptSamples(hit_times=np.concatenate(parts[lo:hi]), t_max=cfg.t_max)
-        for (lo, hi), (_, _, cfg) in zip(bounds, runs)
-    ]
+    """Sample first-passage times for every path under the given config,
+    on ``cfg.n_jobs`` worker processes when there is more than one block."""
+    tasks = _block_tasks(kind, params, cfg)
+    if cfg.n_jobs > 1 and len(tasks) > 1:
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=cfg.n_jobs, mp_context=ctx) as pool:
+            parts = list(pool.map(_run_block, tasks))
+    else:
+        parts = [_run_block(t) for t in tasks]
+    return FptSamples(hit_times=np.concatenate(parts))
 
 
 def empirical_survival(samples: FptSamples, t_grid) -> np.ndarray:

@@ -123,12 +123,16 @@ def survival_and_grads(kind: DistKind, param_cols: np.ndarray, times: np.ndarray
 
 @dataclass
 class FittedModel:
-    """Eval-mode network snapshot plus everything needed to predict."""
+    """Eval-mode network snapshot plus everything needed to predict; the
+    distribution kind is the network's own."""
 
     network: Network
-    kind: DistKind
     recipe: object | None = None
     loss_trace: list = field(default_factory=list)
+
+    @property
+    def kind(self) -> DistKind:
+        return self.network.kind
 
     def params_for(self, x: np.ndarray) -> np.ndarray:
         params, _ = self.network.forward(np.atleast_2d(x), train=False)
@@ -157,12 +161,17 @@ class FittedModel:
     def from_dict(cls, obj: dict) -> "FittedModel":
         if obj.get("format") != "fhtsurv-model" or obj.get("kind") == "cox":
             raise ValueError("not a network model file")
+        network = Network.from_dict(obj["payload"])
+        if obj.get("kind") != network.kind.value:
+            raise ValueError(
+                f"model file says kind {obj.get('kind')!r} but its network payload "
+                f"says {network.kind.value!r}"
+            )
         recipe = None
         if obj.get("recipe") is not None:
             recipe = PreprocessRecipe.from_dict(obj["recipe"])
         return cls(
-            network=Network.from_dict(obj["payload"]),
-            kind=DistKind(obj["kind"]),
+            network=network,
             recipe=recipe,
             loss_trace=list(obj.get("loss_trace", [])),
         )
@@ -172,9 +181,10 @@ class FittedModel:
         return cls.from_dict(read_json(path))
 
 
-def fit(data, kind: DistKind, net_spec: NetworkSpec, cfg: TrainConfig, recipe=None) -> FittedModel:
-    """Train a network on survival data; bit-reproducible for a given seed."""
-    kind = DistKind(kind)
+def fit(data, net_spec: NetworkSpec, cfg: TrainConfig, *, recipe=None) -> FittedModel:
+    """Train a network of ``net_spec``, whose kind fixes the survival law, on
+    survival data; bit-reproducible for a given seed."""
+    kind = net_spec.kind
     n = len(data)
     if data.x.shape[1] != net_spec.input_dim:
         raise ValueError(
@@ -228,4 +238,4 @@ def fit(data, kind: DistKind, net_spec: NetworkSpec, cfg: TrainConfig, recipe=No
             epoch_loss += loss * sel.size
             epoch_count += sel.size
         trace.append(epoch_loss / max(epoch_count, 1))
-    return FittedModel(network=net.copy(), kind=kind, recipe=recipe, loss_trace=trace)
+    return FittedModel(network=net.copy(), recipe=recipe, loss_trace=trace)

@@ -25,7 +25,7 @@ from fhtsurv.data import (
 from fhtsurv.interpret import idw_time
 from fhtsurv.metrics import brier_curve, concordance, evaluate
 from fhtsurv.network import NetworkSpec, init_network
-from fhtsurv.simulate import SimConfig, empirical_survival, simulate_many
+from fhtsurv.simulate import SimConfig, empirical_survival, simulate_fpt
 from fhtsurv.training import (
     TrainConfig,
     brier_terms,
@@ -64,7 +64,7 @@ def test_criterion_1_monte_carlo_vs_closed_form():
          SimConfig(100000, 1e-4, 5.0, 104, True, N_JOBS)),
     ]
     start = time.time()
-    samples = simulate_many(runs, n_jobs=N_JOBS)
+    samples = [simulate_fpt(kind, params, cfg) for kind, params, cfg in runs]
     elapsed = time.time() - start
     worst = 0.0
     for (kind, params, cfg), s in zip(runs, samples):
@@ -220,11 +220,11 @@ def test_criterion_5_nonph_desk_scale_reproduction():
     for val_idx in cv_folds(train, k=5, seed=3):
         mask = np.ones(len(train), dtype=bool)
         mask[val_idx] = False
-        model = fit(train[np.flatnonzero(mask)], fht.DistKind.LEVY, spec, cfg)
+        model = fit(train[np.flatnonzero(mask)], spec, cfg)
         cv_scores.append(c_index(model.survival_matrix, train[val_idx]))
     cv_mean = float(np.mean(cv_scores))
 
-    model = fit(train, fht.DistKind.LEVY, spec, cfg)
+    model = fit(train, spec, cfg)
     rep = evaluate(model.survival_matrix, test, n_resamples=100, seed=0)
     cox = fit_cox(train, tol=1e-6)
     c_cox = c_index(cox.survival_matrix, test)

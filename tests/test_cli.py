@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -283,6 +285,24 @@ def test_fixed_config_key_other_value_rejected(small_csv, tmp_path, capsys, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("hidden_sizes", [8.9, 2.2]), ("epochs", 2.5),
+                                       ("batch_size", True)])
+def test_integer_config_key_other_type_rejected(small_csv, tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"hidden_sizes": [8], "epochs": 1, key: value}))
+    out = tmp_path / "m.json"
+    rc = main(["train", "--data", small_csv, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"model config key '{key}' must be" in err and repr(value) in err
+    assert not out.exists()
+    cfg.write_text(json.dumps({"levy": {"hidden_sizes": [8], "epochs": 1, key: value}}))
+    rc = main(["compare", "--data", small_csv, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert f"model config key '{key}' must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fixed_config_keys_at_their_value_still_load(small_csv, quick_cfg, trained_model,
                                                      tmp_path):
     cfg = tmp_path / "fixed.json"
@@ -316,6 +336,35 @@ class TestReadme:
         start = text.index("### Model config")
         block = re.search(r"```json\n(.*?)```", text[start:], re.S).group(1)
         assert json.loads(block) == cli.DEFAULT_MODEL_CONFIG
+
+    def test_library_sketch_binds(self):
+        # every call of an imported fhtsurv name matches its current signature
+        text = "\n".join(self.readme_lines())
+        tree = ast.parse(re.search(r"```python\n(.*?)```", text, re.S).group(1))
+        imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+        namespace = {}
+        exec(compile(ast.Module(imports, type_ignores=[]), "README.md", "exec"), namespace)
+
+        def resolve(node):
+            if isinstance(node, ast.Name):
+                return namespace.get(node.id)
+            if isinstance(node, ast.Attribute):
+                return getattr(resolve(node.value), node.attr, None)
+            return None
+
+        bound = set()
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            func = resolve(call.func)
+            if not (getattr(func, "__module__", None) or "").startswith("fhtsurv"):
+                continue
+            args = [None] * len(call.args)
+            kwargs = {kw.arg: None for kw in call.keywords}
+            try:
+                inspect.signature(func).bind(*args, **kwargs)
+            except TypeError as exc:
+                pytest.fail(f"README line {call.lineno}: {ast.unparse(call)}: {exc}")
+            bound.add(func.__name__)
+        assert {"fit", "evaluate", "NetworkSpec", "TrainConfig"} <= bound
 
     def test_named_scripts_exist(self):
         paths = set(re.findall(r"scripts/[\w./-]*\w", "\n".join(self.readme_lines())))

@@ -153,7 +153,7 @@ def tiny_model(kind=fht.DistKind.LEVY, n=60, seed=0):
     delta = (rng.random(n) > 0.2).astype(int)
     data = SurvivalData(x, t, delta, ["a", "b", "c"])
     spec = NetworkSpec(3, (6,), kind)
-    model = fit(data, kind, spec, TrainConfig(3, 32, 0.01, seed=1))
+    model = fit(data, spec, TrainConfig(3, 32, 0.01, seed=1))
     return model, data
 
 
@@ -211,7 +211,7 @@ class TestRiskGrid:
         data = generate_nonph(NonPhConfig(seed=21, n_raw=2000, n_keep=800))
         train, test = stratified_split(data, 0.2, seed=0)
         spec = NetworkSpec(20, (16, 16), fht.DistKind.LEVY)
-        model = fit(train, fht.DistKind.LEVY, spec, TrainConfig(60, 256, 0.0039, seed=2))
+        model = fit(train, spec, TrainConfig(60, 256, 0.0039, seed=2))
         params = model.params_for(test.x)
         coords = np.column_stack([params[:, 0], np.log(params[:, 1])])
         coords -= coords.mean(axis=0)

@@ -216,8 +216,18 @@ class TestIbs:
         assert ibs(c) == pytest.approx(0.25)
 
     def test_window_extension_constant(self):
-        c = BrierCurve(np.array([1.0, 2.0]), np.array([0.1, 0.1]))
-        assert ibs(c, t0=0.0, tmax=4.0) == pytest.approx(0.1)
+        # [0, 1] at the first value 0.1, then linear from 0.1 to 0.3 on [1, 2]
+        c = BrierCurve(np.array([1.0, 2.0]), np.array([0.1, 0.3]))
+        assert ibs(c) == pytest.approx((0.1 + 0.2) / 2.0, rel=1e-15)
+
+    def test_trapezoid_from_zero_identity(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            t = np.unique(rng.uniform(1e-3, 10.0, n))
+            v = rng.uniform(0.0, 0.5, t.size)
+            want = np.trapezoid([v[0], *v], [0, *t]) / t[-1]
+            assert ibs(BrierCurve(t, v)) == want
 
     def test_bounds(self):
         rng = np.random.default_rng(1)
@@ -225,11 +235,6 @@ class TestIbs:
         c = BrierCurve(np.sort(rng.uniform(0.1, 5, 12)), vals)
         v = ibs(c)
         assert 0.0 <= v <= vals.max() + 1e-12
-
-    def test_invalid_window(self):
-        c = BrierCurve(np.array([1.0, 2.0]), np.array([0.1, 0.1]))
-        with pytest.raises(ValueError):
-            ibs(c, t0=2.0, tmax=2.0)
 
 
 class TestBootstrap:
@@ -332,7 +337,7 @@ class TestEvaluate:
         def ibs_ref(sel):
             dd = d[sel]
             t = unique_event_times(dd.time, dd.delta)
-            return ibs(brier_curve(fn(dd.x, t), t, dd), t0=0.0, tmax=float(t[-1]))
+            return ibs(brier_curve(fn(dd.x, t), t, dd))
 
         rep = evaluate(fn, d, n_resamples=15, seed=9)
         seq = np.random.SeedSequence(9).spawn(2)

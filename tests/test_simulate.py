@@ -9,7 +9,6 @@ from fhtsurv.simulate import (
     _block_tasks,
     empirical_survival,
     simulate_fpt,
-    simulate_many,
     write_samples_csv,
 )
 
@@ -81,16 +80,6 @@ class TestSimulate:
         b = simulate_fpt(fht.DistKind.LEVY, fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=2))
         assert np.array_equal(a.hit_times, b.hit_times)
 
-    def test_simulate_many_matches_individual_runs(self):
-        runs = [
-            (fht.DistKind.LEVY, fht.LevyParams(1.0, 1.0), SimConfig(3000, 1e-2, 0.5, 1, True)),
-            (fht.DistKind.INVERSE_GAUSSIAN, fht.InvGaussParams(1.0, -1.0), SimConfig(2000, 1e-2, 0.5, 2, True)),
-        ]
-        combined = simulate_many(runs, n_jobs=2)
-        for (kind, params, cfg), got in zip(runs, combined):
-            solo = simulate_fpt(kind, params, cfg)
-            assert np.array_equal(solo.hit_times, got.hit_times)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(n_paths=0)
@@ -154,7 +143,7 @@ class TestGridEdges:
 
 class TestEmpiricalSurvival:
     def test_starts_at_one_and_nonincreasing(self):
-        s = FptSamples(hit_times=np.array([0.5, 1.5, np.inf, 2.5]), t_max=3.0)
+        s = FptSamples(hit_times=np.array([0.5, 1.5, np.inf, 2.5]))
         grid = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
         vals = empirical_survival(s, grid)
         assert vals[0] == 1.0
@@ -162,18 +151,18 @@ class TestEmpiricalSurvival:
 
     def test_manual_count(self):
         hits = np.array([0.2, 0.4, 0.4, 1.0, np.inf, np.inf, 3.0, 0.9, 2.0, 1.5])
-        s = FptSamples(hit_times=hits, t_max=5.0)
+        s = FptSamples(hit_times=hits)
         assert empirical_survival(s, [0.4])[0] == pytest.approx(0.7)
         assert empirical_survival(s, [1.0])[0] == pytest.approx(0.5)
         assert empirical_survival(s, [5.0])[0] == pytest.approx(0.2)
 
     def test_survivors_count_beyond_t_max(self):
-        s = FptSamples(hit_times=np.array([np.inf, 1.0]), t_max=2.0)
+        s = FptSamples(hit_times=np.array([np.inf, 1.0]))
         assert empirical_survival(s, [2.0])[0] == pytest.approx(0.5)
 
 
 def test_sample_dump(tmp_path):
-    s = FptSamples(hit_times=np.array([0.5, np.inf]), t_max=1.0)
+    s = FptSamples(hit_times=np.array([0.5, np.inf]))
     path = tmp_path / "samples.csv"
     write_samples_csv(s, str(path))
     lines = path.read_text().splitlines()

@@ -135,8 +135,8 @@ class TestFit:
     def test_bit_reproducible(self):
         d = toy_data()
         cfg = TrainConfig(epochs=4, batch_size=32, learning_rate=0.01, seed=5)
-        m1 = fit(d, fht.DistKind.LEVY, toy_spec(), cfg)
-        m2 = fit(d, fht.DistKind.LEVY, toy_spec(), cfg)
+        m1 = fit(d, toy_spec(), cfg)
+        m2 = fit(d, toy_spec(), cfg)
         for k in m1.network.weights:
             assert np.array_equal(m1.network.weights[k], m2.network.weights[k])
         assert m1.loss_trace == m2.loss_trace
@@ -144,7 +144,7 @@ class TestFit:
     def test_zero_epochs_returns_initialized_network(self):
         d = toy_data()
         cfg = TrainConfig(epochs=0, batch_size=32, learning_rate=0.01, seed=5)
-        m = fit(d, fht.DistKind.LEVY, toy_spec(), cfg)
+        m = fit(d, toy_spec(), cfg)
         ref = init_network(toy_spec(), seed=np.random.SeedSequence(5).spawn(3)[0])
         for k in ref.weights:
             assert np.array_equal(m.network.weights[k], ref.weights[k])
@@ -153,7 +153,7 @@ class TestFit:
         d = toy_data()
         d.delta[:] = 0
         with pytest.raises(ValueError):
-            fit(d, fht.DistKind.LEVY, toy_spec(), TrainConfig(1, 32, 0.01))
+            fit(d, toy_spec(), TrainConfig(1, 32, 0.01))
 
     def test_divergence_aborts_with_diagnostic(self, monkeypatch):
         # the stable links and saturating survival make organic blow-ups
@@ -173,7 +173,7 @@ class TestFit:
         d = toy_data()
         cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=0.01, seed=0)
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
-            fit(d, fht.DistKind.LEVY, toy_spec(), cfg)
+            fit(d, toy_spec(), cfg)
 
     def test_marginal_survival_tracks_kaplan_meier(self):
         # exponential times, covariates carry no signal: the fitted marginal
@@ -193,7 +193,7 @@ class TestFit:
         )
         spec = NetworkSpec(3, (8,), fht.DistKind.INVERSE_GAUSSIAN)
         cfg = TrainConfig(epochs=300, batch_size=128, learning_rate=0.03, seed=2)
-        m = fit(d, fht.DistKind.INVERSE_GAUSSIAN, spec, cfg)
+        m = fit(d, spec, cfg)
         km = kaplan_meier(d.time, d.delta)
         grid = np.quantile(d.time, np.linspace(0.25, 0.75, 20))
         model_marginal = m.survival_matrix(d.x, grid).mean(axis=0)
@@ -208,7 +208,7 @@ class TestFit:
         for seed in range(10):
             cfg = TrainConfig(epochs=10, batch_size=64, learning_rate=0.005, seed=seed)
             spec = NetworkSpec(20, (8,), fht.DistKind.LEVY)
-            m = fit(d, fht.DistKind.LEVY, spec, cfg)
+            m = fit(d, spec, cfg)
             diffs = np.diff(m.loss_trace)
             if np.all(diffs < 0):
                 ok += 1
@@ -218,7 +218,7 @@ class TestFit:
     def test_both_kinds_train(self, kind):
         d = toy_data(80, seed=1)
         cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.01, seed=1)
-        m = fit(d, kind, toy_spec(kind), cfg)
+        m = fit(d, toy_spec(kind), cfg)
         s = m.survival_matrix(d.x[:5], np.array([0.5, 1.0, 2.0]))
         assert np.all((s >= 0) & (s <= 1))
         assert np.all(np.diff(s, axis=1) <= 1e-12)
@@ -229,18 +229,18 @@ class TestInputWidth:
         d = toy_data(40, seed=1)  # 4 feature columns
         spec = NetworkSpec(3, (8,), fht.DistKind.LEVY)
         with pytest.raises(ValueError, match="4 feature columns.*input_dim 3"):
-            fit(d, fht.DistKind.LEVY, spec, TrainConfig(1, 16, 0.01))
+            fit(d, spec, TrainConfig(1, 16, 0.01))
 
 
 class TestPredict:
     def test_limit_at_small_time(self):
         d = toy_data(60, seed=2)
-        m = fit(d, fht.DistKind.LEVY, toy_spec(), TrainConfig(2, 32, 0.01, seed=3))
+        m = fit(d, toy_spec(), TrainConfig(2, 32, 0.01, seed=3))
         assert m.survival_matrix(d.x[:1], 1e-9)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_manual_composition(self):
         d = toy_data(60, seed=2)
-        m = fit(d, fht.DistKind.LEVY, toy_spec(), TrainConfig(2, 32, 0.01, seed=3))
+        m = fit(d, toy_spec(), TrainConfig(2, 32, 0.01, seed=3))
         x = d.x[:7]
         ts = np.array([0.3, 1.2, 4.0])
         cols, _ = m.network.forward(x)
@@ -251,9 +251,24 @@ class TestPredict:
 
     def test_monotone_over_grid(self):
         d = toy_data(60, seed=4)
-        m = fit(d, fht.DistKind.INVERSE_GAUSSIAN, toy_spec(fht.DistKind.INVERSE_GAUSSIAN), TrainConfig(2, 32, 0.01, seed=3))
+        m = fit(d, toy_spec(fht.DistKind.INVERSE_GAUSSIAN), TrainConfig(2, 32, 0.01, seed=3))
         s = m.survival_matrix(d.x[:1], np.geomspace(0.01, 20, 50))[0]
         assert np.all(np.diff(s) <= 1e-15)
+
+
+class TestModelFile:
+    def test_kind_is_the_networks(self):
+        kind = fht.DistKind.INVERSE_GAUSSIAN
+        m = fit(toy_data(40, seed=1), toy_spec(kind), TrainConfig(1, 32, 0.01))
+        assert m.kind is kind
+        back = FittedModel.from_dict(m.to_dict())
+        assert back.kind is kind and back.to_dict() == m.to_dict()
+
+    def test_envelope_kind_must_match_payload(self):
+        obj = {"format": "fhtsurv-model", "version": 1, "kind": "invgauss",
+               "payload": init_network(toy_spec()).to_dict(), "recipe": None, "loss_trace": []}
+        with pytest.raises(ValueError, match="'invgauss'.*'levy'"):
+            FittedModel.from_dict(obj)
 
 
 class TestEndToEndGradient:
