@@ -182,7 +182,6 @@ def _cv_scores(data, spec, tcfg, folds, seed):
 
 
 def cmd_compare(args):
-    raw = load_csv(args.data)
     seq = np.random.SeedSequence(args.seed).spawn(4)
     split_seed, levy_seed, ig_seed, boot_seed = (int(s.generate_state(1)[0]) for s in seq)
 
@@ -190,6 +189,9 @@ def cmd_compare(args):
     unknown = set(full_cfg) - {"levy", "invgauss"}
     if unknown:
         raise ValueError(f"compare config sections must be 'levy'/'invgauss', got {sorted(unknown)}")
+    # both sections are checked before any data is read or model trained
+    cfgs = {kind: _model_config(None, full_cfg.get(kind, {})) for kind in ("levy", "invgauss")}
+    raw = load_csv(args.data)
     report = {"n_records": len(raw), "seed": args.seed, "bootstrap": args.bootstrap, "models": {}}
 
     # shared split; the recipe is fitted on the training rows only
@@ -199,8 +201,7 @@ def cmd_compare(args):
     test = apply_preprocess(recipe, raw.subset(te_rows))
 
     for kind_name, kind_seed in (("levy", levy_seed), ("invgauss", ig_seed)):
-        cfg = _model_config(None, full_cfg.get(kind_name, {}))
-        cfg["distribution"] = kind_name
+        cfg = dict(cfgs[kind_name], distribution=kind_name)
         spec = _net_spec(cfg, train.x.shape[1])
         tcfg = _train_config(cfg, kind_seed)
         model = fit(train, spec, tcfg, recipe=recipe)

@@ -1,9 +1,15 @@
 """Dataset ingestion, preprocessing, splits, and the synthetic NonPH generator.
 
-CSV schema: a header row with a ``time`` column (positive reals), an
-``event`` column (0 = censored, 1 = observed), and any number of feature
-columns.  Cells equal to one of the missing markers ("", "NA", "NaN", "?",
-"null", "None", case-insensitive where sensible) are treated as missing.
+CSV schema: a header row with a ``time`` column (finite positive reals),
+an ``event`` column (0 = censored, 1 = observed), and any number of
+feature columns, each name used once.  Cells equal to one of the missing
+markers ("", "NA", "NaN", "N/A", "?", "null", "None", case-insensitive,
+surrounding whitespace ignored) are missing.  ``load_csv`` parses every
+column once, with ``float()``, into a float64 array: a feature cell that
+parses to NaN counts as missing, and one of +-inf is an error naming its
+row and column.  The cells' text is kept, and read only for columns used
+as categorical.  Whether a column is numeric is decided on the rows a
+recipe is fitted on: numeric when every present cell there is a number.
 
 Preprocessing, fitted on training rows only: numeric columns are imputed
 with the mean when |sample skewness| <= 1 and the median otherwise;
@@ -31,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MISSING_MARKERS = {"", "na", "nan", "n/a", "?", "null", "none"}
+TIME_COL, EVENT_COL = "time", "event"
 
 
 class LoadError(ValueError):
@@ -76,14 +83,40 @@ class SurvivalData:
         return SurvivalData(self.x[idx], self.time[idx], self.delta[idx], self.feature_names)
 
 
+@dataclass(frozen=True)
+class RawColumn:
+    """One feature column as read.
+
+    ``values`` holds each cell's float, NaN where the cell is missing or is
+    not a number; ``bad`` marks the cells that are present but are not
+    numbers; ``cells`` keeps the text as read, which only a column used as
+    categorical turns into labels.
+    """
+
+    values: np.ndarray
+    bad: np.ndarray
+    cells: np.ndarray
+
+    def take(self, idx) -> "RawColumn":
+        return RawColumn(self.values[idx], self.bad[idx], self.cells[idx])
+
+    def labels(self) -> list:
+        """The cells as categorical labels: stripped text, None where missing."""
+        missing = np.isnan(self.values) & ~self.bad
+        return [None if m else c.strip() for c, m in zip(self.cells.tolist(), missing.tolist())]
+
+
 @dataclass
 class RawDataset:
-    """Parsed time/event plus raw (string) feature columns."""
+    """Parsed time/event plus the feature columns, by name in file order."""
 
     time: np.ndarray
     delta: np.ndarray
-    features: dict
-    feature_names: list
+    columns: dict
+
+    @property
+    def feature_names(self):
+        return list(self.columns)
 
     def __len__(self):
         return self.time.size
@@ -93,77 +126,91 @@ class RawDataset:
         return RawDataset(
             time=self.time[idx],
             delta=self.delta[idx],
-            features={c: [self.features[c][i] for i in idx] for c in self.feature_names},
-            feature_names=list(self.feature_names),
+            columns={name: col.take(idx) for name, col in self.columns.items()},
         )
 
 
-def _clean_cell(value):
-    if value is None or value.strip().lower() in MISSING_MARKERS:
-        return None
-    return value.strip()
+def _parse_cells(cells):
+    """Each cell's float (NaN where missing or not a number) and the mask of
+    cells that are present but not numbers."""
+    bad = np.zeros(len(cells), dtype=bool)
+    try:
+        return np.array(list(map(float, cells)), dtype=np.float64), bad
+    except ValueError:
+        pass  # some cell is missing or not a number: parse cell by cell
+    values = np.empty(len(cells))
+    for i, cell in enumerate(cells):
+        try:
+            values[i] = float(cell)
+        except ValueError:
+            # str.strip() removes more than float() does (\x1c-\x1f too)
+            text = cell.strip()
+            values[i] = np.nan
+            if text.lower() not in MISSING_MARKERS:
+                try:
+                    values[i] = float(text)
+                except ValueError:
+                    bad[i] = True
+    return values, bad
 
 
 def load_csv(path) -> RawDataset:
-    """Read a survival CSV; raises LoadError naming the offending row/column.
+    """Read a survival CSV; raises LoadError naming the first offending row
+    in file order, and its column.
 
     The ``time`` and ``event`` columns are mandatory; every other column is
-    a feature.
+    a feature.  Each column is parsed once, with ``float()``, into a float64
+    array.
     """
-    time_col, event_col = "time", "event"
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise LoadError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for col in (time_col, event_col):
-            if col not in header:
-                raise LoadError(f"{path}: missing mandatory column '{col}'")
-        feature_names = [h for h in header if h not in (time_col, event_col)]
-        pos = {h: i for i, h in enumerate(header)}
-        times, deltas = [], []
-        features = {c: [] for c in feature_names}
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise LoadError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
-            raw_t = _clean_cell(row[pos[time_col]])
-            if raw_t is None:
-                raise LoadError(f"{path}: row {row_no}, column '{time_col}' is missing")
-            try:
-                t = float(raw_t)
-            except ValueError:
-                raise LoadError(
-                    f"{path}: row {row_no}, column '{time_col}': unparseable time {raw_t!r}"
-                ) from None
-            if not np.isfinite(t) or t <= 0.0:
-                raise LoadError(f"{path}: row {row_no}, column '{time_col}': time must be > 0")
-            raw_e = _clean_cell(row[pos[event_col]])
-            if raw_e is None:
-                raise LoadError(f"{path}: row {row_no}, column '{event_col}' is missing")
-            try:
-                e = float(raw_e)
-            except ValueError:
-                raise LoadError(
-                    f"{path}: row {row_no}, column '{event_col}': unparseable event {raw_e!r}"
-                ) from None
-            if e not in (0.0, 1.0):
-                raise LoadError(
-                    f"{path}: row {row_no}, column '{event_col}': event must be 0 or 1, got {raw_e!r}"
-                )
-            times.append(t)
-            deltas.append(int(e))
-            for c in feature_names:
-                features[c].append(_clean_cell(row[pos[c]]))
-    if not times:
+        rows = list(reader)
+    header = [h.strip() for h in header]
+    for col in (TIME_COL, EVENT_COL):
+        if col not in header:
+            raise LoadError(f"{path}: missing mandatory column '{col}'")
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise LoadError(f"{path}: column '{name}' appears more than once")
+    if not rows:
         raise LoadError(f"{path}: no data rows")
-    return RawDataset(
-        time=np.asarray(times),
-        delta=np.asarray(deltas, dtype=np.int64),
-        features=features,
-        feature_names=feature_names,
-    )
+    width = len(header)
+    # rows before the first one of the wrong width are parsed; an error in
+    # them comes first in file order
+    n_ok = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+    cells = dict(zip(header, list(zip(*rows[:n_ok])) or [()] * width))
+
+    time, time_bad = _parse_cells(cells[TIME_COL])
+    event, event_bad = _parse_cells(cells[EVENT_COL])
+    features = {
+        name: RawColumn(*_parse_cells(cells[name]), np.asarray(cells[name], dtype=object))
+        for name in header
+        if name not in (TIME_COL, EVENT_COL)
+    }
+    checks = [
+        (TIME_COL, time_bad, np.isfinite(time) & (time > 0.0), "time must be finite and > 0"),
+        (EVENT_COL, event_bad, (event == 0.0) | (event == 1.0), "event must be 0 or 1, got {text}"),
+    ] + [(name, col.bad, ~np.isinf(col.values), "value must be finite, got {text}")
+         for name, col in features.items()]
+    failures = [(int(np.argmin(ok)), order) for order, (_, _, ok, _) in enumerate(checks)
+                if not ok.all()]
+    if failures:
+        i, order = min(failures)
+        name, bad, _, rule = checks[order]
+        text = cells[name][i].strip()
+        where = f"{path}: row {i + 2}, column '{name}'"
+        if text.lower() in MISSING_MARKERS:
+            raise LoadError(f"{where} is missing")
+        if bad[i]:
+            raise LoadError(f"{where}: unparseable {name} {text!r}")
+        raise LoadError(f"{where}: " + rule.format(text=repr(text)))
+    if n_ok < len(rows):
+        raise LoadError(f"{path}: row {n_ok + 2} has {len(rows[n_ok])} cells, expected {width}")
+    return RawDataset(time=time, delta=event.astype(np.int64), columns=features)
 
 
 def _sample_skewness(values: np.ndarray) -> float:
@@ -233,43 +280,13 @@ class PreprocessRecipe:
         )
 
 
-def _parse_numeric_column(cells, name):
-    out = np.empty(len(cells))
-    mask = np.zeros(len(cells), dtype=bool)
-    for i, cell in enumerate(cells):
-        if cell is None:
-            mask[i] = True
-            out[i] = np.nan
-        else:
-            try:
-                out[i] = float(cell)
-            except ValueError:
-                raise PreprocessError(
-                    f"column '{name}', row {i + 1}: expected a number, got {cell!r}"
-                ) from None
-    return out, mask
-
-
-def _is_numeric_column(cells):
-    seen_value = False
-    for cell in cells:
-        if cell is None:
-            continue
-        seen_value = True
-        try:
-            float(cell)
-        except ValueError:
-            return False
-    return seen_value
-
-
 def fit_preprocess(raw: RawDataset) -> PreprocessRecipe:
     """Learn imputation, encoding, and scaling from the given (training) rows."""
     columns = []
-    for name in raw.feature_names:
-        cells = raw.features[name]
-        if _is_numeric_column(cells):
-            values, missing = _parse_numeric_column(cells, name)
+    for name, col in raw.columns.items():
+        values = col.values
+        missing = np.isnan(values)
+        if not (col.bad.any() or missing.all()):
             observed = values[~missing]
             skew = _sample_skewness(observed)
             impute = float(observed.mean() if abs(skew) <= 1.0 else np.median(observed))
@@ -290,6 +307,7 @@ def fit_preprocess(raw: RawDataset) -> PreprocessRecipe:
                 )
             )
         else:
+            cells = col.labels()
             observed = [c for c in cells if c is not None]
             if not observed:
                 warnings.warn(f"dropping empty column '{name}'")
@@ -330,15 +348,20 @@ def apply_preprocess(recipe: PreprocessRecipe, raw: RawDataset) -> SurvivalData:
     n = len(raw)
     blocks = []
     for tr in recipe.columns:
-        cells = raw.features.get(tr.name)
-        if cells is None:
+        col = raw.columns.get(tr.name)
+        if col is None:
             raise PreprocessError(f"dataset is missing column '{tr.name}'")
         if tr.kind == "numeric":
-            values, missing = _parse_numeric_column(cells, tr.name)
-            filled = np.where(missing, tr.impute, values)
+            if col.bad.any():
+                i = int(np.argmax(col.bad))
+                raise PreprocessError(
+                    f"column '{tr.name}', row {i + 1}: expected a number, "
+                    f"got {col.cells[i].strip()!r}"
+                )
+            filled = np.where(np.isnan(col.values), tr.impute, col.values)
             blocks.append(((filled - tr.means[0]) / tr.stds[0])[:, None])
         else:
-            arr = np.asarray([c if c is not None else tr.impute for c in cells])
+            arr = np.asarray([c if c is not None else tr.impute for c in col.labels()])
             block = np.zeros((n, len(tr.categories)))
             for j, cat in enumerate(tr.categories):
                 block[:, j] = (arr == cat).astype(np.float64)

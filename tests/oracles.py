@@ -5,12 +5,27 @@ function comes from the C standard library via ``math`` and the log normal
 CDF from scipy's ``log_ndtr``, integrals from scipy's adaptive quadrature,
 and the concordance/Brier oracles are direct pair enumerations in pure
 Python.
+
+The former CSV loader and preprocessing, which parsed each cell as text in
+every step, are kept verbatim at the end as the reference that the
+column-wise loader must reproduce.
 """
 
+import csv
 import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
+
+from fhtsurv.data import (
+    ColumnTransform,
+    LoadError,
+    PreprocessError,
+    PreprocessRecipe,
+    SurvivalData,
+)
 
 
 def erf_ref(x):
@@ -238,3 +253,224 @@ def fine_fpt_reference(args):
             pos += sigma * walk[:, -1].astype(np.float64) + mu * dt * k
         step += k
     return hit
+
+
+# ----------------------------------------------------------------------
+# the former loader and preprocessing, verbatim
+
+MISSING_MARKERS = {"", "na", "nan", "n/a", "?", "null", "none"}
+
+
+@dataclass
+class RawDataset:
+    """Parsed time/event plus raw (string) feature columns."""
+
+    time: np.ndarray
+    delta: np.ndarray
+    features: dict
+    feature_names: list
+
+    def __len__(self):
+        return self.time.size
+
+    def subset(self, idx) -> "RawDataset":
+        idx = np.asarray(idx)
+        return RawDataset(
+            time=self.time[idx],
+            delta=self.delta[idx],
+            features={c: [self.features[c][i] for i in idx] for c in self.feature_names},
+            feature_names=list(self.feature_names),
+        )
+
+
+def _clean_cell(value):
+    if value is None or value.strip().lower() in MISSING_MARKERS:
+        return None
+    return value.strip()
+
+
+def load_csv(path) -> RawDataset:
+    """Read a survival CSV; raises LoadError naming the offending row/column.
+
+    The ``time`` and ``event`` columns are mandatory; every other column is
+    a feature.
+    """
+    time_col, event_col = "time", "event"
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise LoadError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        for col in (time_col, event_col):
+            if col not in header:
+                raise LoadError(f"{path}: missing mandatory column '{col}'")
+        feature_names = [h for h in header if h not in (time_col, event_col)]
+        pos = {h: i for i, h in enumerate(header)}
+        times, deltas = [], []
+        features = {c: [] for c in feature_names}
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise LoadError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
+            raw_t = _clean_cell(row[pos[time_col]])
+            if raw_t is None:
+                raise LoadError(f"{path}: row {row_no}, column '{time_col}' is missing")
+            try:
+                t = float(raw_t)
+            except ValueError:
+                raise LoadError(
+                    f"{path}: row {row_no}, column '{time_col}': unparseable time {raw_t!r}"
+                ) from None
+            if not np.isfinite(t) or t <= 0.0:
+                raise LoadError(f"{path}: row {row_no}, column '{time_col}': time must be > 0")
+            raw_e = _clean_cell(row[pos[event_col]])
+            if raw_e is None:
+                raise LoadError(f"{path}: row {row_no}, column '{event_col}' is missing")
+            try:
+                e = float(raw_e)
+            except ValueError:
+                raise LoadError(
+                    f"{path}: row {row_no}, column '{event_col}': unparseable event {raw_e!r}"
+                ) from None
+            if e not in (0.0, 1.0):
+                raise LoadError(
+                    f"{path}: row {row_no}, column '{event_col}': event must be 0 or 1, got {raw_e!r}"
+                )
+            times.append(t)
+            deltas.append(int(e))
+            for c in feature_names:
+                features[c].append(_clean_cell(row[pos[c]]))
+    if not times:
+        raise LoadError(f"{path}: no data rows")
+    return RawDataset(
+        time=np.asarray(times),
+        delta=np.asarray(deltas, dtype=np.int64),
+        features=features,
+        feature_names=feature_names,
+    )
+
+
+def _sample_skewness(values: np.ndarray) -> float:
+    m = values.mean()
+    m2 = np.mean((values - m) ** 2)
+    if m2 == 0.0:
+        return 0.0
+    m3 = np.mean((values - m) ** 3)
+    return float(m3 / m2**1.5)
+
+
+def _parse_numeric_column(cells, name):
+    out = np.empty(len(cells))
+    mask = np.zeros(len(cells), dtype=bool)
+    for i, cell in enumerate(cells):
+        if cell is None:
+            mask[i] = True
+            out[i] = np.nan
+        else:
+            try:
+                out[i] = float(cell)
+            except ValueError:
+                raise PreprocessError(
+                    f"column '{name}', row {i + 1}: expected a number, got {cell!r}"
+                ) from None
+    return out, mask
+
+
+def _is_numeric_column(cells):
+    seen_value = False
+    for cell in cells:
+        if cell is None:
+            continue
+        seen_value = True
+        try:
+            float(cell)
+        except ValueError:
+            return False
+    return seen_value
+
+
+def fit_preprocess(raw: RawDataset) -> PreprocessRecipe:
+    """Learn imputation, encoding, and scaling from the given (training) rows."""
+    columns = []
+    for name in raw.feature_names:
+        cells = raw.features[name]
+        if _is_numeric_column(cells):
+            values, missing = _parse_numeric_column(cells, name)
+            observed = values[~missing]
+            skew = _sample_skewness(observed)
+            impute = float(observed.mean() if abs(skew) <= 1.0 else np.median(observed))
+            filled = np.where(missing, impute, values)
+            mean = float(filled.mean())
+            std = float(filled.std())
+            if std == 0.0:
+                warnings.warn(f"dropping constant column '{name}'")
+                continue
+            columns.append(
+                ColumnTransform(
+                    name=name,
+                    kind="numeric",
+                    impute=impute,
+                    out_names=(name,),
+                    means=(mean,),
+                    stds=(std,),
+                )
+            )
+        else:
+            observed = [c for c in cells if c is not None]
+            if not observed:
+                warnings.warn(f"dropping empty column '{name}'")
+                continue
+            cats, counts = np.unique(observed, return_counts=True)
+            mode = str(cats[np.argmax(counts)])  # ties: first = smallest
+            filled = [c if c is not None else mode for c in cells]
+            keep_cats, out_names, means, stds = [], [], [], []
+            arr = np.asarray(filled)
+            for cat in cats:
+                col = (arr == cat).astype(np.float64)
+                mean, std = float(col.mean()), float(col.std())
+                if std == 0.0:
+                    warnings.warn(f"dropping constant one-hot column '{name}={cat}'")
+                    continue
+                keep_cats.append(str(cat))
+                out_names.append(f"{name}={cat}")
+                means.append(mean)
+                stds.append(std)
+            if not keep_cats:
+                continue
+            columns.append(
+                ColumnTransform(
+                    name=name,
+                    kind="categorical",
+                    impute=mode,
+                    categories=tuple(keep_cats),
+                    out_names=tuple(out_names),
+                    means=tuple(means),
+                    stds=tuple(stds),
+                )
+            )
+    return PreprocessRecipe(columns=tuple(columns))
+
+
+def apply_preprocess(recipe: PreprocessRecipe, raw: RawDataset) -> SurvivalData:
+    """Encode a raw dataset with a fitted recipe (deterministic)."""
+    n = len(raw)
+    blocks = []
+    for tr in recipe.columns:
+        cells = raw.features.get(tr.name)
+        if cells is None:
+            raise PreprocessError(f"dataset is missing column '{tr.name}'")
+        if tr.kind == "numeric":
+            values, missing = _parse_numeric_column(cells, tr.name)
+            filled = np.where(missing, tr.impute, values)
+            blocks.append(((filled - tr.means[0]) / tr.stds[0])[:, None])
+        else:
+            arr = np.asarray([c if c is not None else tr.impute for c in cells])
+            block = np.zeros((n, len(tr.categories)))
+            for j, cat in enumerate(tr.categories):
+                block[:, j] = (arr == cat).astype(np.float64)
+            # an unseen category leaves its whole block at zero, by convention
+            block = (block - np.asarray(tr.means)) / np.asarray(tr.stds)
+            blocks.append(block)
+    x = np.hstack(blocks) if blocks else np.zeros((n, 0))
+    return SurvivalData(x=x, time=raw.time, delta=raw.delta, feature_names=recipe.output_names)

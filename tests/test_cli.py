@@ -303,6 +303,22 @@ def test_integer_config_key_other_type_rejected(small_csv, tmp_path, capsys, key
     assert not out.exists()
 
 
+def test_compare_checks_both_sections_before_training(small_csv, tmp_path, capsys,
+                                                      monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("compare trained a model before checking its config")
+
+    monkeypatch.setattr(cli, "fit", must_not_run)
+    monkeypatch.setattr(cli, "load_csv", must_not_run)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"levy": {"epochs": 1}, "invgauss": {"epochs": 2.5}}))
+    out = tmp_path / "compare.json"
+    rc = main(["compare", "--data", small_csv, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert "model config key 'epochs' must be an integer, got 2.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fixed_config_keys_at_their_value_still_load(small_csv, quick_cfg, trained_model,
                                                      tmp_path):
     cfg = tmp_path / "fixed.json"

@@ -1,10 +1,18 @@
+import csv
+import io
+import os
+import tempfile
+import warnings
+
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
 from fhtsurv.data import (
+    MISSING_MARKERS,
     LoadError,
     NonPhConfig,
     PreprocessError,
@@ -61,13 +69,86 @@ class TestLoadCsv:
 
     def test_quoted_categorical_with_commas(self, tmp_path):
         p = write(tmp_path, 'kind,time,event\n"big, bad",1.0,1\nsmall,2.0,0\n')
-        raw = load_csv(p)
-        assert raw.features["kind"] == ["big, bad", "small"]
+        col = load_csv(p).columns["kind"]
+        assert col.labels() == ["big, bad", "small"]
+        assert list(col.bad) == [True, True]
 
     def test_missing_markers_recognized(self, tmp_path):
         p = write(tmp_path, "a,b,time,event\nNA,1.0,1.0,1\n?,2.0,2.0,0\n,3.0,3.0,1\n")
+        col = load_csv(p).columns["a"]
+        assert col.labels() == [None, None, None]
+        assert np.isnan(col.values).all() and not col.bad.any()
+
+    def test_empty_file(self, tmp_path):
+        p = write(tmp_path, "")
+        with pytest.raises(LoadError, match="empty file"):
+            load_csv(p)
+
+    def test_header_only(self, tmp_path):
+        p = write(tmp_path, "age,time,event\n")
+        with pytest.raises(LoadError, match="no data rows"):
+            load_csv(p)
+
+    def test_wrong_cell_count(self, tmp_path):
+        p = write(tmp_path, "age,time,event\n50,1.5,1\n60,2.5\n")
+        with pytest.raises(LoadError, match="row 3 has 2 cells, expected 3"):
+            load_csv(p)
+
+    def test_missing_time_cell(self, tmp_path):
+        p = write(tmp_path, "age,time,event\n50,1.5,1\n60, NA ,0\n")
+        with pytest.raises(LoadError, match="row 3, column 'time' is missing"):
+            load_csv(p)
+
+    def test_missing_event_cell(self, tmp_path):
+        p = write(tmp_path, "age,time,event\n50,1.5,\n")
+        with pytest.raises(LoadError, match="row 2, column 'event' is missing"):
+            load_csv(p)
+
+    def test_unparseable_event(self, tmp_path):
+        p = write(tmp_path, "age,time,event\n50,1.5,1\n60,2.5,yes\n")
+        with pytest.raises(LoadError, match="row 3, column 'event': unparseable event 'yes'"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("text, message", [
+        # a bad event in row 3 precedes the short row 4
+        ("1,1,1\n2,1,x\n3\n", "row 3, column 'event'"),
+        # a short row 3 precedes an infinite feature in row 4
+        ("1,1,1\n2\ninf,1,1\n", "row 3 has 1 cells"),
+        # within a row: time, then event, then the features
+        ("inf,0,2\n", "row 2, column 'time'"),
+        ("inf,1,2\n", "row 2, column 'event'"),
+    ])
+    def test_first_offending_row_in_file_order(self, tmp_path, text, message):
+        p = write(tmp_path, "age,time,event\n" + text)
+        with pytest.raises(LoadError, match=message):
+            load_csv(p)
+
+    def test_duplicate_column_rejected(self, tmp_path):
+        p = write(tmp_path, "a,time,a,event\n1,1,2,1\n")
+        with pytest.raises(LoadError, match="column 'a' appears more than once"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", " +inf "])
+    def test_infinite_feature_cell_rejected(self, tmp_path, cell):
+        p = write(tmp_path, f"v,g,time,event\n1,a,1,1\n2,{cell},2,0\n")
+        with pytest.raises(LoadError, match=r"row 3, column 'g': value must be finite"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("cell", ["inf", "-nan"])
+    def test_nonfinite_time_rejected(self, tmp_path, cell):
+        p = write(tmp_path, f"v,time,event\n1,{cell},1\n")
+        with pytest.raises(LoadError, match="row 2, column 'time': time must be finite and > 0"):
+            load_csv(p)
+
+    def test_nan_feature_cells_count_as_missing(self, tmp_path):
+        p = write(tmp_path, "v,g,time,event\n1,a,1,1\n-nan,-NaN,2,1\n3,a,3,1\n+nan,b,4,1\n")
         raw = load_csv(p)
-        assert raw.features["a"] == [None, None, None]
+        assert raw.columns["g"].labels() == ["a", None, "a", "b"]
+        recipe = fit_preprocess(raw)
+        num, cat = recipe.columns
+        assert num.kind == "numeric" and num.impute == 2.0
+        assert cat.kind == "categorical" and cat.impute == "a"
+        assert np.isfinite(apply_preprocess(recipe, raw).x).all()
 
 
 class TestPreprocess:
@@ -127,6 +208,25 @@ class TestPreprocess:
         p2 = write(tmp_path, "v,time,event\nnope,1,1\n", name="bad.csv")
         with pytest.raises(PreprocessError):
             apply_preprocess(recipe, load_csv(p2))
+
+    def test_numeric_on_the_fitted_rows_only(self, tmp_path):
+        p = write(tmp_path, "v,time,event\n1,1,1\n2,2,1\noops,3,1\n4,4,1\n")
+        raw = load_csv(p)
+        assert fit_preprocess(raw).columns[0].kind == "categorical"
+        recipe = fit_preprocess(raw.subset([0, 1, 3]))
+        assert recipe.columns[0].kind == "numeric"
+        with pytest.raises(PreprocessError, match="column 'v', row 2: expected a number, got 'oops'"):
+            apply_preprocess(recipe, raw.subset([0, 2]))
+
+    def test_numeric_looking_cells_match_categories_as_text(self, tmp_path):
+        p = write(tmp_path, "g,time,event\n1,1,1\n2,2,1\nx,3,1\n")
+        recipe = fit_preprocess(load_csv(p))
+        assert recipe.columns[0].categories == ("1", "2", "x")
+        p2 = write(tmp_path, "g,time,event\n1.0,1,1\n 2 ,2,1\n", name="apply.csv")
+        x = apply_preprocess(recipe, load_csv(p2)).x
+        tr = recipe.columns[0]
+        onehot = x * np.asarray(tr.stds) + np.asarray(tr.means)
+        assert np.allclose(onehot, [[0, 0, 0], [0, 1, 0]])
 
     def test_recipe_round_trip(self, tmp_path):
         p = write(tmp_path, "num,cat,time,event\n1,x,1,1\n2,y,2,0\n3,x,3,1\n")
@@ -255,8 +355,8 @@ class TestNonPh:
         assert len(raw) == 200
         assert np.array_equal(raw.delta, d.delta)
         assert np.allclose(raw.time, d.time)
-        back = np.array([[float(v) for v in raw.features[c]] for c in raw.feature_names]).T
-        assert np.allclose(back, d.x)
+        back = np.column_stack([raw.columns[c].values for c in raw.feature_names])
+        assert np.array_equal(back, d.x)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -272,3 +372,103 @@ def test_split_partition_property(n, seed):
     tr, te = stratified_split_indices(delta, 0.2, seed=seed)
     assert np.array_equal(np.sort(np.concatenate([tr, te])), np.arange(n))
     assert abs(te.size - round(0.2 * n)) <= 1
+
+
+# ----------------------------------------------------------------------
+# the column-wise loader against the former per-cell one (tests/oracles.py)
+
+# "\x1f" is whitespace to str.strip() but not to float()
+PADDED = st.tuples(st.sampled_from(["", " ", "\t", "\x1f"]), st.sampled_from(["", "  ", "\x1f"]))
+
+
+def padded(text):
+    return st.tuples(text, PADDED).map(lambda t: t[1][0] + t[0] + t[1][1])
+
+
+MISSING = st.sampled_from(sorted(MISSING_MARKERS)).flatmap(
+    lambda m: st.tuples(*[st.sampled_from([c.lower(), c.upper()]) for c in m]).map("".join)
+)
+NUMBER = padded(st.one_of(
+    st.integers(-50, 50).map(str),
+    st.floats(-1e3, 1e3, allow_nan=False).map(repr),
+))
+LABEL = st.sampled_from(["a", "b", "big, bad", 'say "hi"', " c "])
+NUMERIC_LABEL = st.sampled_from(["1", "2", "1.0", " 2 ", "x"])
+COLUMN_CELLS = {
+    "numeric": st.one_of(NUMBER, NUMBER, MISSING),
+    "categorical": st.one_of(LABEL, MISSING),
+    "numeric-looking": st.one_of(NUMERIC_LABEL, MISSING),
+    "all-missing": MISSING,
+    "one bad cell": st.one_of(NUMBER, MISSING),
+}
+
+
+@st.composite
+def csv_cases(draw):
+    """A survival CSV as text, the feature columns' kinds, and the rows the
+    recipe is fitted on; a few cases carry a load error or a short row."""
+    n = draw(st.integers(2, 10))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS)), max_size=4))
+    names = [f" f{j}" if j % 2 else f"f{j}" for j in range(len(kinds))]
+    header = draw(st.permutations(names + ["time", "event"]))
+    columns = {name: [draw(COLUMN_CELLS[kind]) for _ in range(n)]
+               for name, kind in zip(names, kinds)}
+    for name, kind in zip(names, kinds):
+        if kind == "one bad cell":
+            columns[name][draw(st.integers(0, n - 1))] = "oops"
+    columns["time"] = [draw(padded(st.floats(0.01, 100.0).map(repr))) for _ in range(n)]
+    columns["event"] = [draw(padded(st.sampled_from(["0", "1", "1.0", "0.0"]))) for _ in range(n)]
+    rows = [[columns[h][i] for h in header] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):
+        i = draw(st.integers(0, n - 1))
+        fault = draw(st.sampled_from(["time", "event", "width"]))
+        if fault == "width":
+            rows[i] = rows[i][:-1]
+        else:
+            cell = st.one_of(MISSING, st.sampled_from(["zzz", "2"] if fault == "event" else ["zzz"]))
+            rows[i][header.index(fault)] = draw(cell)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    test_rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+    train_rows = [i for i in range(n) if i not in test_rows]
+    return buf.getvalue(), np.array(train_rows), np.array(sorted(test_rows))
+
+
+def _outcome(load, fit, apply, path, train_rows, test_rows):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            raw = load(path)
+            recipe = fit(raw.subset(train_rows))
+            encoded = [apply(recipe, raw.subset(rows)) for rows in (train_rows, test_rows)]
+        except (LoadError, PreprocessError) as exc:
+            return {"error": (type(exc), str(exc))}
+    return {
+        "recipe": recipe.to_dict(),
+        "encoded": [(d.x, d.time, d.delta, d.feature_names) for d in encoded],
+        "warnings": [str(w.message) for w in caught],
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_cases())
+def test_loader_matches_the_former_per_cell_code(case):
+    text, train_rows, test_rows = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        got = _outcome(load_csv, fit_preprocess, apply_preprocess, path, train_rows, test_rows)
+        want = _outcome(oracles.load_csv, oracles.fit_preprocess, oracles.apply_preprocess,
+                        path, train_rows, test_rows)
+    assert got.keys() == want.keys()
+    if "error" in want:
+        assert got["error"] == want["error"]
+        return
+    assert got["recipe"] == want["recipe"]
+    assert got["warnings"] == want["warnings"]
+    for (x, t, d, names), (x0, t0, d0, names0) in zip(got["encoded"], want["encoded"]):
+        assert np.array_equal(x, x0) and np.array_equal(t, t0) and np.array_equal(d, d0)
+        assert names == names0
