@@ -6,10 +6,12 @@ feature columns, each name used once.  Cells equal to one of the missing
 markers ("", "NA", "NaN", "N/A", "?", "null", "None", case-insensitive,
 surrounding whitespace ignored) are missing.  ``load_csv`` parses every
 column once, with ``float()``, into a float64 array: a feature cell that
-parses to NaN counts as missing, and one of +-inf is an error naming its
-row and column.  The cells' text is kept, and read only for columns used
-as categorical.  Whether a column is numeric is decided on the rows a
-recipe is fitted on: numeric when every present cell there is a number.
+parses to NaN counts as missing.  A cell of +-inf in a column of numbers is
+an error naming its row and column; in a column with text cells it is a
+label, and an error only where the column is used as numeric.  The cells'
+text is kept, and read only for columns used as categorical.  Whether a
+column is numeric is decided on the rows a recipe is fitted on: numeric
+when every present cell there is a number.
 
 Preprocessing, fitted on training rows only: numeric columns are imputed
 with the mean when |sample skewness| <= 1 and the median otherwise;
@@ -31,6 +33,7 @@ to the requested size preserving that ratio.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,6 +41,7 @@ import numpy as np
 
 MISSING_MARKERS = {"", "na", "nan", "n/a", "?", "null", "none"}
 TIME_COL, EVENT_COL = "time", "event"
+_READ_ROWS = 4096  # rows read and transposed at a time
 
 
 class LoadError(ValueError):
@@ -132,26 +136,27 @@ class RawDataset:
 
 def _parse_cells(cells):
     """Each cell's float (NaN where missing or not a number) and the mask of
-    cells that are present but not numbers."""
-    bad = np.zeros(len(cells), dtype=bool)
+    cells that are present but not numbers.
+
+    A column of numbers is parsed by one pass of ``float()``.  Otherwise each
+    distinct stripped text is parsed once, so a label repeated down a
+    categorical column costs one failed ``float()``, not one per cell.
+    """
     try:
-        return np.array(list(map(float, cells)), dtype=np.float64), bad
+        return np.fromiter(map(float, cells), np.float64, len(cells)), np.zeros(len(cells), bool)
     except ValueError:
-        pass  # some cell is missing or not a number: parse cell by cell
-    values = np.empty(len(cells))
-    for i, cell in enumerate(cells):
-        try:
-            values[i] = float(cell)
-        except ValueError:
-            # str.strip() removes more than float() does (\x1c-\x1f too)
-            text = cell.strip()
-            values[i] = np.nan
-            if text.lower() not in MISSING_MARKERS:
-                try:
-                    values[i] = float(text)
-                except ValueError:
-                    bad[i] = True
-    return values, bad
+        pass  # some cell is missing or not a number
+    # str.strip() removes more than float() does (\x1c-\x1f too)
+    texts = [cell.strip() for cell in cells]
+    parsed, bad_texts = dict.fromkeys(texts, np.nan), set()
+    for text in parsed:
+        if text.lower() not in MISSING_MARKERS:
+            try:
+                parsed[text] = float(text)
+            except ValueError:
+                bad_texts.add(text)
+    values = np.fromiter(map(parsed.__getitem__, texts), np.float64, len(texts))
+    return values, np.fromiter(map(bad_texts.__contains__, texts), bool, len(texts))
 
 
 def load_csv(path) -> RawDataset:
@@ -159,8 +164,8 @@ def load_csv(path) -> RawDataset:
     in file order, and its column.
 
     The ``time`` and ``event`` columns are mandatory; every other column is
-    a feature.  Each column is parsed once, with ``float()``, into a float64
-    array.
+    a feature.  Rows are read and transposed in blocks of ``_READ_ROWS``,
+    and each column is then parsed once into a float64 array.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -168,34 +173,41 @@ def load_csv(path) -> RawDataset:
             header = next(reader)
         except StopIteration:
             raise LoadError(f"{path}: empty file") from None
-        rows = list(reader)
-    header = [h.strip() for h in header]
-    for col in (TIME_COL, EVENT_COL):
-        if col not in header:
-            raise LoadError(f"{path}: missing mandatory column '{col}'")
-    for i, name in enumerate(header):
-        if name in header[:i]:
-            raise LoadError(f"{path}: column '{name}' appears more than once")
-    if not rows:
+        header = [h.strip() for h in header]
+        for col in (TIME_COL, EVENT_COL):
+            if col not in header:
+                raise LoadError(f"{path}: missing mandatory column '{col}'")
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise LoadError(f"{path}: column '{name}' appears more than once")
+        width = len(header)
+        columns = [[] for _ in header]
+        # reading stops at the first row of the wrong width; an error in the
+        # rows before it comes first in file order
+        wrong_width = None
+        while wrong_width is None and (block := list(itertools.islice(reader, _READ_ROWS))):
+            n_ok = next((i for i, row in enumerate(block) if len(row) != width), len(block))
+            if n_ok < len(block):
+                wrong_width = (len(columns[0]) + n_ok + 2, len(block[n_ok]))
+            for column, cells in zip(columns, zip(*block[:n_ok])):
+                column.extend(cells)
+    if not columns[0] and wrong_width is None:
         raise LoadError(f"{path}: no data rows")
-    width = len(header)
-    # rows before the first one of the wrong width are parsed; an error in
-    # them comes first in file order
-    n_ok = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
-    cells = dict(zip(header, list(zip(*rows[:n_ok])) or [()] * width))
-
+    cells = dict(zip(header, columns))
+    del columns
     time, time_bad = _parse_cells(cells[TIME_COL])
     event, event_bad = _parse_cells(cells[EVENT_COL])
-    features = {
-        name: RawColumn(*_parse_cells(cells[name]), np.asarray(cells[name], dtype=object))
-        for name in header
-        if name not in (TIME_COL, EVENT_COL)
-    }
+    features = {}
+    for name in header:
+        if name not in (TIME_COL, EVENT_COL):
+            features[name] = RawColumn(*_parse_cells(cells[name]), np.array(cells[name], object))
+            cells[name] = features[name].cells  # the list is no longer held
+    # ±inf in a column with a text cell is read as a label, like any text
     checks = [
         (TIME_COL, time_bad, np.isfinite(time) & (time > 0.0), "time must be finite and > 0"),
         (EVENT_COL, event_bad, (event == 0.0) | (event == 1.0), "event must be 0 or 1, got {text}"),
     ] + [(name, col.bad, ~np.isinf(col.values), "value must be finite, got {text}")
-         for name, col in features.items()]
+         for name, col in features.items() if not col.bad.any()]
     failures = [(int(np.argmin(ok)), order) for order, (_, _, ok, _) in enumerate(checks)
                 if not ok.all()]
     if failures:
@@ -208,8 +220,9 @@ def load_csv(path) -> RawDataset:
         if bad[i]:
             raise LoadError(f"{where}: unparseable {name} {text!r}")
         raise LoadError(f"{where}: " + rule.format(text=repr(text)))
-    if n_ok < len(rows):
-        raise LoadError(f"{path}: row {n_ok + 2} has {len(rows[n_ok])} cells, expected {width}")
+    if wrong_width is not None:
+        row_no, n_cells = wrong_width
+        raise LoadError(f"{path}: row {row_no} has {n_cells} cells, expected {width}")
     return RawDataset(time=time, delta=event.astype(np.int64), columns=features)
 
 
@@ -280,6 +293,17 @@ class PreprocessRecipe:
         )
 
 
+def _require_numbers(name, col: RawColumn):
+    """Raise PreprocessError at the first cell of a column used as numeric
+    that is text or +-inf, naming its row in the dataset given."""
+    bad = col.bad | np.isinf(col.values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "a number" if col.bad[i] else "a finite number"
+        raise PreprocessError(f"column '{name}', row {i + 1}: expected {what}, "
+                              f"got {col.cells[i].strip()!r}")
+
+
 def fit_preprocess(raw: RawDataset) -> PreprocessRecipe:
     """Learn imputation, encoding, and scaling from the given (training) rows."""
     columns = []
@@ -287,6 +311,7 @@ def fit_preprocess(raw: RawDataset) -> PreprocessRecipe:
         values = col.values
         missing = np.isnan(values)
         if not (col.bad.any() or missing.all()):
+            _require_numbers(name, col)
             observed = values[~missing]
             skew = _sample_skewness(observed)
             impute = float(observed.mean() if abs(skew) <= 1.0 else np.median(observed))
@@ -352,12 +377,7 @@ def apply_preprocess(recipe: PreprocessRecipe, raw: RawDataset) -> SurvivalData:
         if col is None:
             raise PreprocessError(f"dataset is missing column '{tr.name}'")
         if tr.kind == "numeric":
-            if col.bad.any():
-                i = int(np.argmax(col.bad))
-                raise PreprocessError(
-                    f"column '{tr.name}', row {i + 1}: expected a number, "
-                    f"got {col.cells[i].strip()!r}"
-                )
+            _require_numbers(tr.name, col)
             filled = np.where(np.isnan(col.values), tr.impute, col.values)
             blocks.append(((filled - tr.means[0]) / tr.stds[0])[:, None])
         else:

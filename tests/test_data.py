@@ -3,6 +3,7 @@ import io
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import oracles
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from fhtsurv import data
 from fhtsurv.data import (
     MISSING_MARKERS,
     LoadError,
@@ -130,9 +132,19 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("cell", ["inf", "-Infinity", " +inf "])
     def test_infinite_feature_cell_rejected(self, tmp_path, cell):
-        p = write(tmp_path, f"v,g,time,event\n1,a,1,1\n2,{cell},2,0\n")
-        with pytest.raises(LoadError, match=r"row 3, column 'g': value must be finite"):
+        p = write(tmp_path, f"g,v,time,event\na,1,1,1\nb,{cell},2,0\n")
+        with pytest.raises(LoadError, match=r"row 3, column 'v': value must be finite"):
             load_csv(p)
+
+    def test_infinity_spelled_label_stays_a_category(self, tmp_path):
+        # a column with a text cell is categorical data; "inf" there is a label
+        p = write(tmp_path, "g,v,time,event\ninf,1,1,1\nsup,2,2,0\n Inf ,3,3,1\n,4,4,1\n")
+        recipe = fit_preprocess(load_csv(p))
+        former = oracles.fit_preprocess(oracles.load_csv(p))
+        assert recipe.to_dict() == former.to_dict()
+        assert recipe.columns[0].categories == ("Inf", "inf", "sup")
+        assert np.array_equal(apply_preprocess(recipe, load_csv(p)).x,
+                              oracles.apply_preprocess(former, oracles.load_csv(p)).x)
 
     @pytest.mark.parametrize("cell", ["inf", "-nan"])
     def test_nonfinite_time_rejected(self, tmp_path, cell):
@@ -217,6 +229,16 @@ class TestPreprocess:
         assert recipe.columns[0].kind == "numeric"
         with pytest.raises(PreprocessError, match="column 'v', row 2: expected a number, got 'oops'"):
             apply_preprocess(recipe, raw.subset([0, 2]))
+
+    def test_infinity_in_a_column_numeric_on_the_fitted_rows(self, tmp_path):
+        # the text cell keeps the load from rejecting "inf"; used as a number, it is
+        p = write(tmp_path, "v,time,event\n1,1,1\ninf,2,1\noops,3,1\n4,4,1\n")
+        raw = load_csv(p)
+        with pytest.raises(PreprocessError, match="column 'v', row 2: expected a finite number, got 'inf'"):
+            fit_preprocess(raw.subset([0, 1, 3]))
+        recipe = fit_preprocess(raw.subset([0, 3]))
+        with pytest.raises(PreprocessError, match="column 'v', row 2: expected a finite number"):
+            apply_preprocess(recipe, raw.subset([0, 1]))
 
     def test_numeric_looking_cells_match_categories_as_text(self, tmp_path):
         p = write(tmp_path, "g,time,event\n1,1,1\n2,2,1\nx,3,1\n")
@@ -405,8 +427,9 @@ COLUMN_CELLS = {
 
 @st.composite
 def csv_cases(draw):
-    """A survival CSV as text, the feature columns' kinds, and the rows the
-    recipe is fitted on; a few cases carry a load error or a short row."""
+    """A survival CSV as text, the rows the recipe is fitted on and the rest,
+    and the rows ``load_csv`` reads at a time; a few cases carry a load error
+    or a short row."""
     n = draw(st.integers(2, 10))
     kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS)), max_size=4))
     names = [f" f{j}" if j % 2 else f"f{j}" for j in range(len(kinds))]
@@ -433,7 +456,8 @@ def csv_cases(draw):
     writer.writerows(rows)
     test_rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
     train_rows = [i for i in range(n) if i not in test_rows]
-    return buf.getvalue(), np.array(train_rows), np.array(sorted(test_rows))
+    read_rows = draw(st.integers(1, 4))  # small read blocks put faults at block edges
+    return buf.getvalue(), np.array(train_rows), np.array(sorted(test_rows)), read_rows
 
 
 def _outcome(load, fit, apply, path, train_rows, test_rows):
@@ -455,12 +479,13 @@ def _outcome(load, fit, apply, path, train_rows, test_rows):
 @settings(max_examples=400, deadline=None)
 @given(csv_cases())
 def test_loader_matches_the_former_per_cell_code(case):
-    text, train_rows, test_rows = case
+    text, train_rows, test_rows, read_rows = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "d.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        got = _outcome(load_csv, fit_preprocess, apply_preprocess, path, train_rows, test_rows)
+        with mock.patch.object(data, "_READ_ROWS", read_rows):
+            got = _outcome(load_csv, fit_preprocess, apply_preprocess, path, train_rows, test_rows)
         want = _outcome(oracles.load_csv, oracles.fit_preprocess, oracles.apply_preprocess,
                         path, train_rows, test_rows)
     assert got.keys() == want.keys()
