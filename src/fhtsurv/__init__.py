@@ -13,12 +13,6 @@ from .fht import (
     FhtDomainError,
     InvGaussParams,
     LevyParams,
-    ig_density,
-    ig_survival,
-    ig_survival_and_grads,
-    levy_density,
-    levy_survival,
-    levy_survival_and_grads,
 )
 
 __version__ = "0.1.0"
@@ -28,12 +22,6 @@ __all__ = [
     "FhtDomainError",
     "LevyParams",
     "InvGaussParams",
-    "levy_survival",
-    "levy_density",
-    "levy_survival_and_grads",
-    "ig_survival",
-    "ig_density",
-    "ig_survival_and_grads",
     "__version__",
 ]
 

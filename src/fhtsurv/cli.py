@@ -157,7 +157,13 @@ def cmd_train(args):
     return [args.out]
 
 
+def _check_bootstrap(args):
+    if args.bootstrap < 2:
+        raise ValueError(f"--bootstrap must be >= 2, got {args.bootstrap}")
+
+
 def cmd_eval(args):
+    _check_bootstrap(args)
     model = _load_any_model(args.model)
     raw = load_csv(args.data)
     if model.recipe is None:
@@ -182,6 +188,9 @@ def _cv_scores(data, spec, tcfg, folds, seed):
 
 
 def cmd_compare(args):
+    _check_bootstrap(args)
+    if args.folds and args.folds < 2:
+        raise ValueError(f"--folds must be 0 (no cross-validation) or >= 2, got {args.folds}")
     seq = np.random.SeedSequence(args.seed).spawn(4)
     split_seed, levy_seed, ig_seed, boot_seed = (int(s.generate_state(1)[0]) for s in seq)
 
@@ -250,10 +259,10 @@ def cmd_simulate(args):
         bridge_correction=args.bridge,
         n_jobs=args.jobs,
     )
-    samples = simulate_fpt(kind, params, cfg)
+    samples = simulate_fpt(params, cfg)
     t_grid = np.linspace(args.tmax / 10.0, args.tmax, 10)
     emp = empirical_survival(samples, t_grid)
-    closed = np.asarray(fht.survival(kind, params, t_grid), dtype=np.float64)
+    closed = np.asarray(params.survival(t_grid), dtype=np.float64)
     se = np.sqrt(np.maximum(closed * (1.0 - closed), 1e-300) / cfg.n_paths)
     summary = {
         "kind": kind.value,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PreprocessRecipe
-from .modelio import decode_array, encode_array, read_json, write_json_atomic
+from .modelio import decode_array, encode_array, write_json_atomic
 
 RIDGE_EPS = 1e-9
 
@@ -89,10 +89,6 @@ class CoxModel:
             log_likelihood=p["log_likelihood"],
             recipe=recipe,
         )
-
-    @classmethod
-    def load(cls, path) -> "CoxModel":
-        return cls.from_dict(read_json(path))
 
 
 def _partial_lik_parts(xs, ds, start, d_count, eta):

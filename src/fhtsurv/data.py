@@ -74,8 +74,12 @@ class SurvivalData:
                 f"inconsistent array shapes: x {self.x.shape}, time {self.time.shape}, "
                 f"delta {self.delta.shape}"
             )
-        if not np.all(self.time > 0.0):
-            raise ValueError("times must be > 0")
+        ok = np.isfinite(self.time) & (self.time > 0.0)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(
+                f"times must be finite and > 0, got {float(self.time[i])} at index {i}"
+            )
         if not np.all((self.delta == 0) | (self.delta == 1)):
             raise ValueError("event indicator must be 0 or 1")
 
@@ -112,11 +116,17 @@ class RawColumn:
 
 @dataclass
 class RawDataset:
-    """Parsed time/event plus the feature columns, by name in file order."""
+    """Parsed time/event plus the feature columns, by name in file order.
+
+    ``rows`` holds each record's row in the file it was read from, numbered
+    as ``load_csv`` numbers rows (the header is row 1), so errors found in a
+    subset name the file's row.
+    """
 
     time: np.ndarray
     delta: np.ndarray
     columns: dict
+    rows: np.ndarray
 
     @property
     def feature_names(self):
@@ -131,6 +141,7 @@ class RawDataset:
             time=self.time[idx],
             delta=self.delta[idx],
             columns={name: col.take(idx) for name, col in self.columns.items()},
+            rows=self.rows[idx],
         )
 
 
@@ -223,7 +234,8 @@ def load_csv(path) -> RawDataset:
     if wrong_width is not None:
         row_no, n_cells = wrong_width
         raise LoadError(f"{path}: row {row_no} has {n_cells} cells, expected {width}")
-    return RawDataset(time=time, delta=event.astype(np.int64), columns=features)
+    return RawDataset(time=time, delta=event.astype(np.int64), columns=features,
+                      rows=np.arange(2, time.size + 2))
 
 
 def _sample_skewness(values: np.ndarray) -> float:
@@ -293,14 +305,14 @@ class PreprocessRecipe:
         )
 
 
-def _require_numbers(name, col: RawColumn):
+def _require_numbers(name, col: RawColumn, rows):
     """Raise PreprocessError at the first cell of a column used as numeric
-    that is text or +-inf, naming its row in the dataset given."""
+    that is text or +-inf, naming its file row (``rows``, one per cell)."""
     bad = col.bad | np.isinf(col.values)
     if bad.any():
         i = int(np.argmax(bad))
         what = "a number" if col.bad[i] else "a finite number"
-        raise PreprocessError(f"column '{name}', row {i + 1}: expected {what}, "
+        raise PreprocessError(f"column '{name}', row {rows[i]}: expected {what}, "
                               f"got {col.cells[i].strip()!r}")
 
 
@@ -311,7 +323,7 @@ def fit_preprocess(raw: RawDataset) -> PreprocessRecipe:
         values = col.values
         missing = np.isnan(values)
         if not (col.bad.any() or missing.all()):
-            _require_numbers(name, col)
+            _require_numbers(name, col, raw.rows)
             observed = values[~missing]
             skew = _sample_skewness(observed)
             impute = float(observed.mean() if abs(skew) <= 1.0 else np.median(observed))
@@ -377,7 +389,7 @@ def apply_preprocess(recipe: PreprocessRecipe, raw: RawDataset) -> SurvivalData:
         if col is None:
             raise PreprocessError(f"dataset is missing column '{tr.name}'")
         if tr.kind == "numeric":
-            _require_numbers(tr.name, col)
+            _require_numbers(tr.name, col, raw.rows)
             filled = np.where(np.isnan(col.values), tr.impute, col.values)
             blocks.append(((filled - tr.means[0]) / tr.stds[0])[:, None])
         else:

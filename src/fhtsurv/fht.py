@@ -4,17 +4,21 @@ Two processes are covered, both started at ``x0 > 0`` with an absorbing
 barrier at the origin:
 
 * driftless Brownian motion with diffusion coefficient ``D`` (hitting times
-  follow a Levy distribution),
+  follow a Levy distribution), parameters :class:`LevyParams`;
 * Brownian motion with negative drift ``mu`` and unit diffusion (hitting
-  times follow an inverse Gaussian distribution).
+  times follow an inverse Gaussian distribution), parameters
+  :class:`InvGaussParams`.
 
-Survival functions (alone, and together with their analytic parameter
-partials) and densities are provided.  Everything broadcasts over numpy
-arrays and is free of shared state, so concurrent use is safe.  Each kind
-has one row in a dispatch table keyed by :class:`DistKind`; the
-kind-generic entry points (:func:`survival`, :func:`survival_and_grads`,
-:func:`density`, :func:`make_params`, :func:`coefficients`) look the kind
-up there.
+Each parameter struct carries its :class:`DistKind` and the laws of its
+process: ``survival(t)``, ``survival_and_grads(t)`` (the survival together
+with its analytic parameter partials), ``density(t)`` and
+``coefficients()``.  It also carries the per-kind constants other modules
+need, so no other module branches on the kind: ``second_sign``, the sign of
+the second parameter; ``second_init``, its magnitude in an untrained
+network; and ``second_log_axis``, whether a risk map puts it on a log axis.
+:func:`make_params` and :func:`param_names` are the one lookup from a kind
+to its struct.  Everything broadcasts over numpy arrays and is free of
+shared state, so concurrent use is safe.
 
 Conventions: the drifted process fixes ``D = 1`` (the law depends only on
 ``x0/|mu|`` and ``x0^2/(2D)``, so ``D`` merely rescales time), and ``t = 0``
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,6 +58,13 @@ def _check_positive(name, value):
     return arr
 
 
+def _check_time(t):
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(t)) or not np.all(t > 0.0):
+        raise FhtDomainError("t must be finite and > 0")
+    return t
+
+
 @dataclass(frozen=True)
 class LevyParams:
     """Driftless Brownian parameters: initial barrier distance and diffusion.
@@ -62,12 +72,52 @@ class LevyParams:
     Fields may be scalars or broadcastable arrays; both must be positive.
     """
 
+    kind = DistKind.LEVY
+    second_sign = 1.0
+    second_init = 1.0
+    # the learned diffusion spans decades
+    second_log_axis = True
+
     x0: np.ndarray
     diffusion: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "x0", _check_positive("x0", self.x0))
         object.__setattr__(self, "diffusion", _check_positive("diffusion", self.diffusion))
+
+    def survival(self, t):
+        """P(T > t) = erf(x0 / sqrt(4 D t))."""
+        t = _check_time(t)
+        return erf(self.x0 / np.sqrt(4.0 * self.diffusion * t))
+
+    def survival_and_grads(self, t):
+        """(S, dS/dx0, dS/dD) with S = erf(u), u = x0 / sqrt(4 D t).
+
+        Both partials share (2/sqrt(pi)) u exp(-u^2); S is bit-identical to
+        :meth:`survival`.
+        """
+        t = _check_time(t)
+        u = self.x0 / np.sqrt(4.0 * self.diffusion * t)
+        pref = (2.0 / _SQRT_PI) * np.exp(-u * u) * u
+        return erf(u), pref / self.x0, -pref / (2.0 * self.diffusion)
+
+    def density(self, t):
+        """Hitting-time density x0 / sqrt(4 pi D t^3) * exp(-x0^2 / (4 D t)).
+
+        This is -dS/dt of the survival function (and the zero-drift limit of
+        the drifted-case density); at D = 1 it reduces to the usual
+        one-parameter Levy form.
+        """
+        t = _check_time(t)
+        return (
+            self.x0
+            / np.sqrt(4.0 * np.pi * self.diffusion * t**3)
+            * np.exp(-self.x0 * self.x0 / (4.0 * self.diffusion * t))
+        )
+
+    def coefficients(self):
+        """(x0, mu, D) of the latent diffusion dX = mu dt + sqrt(2D) dW."""
+        return self.x0, 0.0, self.diffusion
 
 
 @dataclass(frozen=True)
@@ -77,6 +127,11 @@ class InvGaussParams:
     The diffusion coefficient is fixed to 1; the API deliberately does not
     accept it.
     """
+
+    kind = DistKind.INVERSE_GAUSSIAN
+    second_sign = -1.0
+    second_init = 0.1
+    second_log_axis = False
 
     x0: np.ndarray
     drift: np.ndarray
@@ -88,141 +143,64 @@ class InvGaussParams:
             raise FhtDomainError("drift must be finite and < 0")
         object.__setattr__(self, "drift", drift)
 
+    def _terms(self, t):
+        """Survival and the terms its partials reuse.
 
-def _check_time(t):
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)) or not np.all(t > 0.0):
-        raise FhtDomainError("t must be finite and > 0")
-    return t
+        S = Phi(a) - W with a = (x0+mu t)/sqrt(2t), b = (mu t-x0)/sqrt(2t)
+        and the image term W = exp(-mu x0) Phi(b).  Since
+        -mu x0 - b^2/2 = -a^2/2, W = exp(-a^2/2) erfcx(-b/sqrt(2)) / 2, where
+        -b > 0 (x0 > 0, mu < 0): no factor can overflow, however strong the
+        drift.  Returns ``(S, sqrt(2t), exp(-a^2/2), W)``.
+        """
+        s = np.sqrt(2.0 * t)
+        a = (self.x0 + self.drift * t) / s
+        e = np.exp(-0.5 * a * a)
+        image = 0.5 * e * erfcx((self.x0 - self.drift * t) / (_SQRT_2 * s))
+        return np.clip(norm_cdf(a) - image, 0.0, 1.0), s, e, image
 
+    def survival(self, t):
+        """P(T > t) = Phi((x0+mu t)/sqrt(2t)) - exp(-mu x0) Phi((mu t-x0)/sqrt(2t)).
 
-def levy_survival(p: LevyParams, t):
-    """P(T > t) = erf(x0 / sqrt(4 D t)) for the driftless process."""
-    t = _check_time(t)
-    return erf(p.x0 / np.sqrt(4.0 * p.diffusion * t))
+        Values are clipped to [0, 1]; exact zeros can occur by underflow at
+        extreme times even though the law is strictly positive.
+        """
+        return self._terms(_check_time(t))[0]
 
+    def survival_and_grads(self, t):
+        """(S, dS/dx0, dS/dmu).
 
-def levy_survival_and_grads(p: LevyParams, t):
-    """(S, dS/dx0, dS/dD) with S = erf(u), u = x0 / sqrt(4 D t).
+        Using phi(a) = exp(-mu*x0) phi(b), the partials collapse to
+        dS/dx0 = 2 phi(a)/sqrt(2t) + mu * W and dS/dmu = x0 * W with
+        W = exp(-mu*x0) Phi(b); S is bit-identical to :meth:`survival`.
+        """
+        surv, s, e, image = self._terms(_check_time(t))
+        return surv, 2.0 * e / (_SQRT_2PI * s) + self.drift * image, self.x0 * image
 
-    Both partials share (2/sqrt(pi)) u exp(-u^2); S is bit-identical to
-    :func:`levy_survival`.
-    """
-    t = _check_time(t)
-    u = p.x0 / np.sqrt(4.0 * p.diffusion * t)
-    pref = (2.0 / _SQRT_PI) * np.exp(-u * u) * u
-    return erf(u), pref / p.x0, -pref / (2.0 * p.diffusion)
+    def density(self, t):
+        """Inverse Gaussian density x0 / sqrt(4 pi t^3) * exp(-(x0+mu t)^2 / (4t))."""
+        t = _check_time(t)
+        z = self.x0 + self.drift * t
+        return self.x0 / np.sqrt(4.0 * np.pi * t ** 3) * np.exp(-z * z / (4.0 * t))
 
-
-def levy_density(p: LevyParams, t):
-    """Hitting-time density x0 / sqrt(4 pi D t^3) * exp(-x0^2 / (4 D t)).
-
-    This is -dS/dt of the survival function (and the zero-drift limit of the
-    drifted-case density); at D = 1 it reduces to the usual one-parameter
-    Levy form.
-    """
-    t = _check_time(t)
-    return (
-        p.x0
-        / np.sqrt(4.0 * np.pi * p.diffusion * t**3)
-        * np.exp(-p.x0 * p.x0 / (4.0 * p.diffusion * t))
-    )
-
-
-def _ig_terms(p: InvGaussParams, t):
-    """Survival of the drifted case and the terms its partials reuse.
-
-    S = Phi(a) - W with a = (x0+mu t)/sqrt(2t), b = (mu t-x0)/sqrt(2t) and
-    the image term W = exp(-mu x0) Phi(b).  Since -mu x0 - b^2/2 = -a^2/2,
-    W = exp(-a^2/2) erfcx(-b/sqrt(2)) / 2, where -b > 0 (x0 > 0, mu < 0):
-    no factor can overflow, however strong the drift.  Returns
-    ``(S, sqrt(2t), exp(-a^2/2), W)``.
-    """
-    s = np.sqrt(2.0 * t)
-    a = (p.x0 + p.drift * t) / s
-    e = np.exp(-0.5 * a * a)
-    image = 0.5 * e * erfcx((p.x0 - p.drift * t) / (_SQRT_2 * s))
-    return np.clip(norm_cdf(a) - image, 0.0, 1.0), s, e, image
+    def coefficients(self):
+        """(x0, mu, D) of the latent diffusion dX = mu dt + sqrt(2D) dW."""
+        return self.x0, self.drift, 1.0
 
 
-def ig_survival(p: InvGaussParams, t):
-    """P(T > t) = Phi((x0+mu t)/sqrt(2t)) - exp(-mu x0) Phi((mu t-x0)/sqrt(2t)).
-
-    Values are clipped to [0, 1]; exact zeros can occur by underflow at
-    extreme times even though the law is strictly positive.
-    """
-    return _ig_terms(p, _check_time(t))[0]
-
-
-def ig_survival_and_grads(p: InvGaussParams, t):
-    """(S, dS/dx0, dS/dmu) for the drifted case.
-
-    Using phi(a) = exp(-mu*x0) phi(b), the partials collapse to
-    dS/dx0 = 2 phi(a)/sqrt(2t) + mu * W and dS/dmu = x0 * W with
-    W = exp(-mu*x0) Phi(b); S is bit-identical to :func:`ig_survival`.
-    """
-    surv, s, e, image = _ig_terms(p, _check_time(t))
-    return surv, 2.0 * e / (_SQRT_2PI * s) + p.drift * image, p.x0 * image
-
-
-def ig_density(p: InvGaussParams, t):
-    """Inverse Gaussian density x0 / sqrt(4 pi t^3) * exp(-(x0+mu t)^2 / (4t))."""
-    t = _check_time(t)
-    z = p.x0 + p.drift * t
-    return p.x0 / np.sqrt(4.0 * np.pi * t ** 3) * np.exp(-z * z / (4.0 * t))
-
-
-class _Kind(NamedTuple):
-    params: type
-    survival: Callable
-    survival_and_grads: Callable
-    density: Callable
-    coefficients: Callable  # params -> (x0, mu, D) of dX = mu dt + sqrt(2D) dW
-
-
-_KINDS = {
-    DistKind.LEVY: _Kind(
-        LevyParams, levy_survival, levy_survival_and_grads, levy_density,
-        lambda p: (p.x0, 0.0, p.diffusion),
-    ),
-    DistKind.INVERSE_GAUSSIAN: _Kind(
-        InvGaussParams, ig_survival, ig_survival_and_grads, ig_density,
-        lambda p: (p.x0, p.drift, 1.0),
-    ),
-}
-
-
-def _kind(kind) -> _Kind:
+def params_class(kind):
+    """The parameter struct of a distribution kind."""
     try:
-        return _KINDS[DistKind(kind)]
+        kind = DistKind(kind)
     except ValueError:
         raise FhtDomainError(f"unknown distribution kind: {kind!r}") from None
+    return LevyParams if kind == DistKind.LEVY else InvGaussParams
 
 
-def survival(kind: DistKind, params, t):
-    """Survival function P(T > t) of the given kind."""
-    return _kind(kind).survival(params, t)
-
-
-def survival_and_grads(kind: DistKind, params, t):
-    """(S, dS/dx0, dS/dtheta), theta the kind's second parameter."""
-    return _kind(kind).survival_and_grads(params, t)
-
-
-def density(kind: DistKind, params, t):
-    return _kind(kind).density(params, t)
-
-
-def make_params(kind: DistKind, x0, second):
+def make_params(kind, x0, second):
     """Build the parameter struct for a kind from its two raw columns."""
-    return _kind(kind).params(x0, second)
+    return params_class(kind)(x0, second)
 
 
-def param_names(kind: DistKind):
+def param_names(kind):
     """Field names of the kind's parameter struct: ("x0", second)."""
-    return tuple(f.name for f in fields(_kind(kind).params))
-
-
-def coefficients(kind: DistKind, params):
-    """(x0, mu, D) of the latent diffusion dX = mu dt + sqrt(2D) dW."""
-    return _kind(kind).coefficients(params)
+    return tuple(f.name for f in fields(params_class(kind)))

@@ -16,8 +16,9 @@ values however many queries a map has; no (queries x sources x 2)
 difference array is formed.
 
 Distances are Euclidean in the coordinates of the map's axes.  The second
-parameter axis is on log scale for the driftless kind (its learned range
-spans decades) and both axes are raw for the drifted kind.
+parameter axis is on log scale where the parameter struct's
+``second_log_axis`` says so (the driftless kind's diffusion, whose learned
+range spans decades); otherwise both axes are raw.
 
 The driftless law depends on ``(x0, D)`` only through ``x0^2/D``, so Levy
 risk is constant along every curve of constant ``x0^2/D`` (a straight line
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fht import DistKind, param_names
+from .fht import DistKind, param_names, params_class
 
 EXACT_MATCH_DIST = 1e-12
 _QUERY_BLOCK = 128
@@ -141,12 +142,14 @@ def default_axes(kind: DistKind, params: np.ndarray, resolution=200):
     """Axes spanning the 1st-99th percentile of the parameters, padded 10%,
     then widened if needed so every training point lies inside the grid.
 
-    The second axis is on log scale for the driftless kind.
+    The second axis is on log scale where the kind's ``second_log_axis``
+    says so.
     """
+    log_second = params_class(kind).second_log_axis
     axes = []
     for j, name in enumerate(param_names(kind)):
         col = params[:, j]
-        log_axis = j == 1 and kind == DistKind.LEVY
+        log_axis = j == 1 and log_second
         if log_axis:
             col = np.log(col)
         lo, hi = np.percentile(col, [1.0, 99.0])

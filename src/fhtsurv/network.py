@@ -4,18 +4,19 @@ Architecture per hidden layer: affine, then batch normalization, then ReLU.
 The output layer is affine into two raw values that a link layer squeezes
 onto the parameter domain:
 
-    x0 = softplus(r0) + eps        (always)
-    D  = softplus(r1) + eps        (driftless kind)
-    mu = -(softplus(r1) + eps)     (drifted kind)
+    x0     = softplus(r0) + eps                 (always)
+    second = sign * (softplus(r1) + eps)        (D, or the drift mu)
 
-with eps = 1e-6, so any finite raw output yields valid parameters.
-Softplus is used instead of exp to keep the link gradient bounded.
+with eps = 1e-6 and ``sign`` the parameter struct's ``second_sign`` (+1
+for the diffusion D, -1 for the drift mu), so any finite raw output yields
+valid parameters.  Softplus is used instead of exp to keep the link
+gradient bounded.
 
 Initialization: He fan-in scaling for the hidden layers and Glorot for the
 output layer, zero biases, batch-norm scale 1 / shift 0, and the output
-bias chosen so an untrained network starts near x0 = 1 and D = 1 (or
-mu = -0.1), which keeps the initial survival curves away from the
-saturated regions of erf/Phi.
+bias chosen so an untrained network starts near x0 = 1 and a second
+parameter of magnitude ``second_init`` (D = 1, or mu = -0.1), which keeps
+the initial survival curves away from the saturated regions of erf/Phi.
 
 Everything is plain numpy with explicit reverse-mode gradients; there is no
 autodiff.  Training-mode forward passes update batch-norm running
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fht import DistKind
+from .fht import DistKind, params_class
 from .modelio import decode_array, encode_array
 
 LINK_EPS = 1e-6
@@ -74,15 +75,13 @@ def _inv_softplus(y):
 def link_forward(kind: DistKind, raw: np.ndarray) -> np.ndarray:
     """Map raw network outputs (n, 2) onto the valid parameter domain."""
     out = softplus(raw) + LINK_EPS
-    if kind == DistKind.INVERSE_GAUSSIAN:
-        out[:, 1] = -out[:, 1]
+    out[:, 1] *= params_class(kind).second_sign
     return out
 
 
 def link_backward(kind: DistKind, raw: np.ndarray, d_params: np.ndarray) -> np.ndarray:
     d_raw = d_params * _sigmoid(raw)
-    if kind == DistKind.INVERSE_GAUSSIAN:
-        d_raw[:, 1] = -d_raw[:, 1]
+    d_raw[:, 1] *= params_class(kind).second_sign
     return d_raw
 
 
@@ -244,7 +243,7 @@ def init_network(spec: NetworkSpec, seed=0) -> Network:
     weights["out.w"] = rng.normal(
         0.0, np.sqrt(2.0 / (fan_in + N_DIST_PARAMS)), size=(fan_in, N_DIST_PARAMS)
     )
-    second = 1.0 if spec.kind == DistKind.LEVY else 0.1
+    second = params_class(spec.kind).second_init
     weights["out.b"] = np.array(
         [_inv_softplus(1.0 - LINK_EPS), _inv_softplus(second - LINK_EPS)]
     )

@@ -7,7 +7,8 @@ Brownian-bridge correction, in the first ``dt`` step in which the continuous
 path crosses zero.  Given step ends ``a, b > 0`` that has probability
 ``exp(-a b / (D dt))``, which is exact for arithmetic Brownian motion, so
 bridge-corrected hit times have the law of ``ceil(tau / dt) dt`` for the
-continuous first-passage time ``tau``.
+continuous first-passage time ``tau``.  ``(x0, mu, D)`` are the
+``coefficients()`` of the parameter struct passed to ``simulate_fpt``.
 
 Paths are not stepped per ``dt``.  They move on a coarse grid of
 ``2**_COARSE_LOG2`` ``dt`` steps by exact Gaussian transitions, and a coarse
@@ -40,8 +41,6 @@ from dataclasses import dataclass
 
 import multiprocessing
 import numpy as np
-
-from .fht import DistKind, coefficients
 
 _BLOCK_PATHS = 8192
 # coarse steps per vectorized chunk
@@ -180,8 +179,8 @@ def _run_block(args):
     return hit
 
 
-def _block_tasks(kind, params, cfg):
-    x0, mu, diff = map(float, coefficients(kind, params))
+def _block_tasks(params, cfg):
+    x0, mu, diff = map(float, params.coefficients())
     n_steps = int(np.ceil(cfg.t_max / cfg.dt - 1e-9))
     root = np.random.SeedSequence(cfg.seed)
     n_blocks = (cfg.n_paths + _BLOCK_PATHS - 1) // _BLOCK_PATHS
@@ -194,10 +193,11 @@ def _block_tasks(kind, params, cfg):
     return tasks
 
 
-def simulate_fpt(kind: DistKind, params, cfg: SimConfig) -> FptSamples:
-    """Sample first-passage times for every path under the given config,
-    on ``cfg.n_jobs`` worker processes when there is more than one block."""
-    tasks = _block_tasks(kind, params, cfg)
+def simulate_fpt(params, cfg: SimConfig) -> FptSamples:
+    """Sample first-passage times for every path of the diffusion whose
+    parameter struct (``LevyParams`` or ``InvGaussParams``) is given, on
+    ``cfg.n_jobs`` worker processes when there is more than one block."""
+    tasks = _block_tasks(params, cfg)
     if cfg.n_jobs > 1 and len(tasks) > 1:
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=cfg.n_jobs, mp_context=ctx) as pool:

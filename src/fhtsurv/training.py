@@ -118,7 +118,7 @@ def _subsample_times(times_sorted, cap, rng):
 def survival_and_grads(kind: DistKind, param_cols: np.ndarray, times: np.ndarray):
     """Survival matrix and its two parameter partials, all (n, |times|)."""
     p = fht.make_params(kind, param_cols[:, 0:1], param_cols[:, 1:2])
-    return fht.survival_and_grads(kind, p, times[None, :])
+    return p.survival_and_grads(times[None, :])
 
 
 @dataclass
@@ -142,7 +142,7 @@ class FittedModel:
         times = np.atleast_1d(np.asarray(times, dtype=np.float64))
         cols = self.params_for(x)
         p = fht.make_params(self.kind, cols[:, 0:1], cols[:, 1:2])
-        return fht.survival(self.kind, p, times[None, :])
+        return p.survival(times[None, :])
 
     def to_dict(self) -> dict:
         return {

@@ -54,22 +54,18 @@ def test_criterion_1_monte_carlo_vs_closed_form():
     the closed forms within 3 binomial standard errors; runtime < 2 min."""
     t_grid = np.array([0.1, 0.5, 1.0, 2.0, 5.0])
     runs = [
-        (fht.DistKind.LEVY, fht.LevyParams(1.0, 1.0),
-         SimConfig(100000, 1e-4, 5.0, 101, True, N_JOBS)),
-        (fht.DistKind.LEVY, fht.LevyParams(2.0, 0.5),
-         SimConfig(100000, 1e-4, 5.0, 102, True, N_JOBS)),
-        (fht.DistKind.INVERSE_GAUSSIAN, fht.InvGaussParams(1.0, -0.5),
-         SimConfig(100000, 1e-4, 5.0, 103, True, N_JOBS)),
-        (fht.DistKind.INVERSE_GAUSSIAN, fht.InvGaussParams(2.0, -1.0),
-         SimConfig(100000, 1e-4, 5.0, 104, True, N_JOBS)),
+        (fht.LevyParams(1.0, 1.0), SimConfig(100000, 1e-4, 5.0, 101, True, N_JOBS)),
+        (fht.LevyParams(2.0, 0.5), SimConfig(100000, 1e-4, 5.0, 102, True, N_JOBS)),
+        (fht.InvGaussParams(1.0, -0.5), SimConfig(100000, 1e-4, 5.0, 103, True, N_JOBS)),
+        (fht.InvGaussParams(2.0, -1.0), SimConfig(100000, 1e-4, 5.0, 104, True, N_JOBS)),
     ]
     start = time.time()
-    samples = [simulate_fpt(kind, params, cfg) for kind, params, cfg in runs]
+    samples = [simulate_fpt(params, cfg) for params, cfg in runs]
     elapsed = time.time() - start
     worst = 0.0
-    for (kind, params, cfg), s in zip(runs, samples):
+    for (params, cfg), s in zip(runs, samples):
         emp = empirical_survival(s, t_grid)
-        closed = np.asarray(fht.survival(kind, params, t_grid), dtype=float)
+        closed = np.asarray(params.survival(t_grid), dtype=float)
         se = np.sqrt(closed * (1.0 - closed) / cfg.n_paths)
         worst = max(worst, float(np.max(np.abs(emp - closed) / se)))
     ok = worst <= 3.0 and elapsed < 120.0
@@ -85,26 +81,24 @@ def test_criterion_2_density_survival_consistency():
     # the drifted mean; the grid spans a decade either side so the density
     # stays well above the conditioning floor everywhere
     settings = [
-        (fht.DistKind.LEVY, fht.LevyParams(1.0, 1.0), 0.25),
-        (fht.DistKind.LEVY, fht.LevyParams(2.0, 0.5), 2.0),
-        (fht.DistKind.INVERSE_GAUSSIAN, fht.InvGaussParams(1.0, -0.5), 2.0),
-        (fht.DistKind.INVERSE_GAUSSIAN, fht.InvGaussParams(2.0, -1.0), 2.0),
+        (fht.LevyParams(1.0, 1.0), 0.25),
+        (fht.LevyParams(2.0, 0.5), 2.0),
+        (fht.InvGaussParams(1.0, -0.5), 2.0),
+        (fht.InvGaussParams(2.0, -1.0), 2.0),
     ]
     worst_rel = 0.0
-    for kind, params, t_char in settings:
+    for params, t_char in settings:
         grid = np.geomspace(0.1 * t_char, 10.0 * t_char, 50)
         for t in grid:
             h = 1e-5 * t
-            fd = -oracles.central_diff(
-                lambda u, k=kind, p=params: float(fht.survival(k, p, u)), t, h
-            )
-            f = float(fht.density(kind, params, t))
+            fd = -oracles.central_diff(lambda u, p=params: float(p.survival(u)), t, h)
+            f = float(params.density(t))
             worst_rel = max(worst_rel, abs(fd - f) / f)
     int_errs = []
-    for kind, params, _ in settings:
-        if kind == fht.DistKind.INVERSE_GAUSSIAN:
+    for params, _ in settings:
+        if params.kind == fht.DistKind.INVERSE_GAUSSIAN:
             val = oracles.quad(
-                lambda t, k=kind, p=params: float(fht.density(k, p, t)),
+                lambda t, p=params: float(p.density(t)),
                 1e-12, np.inf, limit=400,
             )
             int_errs.append(abs(val - 1.0))
@@ -249,8 +243,8 @@ def test_criterion_6_inverse_gaussian_reduction():
     """Drifted-case survival at drift -1e-8 matches the driftless form
     within 1e-6 over t in [0.01, 10]."""
     ts = np.linspace(0.01, 10.0, 500)
-    levy = fht.levy_survival(fht.LevyParams(1.0, 1.0), ts)
-    near = fht.ig_survival(fht.InvGaussParams(1.0, -1e-8), ts)
+    levy = fht.LevyParams(1.0, 1.0).survival(ts)
+    near = fht.InvGaussParams(1.0, -1e-8).survival(ts)
     worst = float(np.max(np.abs(levy - near)))
     ok = worst < 1e-6
     report(6, ok, f"max |difference| {worst:.2e} (limit 1e-6)")

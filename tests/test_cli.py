@@ -319,6 +319,56 @@ def test_compare_checks_both_sections_before_training(small_csv, tmp_path, capsy
     assert not out.exists()
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the command did work before checking its options")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--folds", "1"], "--folds must be 0 (no cross-validation) or >= 2, got 1"),
+    (["compare", "--folds", "-3"], "--folds must be 0 (no cross-validation) or >= 2, got -3"),
+    (["compare", "--bootstrap", "1"], "--bootstrap must be >= 2, got 1"),
+    (["eval", "--model", "absent.json", "--bootstrap", "1"], "--bootstrap must be >= 2, got 1"),
+], ids=["compare-folds-1", "compare-folds-negative", "compare-bootstrap-1", "eval-bootstrap-1"])
+def test_resample_and_fold_counts_checked_before_any_work(argv, message, small_csv, tmp_path,
+                                                          capsys, monkeypatch):
+    monkeypatch.setattr(cli, "fit", _must_not_run)
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--data", small_csv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rerun_checks_the_recorded_counts(small_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "fit", _must_not_run)
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    out = tmp_path / "compare.json"
+    manifest = tmp_path / "compare.json.manifest.json"
+    manifest.write_text(json.dumps({
+        "format": "fhtsurv-manifest", "version": 1, "command": "compare",
+        "args": {"data": small_csv, "config": None, "out": str(out), "bootstrap": 100,
+                 "folds": 1, "seed": 0},
+    }))
+    assert main(["rerun", "--manifest", str(manifest)]) == 1
+    assert "--folds must be 0 (no cross-validation) or >= 2, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_names_the_file_row_of_a_bad_test_cell(tmp_path, capsys, monkeypatch):
+    # the column is numeric on the training rows; its one text cell, in file
+    # row 5, falls in the test split
+    rows = [f"{v},{t},1" for t, v in enumerate(["1", "2", "3", "oops", "5", "6", "7", "8"], 1)]
+    path = tmp_path / "d.csv"
+    path.write_text("v,time,event\n" + "\n".join(rows) + "\n")
+    split = (np.array([0, 1, 2, 4, 5, 7]), np.array([3, 6]))
+    monkeypatch.setattr(cli, "stratified_split_indices", lambda *args, **kwargs: split)
+    monkeypatch.setattr(cli, "fit", _must_not_run)
+    out = tmp_path / "compare.json"
+    assert main(["compare", "--data", str(path), "--out", str(out)]) == 1
+    assert "column 'v', row 5: expected a number, got 'oops'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fixed_config_keys_at_their_value_still_load(small_csv, quick_cfg, trained_model,
                                                      tmp_path):
     cfg = tmp_path / "fixed.json"

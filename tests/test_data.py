@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 import tempfile
 import warnings
 from unittest import mock
@@ -227,17 +228,17 @@ class TestPreprocess:
         assert fit_preprocess(raw).columns[0].kind == "categorical"
         recipe = fit_preprocess(raw.subset([0, 1, 3]))
         assert recipe.columns[0].kind == "numeric"
-        with pytest.raises(PreprocessError, match="column 'v', row 2: expected a number, got 'oops'"):
+        with pytest.raises(PreprocessError, match="column 'v', row 4: expected a number, got 'oops'"):
             apply_preprocess(recipe, raw.subset([0, 2]))
 
     def test_infinity_in_a_column_numeric_on_the_fitted_rows(self, tmp_path):
         # the text cell keeps the load from rejecting "inf"; used as a number, it is
         p = write(tmp_path, "v,time,event\n1,1,1\ninf,2,1\noops,3,1\n4,4,1\n")
         raw = load_csv(p)
-        with pytest.raises(PreprocessError, match="column 'v', row 2: expected a finite number, got 'inf'"):
+        with pytest.raises(PreprocessError, match="column 'v', row 3: expected a finite number, got 'inf'"):
             fit_preprocess(raw.subset([0, 1, 3]))
         recipe = fit_preprocess(raw.subset([0, 3]))
-        with pytest.raises(PreprocessError, match="column 'v', row 2: expected a finite number"):
+        with pytest.raises(PreprocessError, match="column 'v', row 3: expected a finite number"):
             apply_preprocess(recipe, raw.subset([0, 1]))
 
     def test_numeric_looking_cells_match_categories_as_text(self, tmp_path):
@@ -273,6 +274,11 @@ class TestSurvivalData:
         assert list(sub.time) == [3.0, 1.0] and list(sub.delta) == [1, 1]
         with pytest.raises(ValueError):
             d[0]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match=rf"times must be finite and > 0, got {bad} at index 1"):
+            SurvivalData(np.zeros((3, 1)), [1.0, bad, 2.0], [1, 1, 1])
 
 
 class TestSplits:
@@ -463,12 +469,16 @@ def csv_cases(draw):
 def _outcome(load, fit, apply, path, train_rows, test_rows):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        rows = None  # the subset in use, whose positions an error may name
         try:
             raw = load(path)
-            recipe = fit(raw.subset(train_rows))
-            encoded = [apply(recipe, raw.subset(rows)) for rows in (train_rows, test_rows)]
+            rows = train_rows
+            recipe = fit(raw.subset(rows))
+            encoded = []
+            for rows in (train_rows, test_rows):
+                encoded.append(apply(recipe, raw.subset(rows)))
         except (LoadError, PreprocessError) as exc:
-            return {"error": (type(exc), str(exc))}
+            return {"error": (type(exc), str(exc)), "subset": rows}
     return {
         "recipe": recipe.to_dict(),
         "encoded": [(d.x, d.time, d.delta, d.feature_names) for d in encoded],
@@ -490,7 +500,13 @@ def test_loader_matches_the_former_per_cell_code(case):
                         path, train_rows, test_rows)
     assert got.keys() == want.keys()
     if "error" in want:
-        assert got["error"] == want["error"]
+        kind, message = want["error"]
+        if kind is PreprocessError:
+            # the former code named a row by its position in the subset; the
+            # loader names the file row (header = row 1)
+            message = re.sub(r"row (\d+)",
+                             lambda m: f"row {want['subset'][int(m[1]) - 1] + 2}", message)
+        assert got["error"] == (kind, message)
         return
     assert got["recipe"] == want["recipe"]
     assert got["warnings"] == want["warnings"]

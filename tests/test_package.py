@@ -1,0 +1,33 @@
+import ast
+import pathlib
+
+import fhtsurv
+from fhtsurv.fht import DistKind
+
+SRC = pathlib.Path(fhtsurv.__file__).parent
+
+
+def _member_references(tree):
+    """Line numbers of ``DistKind.<member>`` references, however DistKind is reached."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in DistKind.__members__:
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if name == "DistKind":
+                yield node.lineno
+
+
+def test_only_fht_names_a_distribution_kind():
+    # every per-kind fact lives on the parameter structs in fht.py
+    found = {
+        path.name: list(_member_references(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "fht.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert list(_member_references(ast.parse((SRC / "fht.py").read_text(encoding="utf-8"))))
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in fhtsurv.__all__ if not hasattr(fhtsurv, name)]
+    assert missing == []

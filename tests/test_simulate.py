@@ -15,10 +15,10 @@ from fhtsurv.simulate import (
 import oracles
 
 
-def z_scores(kind, params, cfg, t_grid):
-    samples = simulate_fpt(kind, params, cfg)
+def z_scores(params, cfg, t_grid):
+    samples = simulate_fpt(params, cfg)
     emp = empirical_survival(samples, t_grid)
-    closed = np.asarray(fht.survival(kind, params, np.asarray(t_grid)), dtype=float)
+    closed = np.asarray(params.survival(np.asarray(t_grid)), dtype=float)
     se = np.sqrt(closed * (1 - closed) / cfg.n_paths)
     return (emp - closed) / se
 
@@ -26,23 +26,23 @@ def z_scores(kind, params, cfg, t_grid):
 class TestSimulate:
     def test_frozen_process_never_absorbed(self):
         cfg = SimConfig(n_paths=500, dt=1e-3, t_max=1.0, seed=0)
-        s = simulate_fpt(fht.DistKind.LEVY, fht.LevyParams(1.0, 1e-12), cfg)
+        s = simulate_fpt(fht.LevyParams(1.0, 1e-12), cfg)
         assert np.all(np.isinf(s.hit_times))
 
     def test_levy_bridge_matches_closed_form(self):
         cfg = SimConfig(n_paths=20000, dt=1e-3, t_max=2.0, seed=42, bridge_correction=True)
-        z = z_scores(fht.DistKind.LEVY, fht.LevyParams(1.0, 1.0), cfg, [0.25, 0.5, 1.0, 2.0])
+        z = z_scores(fht.LevyParams(1.0, 1.0), cfg, [0.25, 0.5, 1.0, 2.0])
         assert np.max(np.abs(z)) < 3.0
 
     def test_ig_bridge_matches_closed_form(self):
         cfg = SimConfig(n_paths=20000, dt=1e-3, t_max=2.0, seed=43, bridge_correction=True)
-        z = z_scores(fht.DistKind.INVERSE_GAUSSIAN, fht.InvGaussParams(1.0, -0.5), cfg, [0.25, 0.5, 1.0, 2.0])
+        z = z_scores(fht.InvGaussParams(1.0, -0.5), cfg, [0.25, 0.5, 1.0, 2.0])
         assert np.max(np.abs(z)) < 3.0
 
     def test_mean_hitting_time_matches_inverse_gaussian_mean(self):
         # E[T] = x0/|mu|; variance 2*D*x0/|mu|^3
         cfg = SimConfig(n_paths=10000, dt=1e-3, t_max=30.0, seed=3, bridge_correction=True)
-        s = simulate_fpt(fht.DistKind.INVERSE_GAUSSIAN, fht.InvGaussParams(1.0, -1.0), cfg)
+        s = simulate_fpt(fht.InvGaussParams(1.0, -1.0), cfg)
         finite = np.isfinite(s.hit_times)
         assert finite.mean() > 0.999
         mean = s.hit_times[finite].mean()
@@ -51,9 +51,9 @@ class TestSimulate:
 
     def test_naive_overestimates_survival_and_bridge_corrects(self):
         p = fht.LevyParams(1.0, 1.0)
-        cf = float(fht.levy_survival(p, 1.0))
-        naive = simulate_fpt(fht.DistKind.LEVY, p, SimConfig(20000, 5e-2, 1.0, 5, False))
-        bridged = simulate_fpt(fht.DistKind.LEVY, p, SimConfig(20000, 5e-2, 1.0, 5, True))
+        cf = float(p.survival(1.0))
+        naive = simulate_fpt(p, SimConfig(20000, 5e-2, 1.0, 5, False))
+        bridged = simulate_fpt(p, SimConfig(20000, 5e-2, 1.0, 5, True))
         s_naive = empirical_survival(naive, [1.0])[0]
         s_bridge = empirical_survival(bridged, [1.0])[0]
         assert s_naive - cf > 0.03  # coarse-step boundary bias
@@ -61,23 +61,23 @@ class TestSimulate:
 
     def test_bias_shrinks_with_dt_naive(self):
         p = fht.LevyParams(1.0, 1.0)
-        cf = float(fht.levy_survival(p, 1.0))
-        coarse = simulate_fpt(fht.DistKind.LEVY, p, SimConfig(40000, 4e-2, 1.0, 9, False))
-        fine = simulate_fpt(fht.DistKind.LEVY, p, SimConfig(40000, 1e-2, 1.0, 9, False))
+        cf = float(p.survival(1.0))
+        coarse = simulate_fpt(p, SimConfig(40000, 4e-2, 1.0, 9, False))
+        fine = simulate_fpt(p, SimConfig(40000, 1e-2, 1.0, 9, False))
         err_coarse = abs(empirical_survival(coarse, [1.0])[0] - cf)
         err_fine = abs(empirical_survival(fine, [1.0])[0] - cf)
         assert err_fine < err_coarse
 
     def test_seeded_bit_reproducible(self):
         cfg = SimConfig(n_paths=5000, dt=1e-2, t_max=1.0, seed=7, bridge_correction=True)
-        a = simulate_fpt(fht.DistKind.LEVY, fht.LevyParams(1.0, 1.0), cfg)
-        b = simulate_fpt(fht.DistKind.LEVY, fht.LevyParams(1.0, 1.0), cfg)
+        a = simulate_fpt(fht.LevyParams(1.0, 1.0), cfg)
+        b = simulate_fpt(fht.LevyParams(1.0, 1.0), cfg)
         assert np.array_equal(a.hit_times, b.hit_times)
 
     def test_result_independent_of_worker_count(self):
         base = dict(n_paths=40000, dt=1e-2, t_max=1.0, seed=7, bridge_correction=True)
-        a = simulate_fpt(fht.DistKind.LEVY, fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=1))
-        b = simulate_fpt(fht.DistKind.LEVY, fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=2))
+        a = simulate_fpt(fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=1))
+        b = simulate_fpt(fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=2))
         assert np.array_equal(a.hit_times, b.hit_times)
 
     def test_config_validation(self):
@@ -113,10 +113,11 @@ class TestAgainstFineStepSampler:
         (fht.DistKind.INVERSE_GAUSSIAN, fht.InvGaussParams(1.0, -0.5)),
     ])
     def test_same_law_as_fine_steps(self, kind, params, bridge):
+        assert params.kind is kind
         cfg = SimConfig(100000, 1e-2, 5.0, 21, bridge)
         ref_cfg = SimConfig(100000, 1e-2, 5.0, 22, bridge)
-        ref = np.concatenate([oracles.fine_fpt_reference(t) for t in _block_tasks(kind, params, ref_cfg)])
-        ours = simulate_fpt(kind, params, cfg).hit_times
+        ref = np.concatenate([oracles.fine_fpt_reference(t) for t in _block_tasks(params, ref_cfg)])
+        ours = simulate_fpt(params, cfg).hit_times
         assert binned_chi_square_p(ours, ref) > 0.01
 
 
@@ -126,18 +127,18 @@ class TestGridEdges:
         dt = 0.01
         cfg = SimConfig(n_paths=40000, dt=dt, t_max=0.37, seed=31)
         p = fht.LevyParams(1.0, 1.0)
-        hits = simulate_fpt(fht.DistKind.LEVY, p, cfg).hit_times
+        hits = simulate_fpt(p, cfg).hit_times
         finite = hits[np.isfinite(hits)]
         assert finite.size > 0
         assert np.array_equal(finite, np.round(finite / dt) * dt)
         assert finite.max() <= 37 * dt
-        z = z_scores(fht.DistKind.LEVY, p, cfg, np.array([10, 20, 30, 37]) * dt)
+        z = z_scores(p, cfg, np.array([10, 20, 30, 37]) * dt)
         assert np.max(np.abs(z)) < 3.0
 
     def test_hits_inside_the_first_coarse_step(self):
         dt = 1e-4
         cfg = SimConfig(n_paths=40000, dt=dt, t_max=64 * dt, seed=32)
-        z = z_scores(fht.DistKind.LEVY, fht.LevyParams(0.05, 1.0), cfg, np.array([4, 16, 48]) * dt)
+        z = z_scores(fht.LevyParams(0.05, 1.0), cfg, np.array([4, 16, 48]) * dt)
         assert np.max(np.abs(z)) < 3.0
 
 

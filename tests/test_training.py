@@ -244,9 +244,7 @@ class TestPredict:
         x = d.x[:7]
         ts = np.array([0.3, 1.2, 4.0])
         cols, _ = m.network.forward(x)
-        manual = fht.levy_survival(
-            fht.LevyParams(cols[:, 0:1], cols[:, 1:2]), ts[None, :]
-        )
+        manual = fht.LevyParams(cols[:, 0:1], cols[:, 1:2]).survival(ts[None, :])
         assert np.max(np.abs(manual - m.survival_matrix(x, ts))) < 1e-12
 
     def test_monotone_over_grid(self):
