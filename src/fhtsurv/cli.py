@@ -165,10 +165,9 @@ def _check_bootstrap(args):
 def cmd_eval(args):
     _check_bootstrap(args)
     model = _load_any_model(args.model)
-    raw = load_csv(args.data)
     if model.recipe is None:
         raise ValueError("model file carries no preprocessing recipe")
-    data = apply_preprocess(model.recipe, raw)
+    data = apply_preprocess(model.recipe, load_csv(args.data))
     report = evaluate(model.survival_matrix, data, n_resamples=args.bootstrap, seed=args.seed)
     write_json_atomic(args.out, report.to_dict())
     return [args.out]

@@ -339,6 +339,19 @@ def test_resample_and_fold_counts_checked_before_any_work(argv, message, small_c
     assert not out.exists()
 
 
+def test_eval_checks_the_recipe_before_reading_data(trained_model, small_csv, tmp_path,
+                                                    capsys, monkeypatch):
+    obj = read_json(trained_model)
+    obj["recipe"] = None
+    model = tmp_path / "no-recipe.json"
+    model.write_text(json.dumps(obj))
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    out = tmp_path / "out.json"
+    assert main(["eval", "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
+    assert "model file carries no preprocessing recipe" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rerun_checks_the_recorded_counts(small_csv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "fit", _must_not_run)
     monkeypatch.setattr(cli, "load_csv", _must_not_run)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fhtsurv import metrics
 from fhtsurv.data import SurvivalData
 from fhtsurv.metrics import (
     BrierCurve,
@@ -32,6 +35,12 @@ def surv_from_values(values):
         return np.tile(values[: x.shape[0], None], (1, np.atleast_1d(ts).size))
 
     return fn
+
+
+def crossing_model(x, ts):
+    """Survival curves that cross, rounded so that predictions tie."""
+    ts = np.atleast_1d(ts)[None, :]
+    return np.round(np.exp(-np.exp(x[:, :1]) * ts ** np.exp(0.5 * x[:, 1:])), 2)
 
 
 def cindex(values, d):
@@ -239,41 +248,100 @@ class TestIbs:
 
 class TestBootstrap:
     def test_constant_metric_zero_std(self):
+        # every resample has the original size, so a count-weighted mean of a
+        # constant is that constant on every row
         d = make_data(np.linspace(0.5, 8, 40), [0] * 16 + [1] * 24)
-        res = bootstrap(lambda sel: 1.23, d, n_resamples=10, seed=0)
-        assert res.mean == pytest.approx(1.23)
-        assert res.std == 0.0
+        counts = bootstrap(d, n_resamples=10, seed=0)
+        assert np.all(counts.sum(axis=1) == len(d))
+        values = counts @ np.full(len(d), 1.23) / len(d)
+        assert np.allclose(values, 1.23, rtol=1e-15)
+        assert values.std(ddof=1) == pytest.approx(0.0, abs=1e-15)
 
     def test_censoring_ratio_preserved_exactly(self):
         d = make_data(np.linspace(0.5, 8, 40), [0] * 16 + [1] * 24)
-        res = bootstrap(lambda sel: 1.0 - d.delta[sel].mean(), d, n_resamples=25, seed=1)
-        assert res.mean == pytest.approx(0.4)
-        assert res.std == pytest.approx(0.0, abs=1e-12)
+        counts = bootstrap(d, n_resamples=25, seed=1)
+        assert counts.shape == (25, 40)
+        assert np.all(counts[:, d.delta == 0].sum(axis=1) == 16)
+        assert np.all(counts[:, d.delta == 1].sum(axis=1) == 24)
 
     def test_seeded_reproducible(self):
         rng = np.random.default_rng(2)
         d = make_data(rng.uniform(0.5, 9, 60), rng.integers(0, 2, 60))
-        f = lambda sel: float(d.time[sel].mean())
-        a = bootstrap(f, d, n_resamples=20, seed=7)
-        b = bootstrap(f, d, n_resamples=20, seed=7)
-        assert a == b
+        a = bootstrap(d, n_resamples=20, seed=7)
+        b = bootstrap(d, n_resamples=20, seed=7)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, bootstrap(d, n_resamples=20, seed=8))
 
-    def test_metric_receives_row_indices(self):
-        d = make_data(np.linspace(0.5, 8, 40), [0] * 16 + [1] * 24)
-        seen = [[], []]
-        for calls in seen:
-            bootstrap(lambda sel: calls.append(sel) or 0.0, d, n_resamples=5, seed=3)
-        assert len(seen[0]) == 5
-        for sel, again in zip(*seen):
-            assert sel.dtype.kind == "i" and sel.shape == (len(d),)
-            assert np.all((sel >= 0) & (sel < len(d)))
-            assert (d.delta[sel] == 0).sum() == 16
-            assert np.array_equal(sel, again)
+    @pytest.mark.parametrize("deltas", [[0] * 16 + [1] * 24, [1] * 40, [0] * 40],
+                             ids=["mixed", "no-censoring", "all-censored"])
+    def test_counts_are_bincounts_of_the_former_draws(self, deltas):
+        # the random stream is the former rng.choice one, draw for draw
+        d = make_data(np.linspace(0.5, 8, 40), deltas)
+        seen = []
+        oracles.bootstrap(lambda sel: seen.append(sel) or 0.0, d, n_resamples=5, seed=3)
+        counts = bootstrap(d, n_resamples=5, seed=3)
+        assert counts.dtype.kind == "i"
+        assert np.array_equal(counts, [np.bincount(sel, minlength=len(d)) for sel in seen])
 
     def test_needs_two_resamples(self):
         d = make_data([1.0, 2.0], [1, 1])
         with pytest.raises(ValueError):
-            bootstrap(lambda sel: 0.0, d, n_resamples=1)
+            bootstrap(d, n_resamples=1)
+
+
+class TestRowCounts:
+    """Counting a record c times equals copying its row c times."""
+
+    @staticmethod
+    def case(seed):
+        rng = np.random.default_rng(seed)
+        n = 30
+        d = SurvivalData(rng.normal(size=(n, 2)), np.round(rng.uniform(0.3, 6, n), 1),
+                         rng.integers(0, 2, n), ["a", "b"])
+        d.delta[0] = 1
+        counts = rng.integers(0, 4, size=(6, n))
+        counts[:, 0] = 1
+        times = unique_event_times(d.time, d.delta)
+        return d, counts, times, crossing_model(d.x, times)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_estimators_match_copied_rows(self, seed):
+        d, counts, times, surv = self.case(seed)
+        probe = np.concatenate([times, times + 0.05, [0.0]])
+        for row in counts:
+            sel = np.repeat(np.arange(len(d)), row)
+            dd = d[sel]
+            km, ref = km_censoring(d, row), oracles.km_censoring(dd)
+            assert np.array_equal(km.eval(probe), ref.eval(probe))
+            assert np.array_equal(km.eval_left(probe), ref.eval_left(probe))
+            value, n_comp, n_excl = concordance(surv, times, d, row)
+            ref_value, ref_comp, ref_excl = oracles.concordance(surv[sel], times, dd)
+            assert abs(value - ref_value) <= 1e-12
+            assert (n_comp, n_excl) == (ref_comp, ref_excl)
+            got = brier_curve(surv, times, d, row).values
+            assert np.max(np.abs(got - oracles.brier_curve(surv[sel], times, dd).values)) <= 1e-12
+
+    def test_count_matrix_gives_one_censoring_curve_per_row(self):
+        d, counts, times, _ = self.case(7)
+        km = km_censoring(d, counts)
+        probe = np.concatenate([times, times + 0.05, [0.0]])
+        for r, row in enumerate(counts):
+            assert np.array_equal(km.eval(probe)[r], km_censoring(d, row).eval(probe))
+            assert np.array_equal(km.eval_left(probe)[r], km_censoring(d, row).eval_left(probe))
+
+    def test_all_ones_is_the_data_as_given(self):
+        d, _, times, surv = self.case(3)
+        ones = np.ones(len(d), dtype=int)
+        assert concordance(surv, times, d, ones) == concordance(surv, times, d)
+        assert np.array_equal(brier_curve(surv, times, d, ones).values,
+                              brier_curve(surv, times, d).values)
+
+    def test_count_columns_checked(self):
+        d, _, times, surv = self.case(4)
+        with pytest.raises(ValueError, match=r"one count per record \(30\)"):
+            concordance(surv, times, d, np.ones(29))
+        with pytest.raises(ValueError, match=r"one count per record \(30\)"):
+            brier_curve(surv, times, d, np.ones((2, 30)))
 
 
 def test_km_matches_statsmodels():
@@ -285,6 +353,11 @@ def test_km_matches_statsmodels():
     sf = survfunc.SurvfuncRight(times, deltas)
     km = kaplan_meier(times, deltas)
     assert np.max(np.abs(km.eval(sf.surv_times) - sf.surv_prob)) < 1e-12
+
+
+def report_floats(obj):
+    return [obj["c_index"], obj["ibs"], *obj["c_index_bootstrap"].values(),
+            *obj["ibs_bootstrap"].values(), *(v for _, v in obj["brier_curve"])]
 
 
 class TestEvaluate:
@@ -302,22 +375,30 @@ class TestEvaluate:
         assert len(obj["brier_curve"]) > 0
         assert obj["n_bootstrap"] == 10
 
-    def test_model_called_once_on_unique_event_times(self):
+    def test_model_called_once_on_unique_event_times(self, monkeypatch):
+        # each event time is asked for once: the calls tile the sorted unique
+        # event times in blocks of max(1, _BLOCK_ELEMS // n) columns, one
+        # block at the default size
         rng = np.random.default_rng(4)
         n = 50
         d = make_data(np.round(rng.uniform(0.3, 8, n), 1), rng.integers(0, 2, n))
-        calls = []
+        times = np.unique(d.time[d.delta == 1])
         values = surv_from_values(rng.random(n))
+        default = metrics._BLOCK_ELEMS
+        for block_elems in (default, 50, 120):
+            monkeypatch.setattr(metrics, "_BLOCK_ELEMS", block_elems)
+            calls = []
 
-        def counting(x, ts):
-            calls.append((x, ts))
-            return values(x, ts)
+            def counting(x, ts):
+                calls.append((x, ts))
+                return values(x, ts)
 
-        evaluate(counting, d, n_resamples=10, seed=0)
-        assert len(calls) == 1
-        x, ts = calls[0]
-        assert x is d.x
-        assert np.array_equal(ts, np.unique(d.time[d.delta == 1]))
+            evaluate(counting, d, n_resamples=10, seed=0)
+            assert all(x is d.x for x, _ in calls)
+            assert np.array_equal(np.concatenate([ts for _, ts in calls]), times)
+            width = max(1, block_elems // n)
+            assert [ts.size for _, ts in calls[:-1]] == [width] * (len(calls) - 1)
+            assert len(calls) == (1 if block_elems == default else -(-times.size // width))
 
     def test_bootstrap_matches_calling_the_model_per_resample(self):
         # crossing curves, so each resample's values depend on its own event times
@@ -332,14 +413,77 @@ class TestEvaluate:
         def c_ref(sel):
             dd = d[sel]
             t = unique_event_times(dd.time, dd.delta)
-            return concordance(fn(dd.x, t), t, dd)[0]
+            return oracles.concordance(fn(dd.x, t), t, dd)[0]
 
         def ibs_ref(sel):
             dd = d[sel]
             t = unique_event_times(dd.time, dd.delta)
-            return ibs(brier_curve(fn(dd.x, t), t, dd))
+            return ibs(oracles.brier_curve(fn(dd.x, t), t, dd))
 
         rep = evaluate(fn, d, n_resamples=15, seed=9)
         seq = np.random.SeedSequence(9).spawn(2)
-        assert rep.c_index_bootstrap == bootstrap(c_ref, d, n_resamples=15, seed=seq[0])
-        assert rep.ibs_bootstrap == bootstrap(ibs_ref, d, n_resamples=15, seed=seq[1])
+        for got, want in ((rep.c_index_bootstrap, oracles.bootstrap(c_ref, d, 15, seq[0])),
+                          (rep.ibs_bootstrap, oracles.bootstrap(ibs_ref, d, 15, seq[1]))):
+            assert abs(got.mean - want.mean) <= 1e-12
+            assert abs(got.std - want.std) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_former_evaluation(self, draw):
+        # tied times, tied (rounded) predictions, crossing curves, and the
+        # latest record often censored, so that a resample's censoring curve
+        # can reach zero before event times it did not draw
+        n = draw.draw(st.integers(2, 40), label="n")
+        seed = draw.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        times = np.round(rng.uniform(0.1, 4.0, n), draw.draw(st.integers(0, 2), label="decimals"))
+        times = np.maximum(times, 0.1)
+        deltas = rng.integers(0, 2, n)
+        deltas[0] = 1
+        if draw.draw(st.booleans(), label="latest censored"):
+            deltas[np.argmax(times)] = 0
+        d = SurvivalData(rng.normal(size=(n, 2)), times, deltas, ["a", "b"])
+        resamples = draw.draw(st.integers(2, 6), label="resamples")
+        block_elems = draw.draw(st.sampled_from([1, 7, 64, metrics._BLOCK_ELEMS]), label="block")
+        try:
+            want = oracles.evaluate(crossing_model, d, n_resamples=resamples, seed=seed)
+        except MetricUndefinedError as exc:
+            with pytest.raises(MetricUndefinedError, match=str(exc)):
+                evaluate(crossing_model, d, n_resamples=resamples, seed=seed)
+            return
+        original = metrics._BLOCK_ELEMS
+        metrics._BLOCK_ELEMS = block_elems
+        try:
+            got = evaluate(crossing_model, d, n_resamples=resamples, seed=seed).to_dict()
+        finally:
+            metrics._BLOCK_ELEMS = original
+        want = want.to_dict()
+        for key in ("n_comparable_pairs", "n_excluded_pairs", "n_bootstrap"):
+            assert got[key] == want[key]
+        assert [t for t, _ in got["brier_curve"]] == [t for t, _ in want["brier_curve"]]
+        assert np.max(np.abs(np.subtract(report_floats(got), report_floats(want)))) <= 1e-12
+
+    def test_resample_count_checked_before_the_model_runs(self):
+        d = make_data([1.0, 2.0, 3.0], [1, 0, 1])
+
+        def must_not_run(x, ts):
+            raise AssertionError("evaluate called the model before checking n_resamples")
+
+        with pytest.raises(ValueError, match="n_resamples must be >= 2"):
+            evaluate(must_not_run, d, n_resamples=1)
+
+    def test_memory_linear_in_records(self):
+        # 5,000 records with 4,023 distinct event times: the former evaluation,
+        # which held (records x event times) matrices, peaked at 684 MB here
+        # under tracemalloc, the column-blocked one at 12 MB
+        rng = np.random.default_rng(8)
+        n = 5_000
+        d = SurvivalData(rng.normal(size=(n, 2)), rng.uniform(0.1, 9.0, n),
+                         (rng.random(n) < 0.8).astype(np.int64), ["a", "b"])
+        tracemalloc.start()
+        try:
+            evaluate(crossing_model, d, n_resamples=20, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import sys
 
 import fhtsurv
 from fhtsurv.fht import DistKind
@@ -31,3 +32,21 @@ def test_only_fht_names_a_distribution_kind():
 def test_every_exported_name_resolves():
     missing = [name for name in fhtsurv.__all__ if not hasattr(fhtsurv, name)]
     assert missing == []
+
+
+def test_runtime_imports_are_numpy_or_stdlib():
+    # numpy stays the only runtime dependency
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside = [name for name in names if name.split(".")[0] not in allowed]
+            if outside:
+                found.setdefault(path.name, []).extend(outside)
+    assert found == {}
