@@ -180,9 +180,7 @@ def _cv_scores(data, spec, tcfg, folds, seed):
         mask = np.ones(len(data), dtype=bool)
         mask[val_idx] = False
         model = fit(data[np.flatnonzero(mask)], spec, tcfg)
-        val = data[val_idx]
-        times = np.unique(val.time[val.delta == 1])
-        scores.append(concordance(model.survival_matrix(val.x, times), times, val)[0])
+        scores.append(concordance(model.survival_matrix, data[val_idx])[0])
     return scores
 
 

@@ -98,7 +98,6 @@ def _partial_lik_parts(xs, ds, start, d_count, eta):
     index of each distinct event time so suffix sums give the risk sets.
     The exponentials are shifted by max(eta), which cancels in every ratio.
     """
-    m = xs.shape[1]
     shift = eta.max()
     r = np.exp(eta - shift)
     s0 = np.cumsum(r[::-1])[::-1]
@@ -111,12 +110,11 @@ def _partial_lik_parts(xs, ds, start, d_count, eta):
     loglik = float(np.sum(ev_sum_eta - d_count * (np.log(s0_j) + shift)))
     mu = s1_j / s0_j[:, None]
     grad = (ev_sum_x - d_count[:, None] * mu).sum(axis=0)
-    s2 = np.cumsum((r[:, None, None] * (xs[:, :, None] * xs[:, None, :]))[::-1], axis=0)[::-1]
-    s2_j = s2[start]
-    info = np.zeros((m, m))
-    for j in range(start.size):
-        v = s2_j[j] / s0_j[j] - np.outer(mu[j], mu[j])
-        info += d_count[j] * v
+    # sum_j d_j S2_j / S0_j, with S2_j the risk set's sum of r x x^T, is
+    # sum_i r_i x_i x_i^T times the d_j / S0_j of every j whose risk set holds i
+    w = np.zeros(eta.size)
+    w[start] = d_count / s0_j
+    info = xs.T @ (xs * (r * np.cumsum(w))[:, None]) - (d_count[:, None] * mu).T @ mu
     return loglik, grad, info
 
 

@@ -1,30 +1,25 @@
 """Censoring-aware evaluation: Kaplan-Meier, time-dependent concordance,
 Brier curves, integrated Brier score, and stratified bootstrap summaries.
 
-Every estimator reads predictions from a survival matrix: ``surv[i, k]`` is
-subject i's predicted survival at ``times[k]``, where ``times`` is sorted.
+Column blocks.  ``concordance`` and ``evaluate`` take the model as a
+function and ask it for survival one block of event-time columns at a time,
+as ``surv_fn(data.x, U[block])`` with ``U`` the sorted unique event times of
+``data`` (both the network models and the Cox baseline expose
+``survival_matrix`` with this signature).  A block holds at most
+``_BLOCK_ELEMS`` survival values, so a 480-record test split with 301 event
+times is one block.
 
-Row counts.  ``kaplan_meier``, ``concordance`` and ``brier_curve`` take
-optional ``counts``, how many times each record is counted; all ones (the
-default) is the data as given, and an (R x n) matrix of them gives
-``kaplan_meier`` one curve per row.  A bootstrap resample is the number of
-times it drew each record (``bootstrap``), so no resample's rows are ever
-copied: its censoring Kaplan-Meier curve, its concordance numerator and
-denominator and its Brier curve are products of the count matrix with
-per-record pair and term matrices.
-
-Column blocks.  ``evaluate`` stacks the all-ones row of the point estimate
-on top of each metric's resample counts and asks the model for survival one
-block of event-time columns at a time, as ``surv_fn(data.x, U[block])`` with
-``U`` the sorted unique event times of ``data`` (both the network models and
-the Cox baseline expose ``survival_matrix`` with this signature).  A block
-holds at most ``_BLOCK_ELEMS`` survival values, so a 480-record test split
-with 301 event times is one block.  Each block adds every count row's
-concordant pairs at the block's anchors and its Brier values at the block's
-times; each resample's Brier curve is then read on its own event-time grid,
-the times at which it drew an event.  No (n x |U|) or (n x events) array
-exists: the working memory is a few (n x block) arrays plus O(resamples x n)
-sums, linear in n.  ``fhtsurv eval --bootstrap 100`` on 10,000 records
+Row counts.  A bootstrap resample is the number of times it drew each
+record (``bootstrap``), so no resample's rows are ever copied.
+``kaplan_meier`` takes such counts, one curve per row of a count matrix.
+``evaluate`` stacks the all-ones row of the point estimate on top of each
+metric's resample counts; each block then adds every count row's concordant
+pairs at the block's anchors and its Brier values at the block's times, as
+products of the count matrix with per-record pair and term matrices.  Each
+resample's Brier curve is read on its own event-time grid, the times at
+which it drew an event.  No (n x |U|) or (n x events) array exists: the
+working memory is a few (n x block) arrays plus O(resamples x n) sums,
+linear in n.  ``fhtsurv eval --bootstrap 100`` on 10,000 records
 (7,500 events at 1,000 distinct times) takes 1.1-3.4 s and peaks at 131 MB
 RSS on a 2-vCPU container whose speed varied about 2x between runs, against
 58-107 s and 874 MB when each resample copied its rows and rebuilt its
@@ -36,9 +31,11 @@ documented choice): concordance pairs anchored at event time ``T_i`` carry
 weight ``1 / G(T_i-)^2`` where ``G`` is the Kaplan-Meier estimate of the
 censoring survival; the Brier decomposition weights past events by
 ``1 / G(T_i-)`` and still-at-risk subjects by ``1 / G(t)``.  Terms whose
-weight is undefined because ``G`` has reached zero are excluded; concordance
-also counts the pairs it excludes.  Without censoring ``G`` is 1 everywhere,
-so both reduce to their unweighted forms.
+weight is undefined because ``G`` has reached zero get weight 0.  No
+concordance pair is lost that way: an event record is at risk at every
+censoring time before its own, so ``G(T_i-) > 0`` at every anchor a
+resample counts.  Without censoring ``G`` is 1 everywhere, so both reduce to
+their unweighted forms.
 """
 
 from __future__ import annotations
@@ -82,16 +79,6 @@ class KmCurve:
         return np.concatenate([start, self.survival], axis=-1)[..., n_steps]
 
 
-def _count_row(counts, n) -> np.ndarray:
-    """A count vector, all ones when None, as a float (1 x n) matrix."""
-    if counts is None:
-        return np.ones((1, n))
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.shape != (n,):
-        raise ValueError(f"counts must hold one count per record ({n}), got shape {counts.shape}")
-    return counts[None, :]
-
-
 def kaplan_meier(time_obs, flag, counts=None) -> KmCurve:
     """Product-limit estimator of P(time > t) for the flagged event type.
 
@@ -131,20 +118,6 @@ def _block_width(n) -> int:
     return max(1, _BLOCK_ELEMS // n)
 
 
-def _columns(times, wanted) -> np.ndarray:
-    """Column of each ``wanted`` time in the sorted ``times`` of a survival
-    matrix; a wanted time with no column is an error naming that time."""
-    times = np.asarray(times, dtype=np.float64)
-    wanted = np.asarray(wanted, dtype=np.float64)
-    cols = np.searchsorted(times, wanted)
-    found = cols < times.size
-    found[found] = times[cols[found]] == wanted[found]
-    if not found.all():
-        missing = float(wanted[~found][0])
-        raise ValueError(f"survival matrix has no column for event time {missing!r}")
-    return cols
-
-
 class _ByTime(NamedTuple):
     """Records in time order, the order every concordance sum runs in."""
 
@@ -153,25 +126,44 @@ class _ByTime(NamedTuple):
     delta: np.ndarray
     anchors: np.ndarray  # positions of the event records
     counts: np.ndarray  # (rows x n) count rows, columns in time order
+    event_times: np.ndarray  # U, the sorted unique event times
+    first: np.ndarray  # index into ``anchors`` of each time's first anchor
 
 
 def _by_time(data, counts) -> _ByTime:
     order = np.argsort(data.time, kind="stable")
-    delta = data.delta[order]
-    return _ByTime(order, data.time[order], delta, np.flatnonzero(delta == 1),
-                   counts[:, order])
+    time, delta = data.time[order], data.delta[order]
+    anchors = np.flatnonzero(delta == 1)
+    if anchors.size == 0:
+        raise MetricUndefinedError("no events, concordance undefined")
+    event_times, first = np.unique(time[anchors], return_index=True)
+    return _ByTime(order, time, delta, anchors, counts[:, order], event_times, first)
+
+
+def _blocks(surv_fn, data, rec: _ByTime):
+    """Ask the model for survival on ``rec.event_times`` one column block at
+    a time.  Yields each block's columns, the slice of ``rec.anchors`` whose
+    times lie in it, and ``surv_fn(data.x, rec.event_times[columns])``."""
+    n_times = rec.event_times.size
+    ends = np.append(rec.first, rec.anchors.size)
+    width = _block_width(len(data))
+    for lo in range(0, n_times, width):
+        hi = min(lo + width, n_times)
+        surv = np.asarray(surv_fn(data.x, rec.event_times[lo:hi]), dtype=np.float64)
+        yield slice(lo, hi), slice(ends[lo], ends[hi]), surv
 
 
 def _concordant_pairs(surv, times, rec: _ByTime, anchors) -> np.ndarray:
     """(rows x anchors) counted concordant pairs of each event record a at
     the given positions, in time order: the sum of ``rec.counts[r, j]``
     over the records j with ``T_j > T_a``, each scored 1 when
-    ``S_j(T_a) > S_a(T_a)`` and 1/2 when equal.  Anchors are taken a block
-    width at a time, and each such part reads only the records after its
-    earliest anchor, so tied event times never widen the working set past
-    one block."""
+    ``S_j(T_a) > S_a(T_a)`` and 1/2 when equal.  ``times`` are the sorted
+    columns of ``surv`` and hold every anchor's time.  Anchors are taken a
+    block width at a time, and each such part reads only the records after
+    its earliest anchor, so tied event times never widen the working set
+    past one block."""
     t_a = rec.time[anchors]
-    cols = _columns(times, t_a)
+    cols = np.searchsorted(times, t_a)
     out = np.empty((rec.counts.shape[0], anchors.size))
     step = _block_width(rec.time.size)
     for lo in range(0, anchors.size, step):
@@ -186,48 +178,36 @@ def _concordant_pairs(surv, times, rec: _ByTime, anchors) -> np.ndarray:
 
 
 def _concordance_from_pairs(pairs, rec: _ByTime):
-    """Per count row: IPCW concordance, comparable pairs and excluded pairs,
-    from ``_concordant_pairs`` at every anchor."""
+    """Per count row: IPCW concordance and comparable pairs, from
+    ``_concordant_pairs`` at every anchor."""
     t_a = rec.time[rec.anchors]
     tail = np.zeros(rec.counts.shape[:-1] + (rec.time.size + 1,))
     tail[:, :-1] = np.cumsum(rec.counts[:, ::-1], axis=1)[:, ::-1]
     comparable = rec.counts[:, rec.anchors] * tail[:, np.searchsorted(rec.time, t_a, side="right")]
-    g_left = kaplan_meier(rec.time, 1 - rec.delta, rec.counts).eval_left(t_a)
-    valid = g_left > 0.0
-    w = np.zeros_like(g_left)
-    w[valid] = 1.0 / g_left[valid] ** 2
+    # G is 0 only at an anchor the count row did not draw, whose pairs count 0
+    w = _inverse(kaplan_meier(rec.time, 1 - rec.delta, rec.counts).eval_left(t_a) ** 2)
     den = (w * comparable).sum(axis=1)
     if (den == 0.0).any():
         raise MetricUndefinedError("no comparable pairs")
     num = (w * rec.counts[:, rec.anchors] * pairs).sum(axis=1)
-    n_comp = comparable.sum(axis=1, where=valid).astype(np.int64)
-    n_excluded = comparable.sum(axis=1, where=~valid).astype(np.int64)
-    return num / den, n_comp, n_excluded
+    return num / den, comparable.sum(axis=1).astype(np.int64)
 
 
-def concordance(surv, times, data, counts=None):
-    """Time-dependent concordance with tie and exclusion accounting.
+def concordance(surv_fn, data):
+    """Time-dependent IPCW concordance of the model ``surv_fn`` on ``data``.
 
-    Returns ``(value, n_comparable, n_excluded_pairs)``.  A pair (i, j) is
-    comparable when ``T_i < T_j`` and subject i had the event; it is
-    concordant when i's predicted survival at ``T_i`` is below j's.  Tied
-    predictions count one half.  Pairs whose anchor time has no censoring
-    mass left (``G(T_i-) = 0``) are excluded from both sums.  ``times``
-    must hold every event time of ``data``.  With ``counts`` each record
-    counts that many times.
+    Returns ``(value, n_comparable)``.  A pair (i, j) is comparable when
+    ``T_i < T_j`` and subject i had the event; it is concordant when i's
+    predicted survival at ``T_i`` is below j's.  Tied predictions count one
+    half.  The model is asked for survival on the event times of ``data``
+    in column blocks, as in ``evaluate``.
     """
-    rec = _by_time(data, _count_row(counts, len(data)))
-    if rec.anchors.size == 0:
-        raise MetricUndefinedError("no events, concordance undefined")
-    pairs = _concordant_pairs(np.asarray(surv, dtype=np.float64), times, rec, rec.anchors)
-    value, n_comp, n_excluded = _concordance_from_pairs(pairs, rec)
-    return float(value[0]), int(n_comp[0]), int(n_excluded[0])
-
-
-@dataclass(frozen=True)
-class BrierCurve:
-    times: np.ndarray
-    values: np.ndarray
+    rec = _by_time(data, np.ones((1, len(data))))
+    pairs = np.empty((1, rec.anchors.size))
+    for cols, here, surv in _blocks(surv_fn, data, rec):
+        pairs[:, here] = _concordant_pairs(surv, rec.event_times[cols], rec, rec.anchors[here])
+    value, n_comp = _concordance_from_pairs(pairs, rec)
+    return float(value[0]), int(n_comp[0])
 
 
 def _event_weights(data, counts, g) -> np.ndarray:
@@ -237,39 +217,28 @@ def _event_weights(data, counts, g) -> np.ndarray:
 
 
 def _brier_values(surv, times, data, counts, event_w, g) -> np.ndarray:
-    """(rows x times) IPCW Brier values, one row per count row."""
+    """(rows x times) IPCW-weighted Brier values, one row per count row:
+
+    B(t) = mean_i [ 1(T_i <= t, event) S(t|x_i)^2 / G(T_i-)
+                    + 1(T_i > t) (1 - S(t|x_i))^2 / G(t) ],
+
+    the mean counting each record as often as its count."""
     past = data.time[:, None] <= times[None, :]
     term_event = event_w @ (past * surv**2)
     term_risk = counts @ (~past * (1.0 - surv) ** 2)
     return (term_event + term_risk * _inverse(g.eval(times))) / counts.sum(axis=1)[:, None]
 
 
-def brier_curve(surv, times, data, counts=None) -> BrierCurve:
-    """IPCW-weighted time-dependent Brier score at each of ``times``.
-
-    B(t) = mean_i [ 1(T_i <= t, event) S(t|x_i)^2 / G(T_i-)
-                    + 1(T_i > t) (1 - S(t|x_i))^2 / G(t) ].
-
-    With ``counts`` the mean counts each record that many times.
-    """
-    t_grid = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    row = _count_row(counts, len(data))
-    g = km_censoring(data, row)
-    values = _brier_values(np.asarray(surv, dtype=np.float64), t_grid, data, row,
-                           _event_weights(data, row, g), g)
-    return BrierCurve(times=t_grid, values=values[0])
-
-
-def ibs(curve: BrierCurve) -> float:
-    """Trapezoidal integral of the Brier curve over [0, last grid time],
-    divided by that time.
+def ibs(times, values) -> float:
+    """Trapezoidal integral of the Brier curve ``values`` at the sorted
+    ``times`` over [0, last time], divided by that time.
 
     The curve is linear between grid points and constant, at its first
     value, from 0 to the first grid time.
     """
-    knots = np.concatenate([[0.0], curve.times])
-    vals = np.concatenate([curve.values[:1], curve.values])
-    return float(np.trapezoid(vals, knots) / curve.times[-1])
+    knots = np.concatenate([[0.0], times])
+    vals = np.concatenate([values[:1], values])
+    return float(np.trapezoid(vals, knots) / times[-1])
 
 
 class BootstrapResult(NamedTuple):
@@ -315,7 +284,6 @@ class EvalReport:
     c_index_bootstrap: BootstrapResult
     ibs_bootstrap: BootstrapResult
     n_comparable_pairs: int = 0
-    n_excluded_pairs: int = 0
     n_bootstrap: int = 0
 
     def to_dict(self) -> dict:
@@ -329,7 +297,6 @@ class EvalReport:
             "brier_curve": [[float(t), float(v)]
                             for t, v in zip(self.brier_times, self.brier_values)],
             "n_comparable_pairs": self.n_comparable_pairs,
-            "n_excluded_pairs": self.n_excluded_pairs,
             "n_bootstrap": self.n_bootstrap,
         }
 
@@ -341,36 +308,27 @@ def evaluate(surv_fn, data, n_resamples=100, seed=0) -> EvalReport:
 
     The model runs once per column block of the sorted unique event times
     ``U``, as ``surv_fn(data.x, U[block])``; the point estimate and every
-    resample read each block once, through their row counts.
+    resample read each block once, through their row counts.  ``bootstrap``
+    rejects ``n_resamples < 2``, and data without events are rejected, before
+    the model runs.
     """
-    if n_resamples < 2:
-        raise ValueError("n_resamples must be >= 2")
-    if not (data.delta == 1).any():
-        raise MetricUndefinedError("no events, concordance undefined")
-    n = len(data)
     seq = np.random.SeedSequence(seed).spawn(2)
     # row 0 of each count matrix is the data as given, the point estimate
-    c_counts, i_counts = (np.vstack([np.ones(n), bootstrap(data, n_resamples, s)]) for s in seq)
+    c_counts, i_counts = (np.vstack([np.ones(len(data)), bootstrap(data, n_resamples, s)])
+                          for s in seq)
     rec = _by_time(data, c_counts)
-    t_anchor = rec.time[rec.anchors]
-    times, first = np.unique(t_anchor, return_index=True)
+    times = rec.event_times
     g = km_censoring(data, i_counts)
     event_w = _event_weights(data, i_counts, g)
     pairs = np.empty((c_counts.shape[0], rec.anchors.size))
     brier = np.empty((i_counts.shape[0], times.size))
-    width = _block_width(n)
-    for lo in range(0, times.size, width):
-        block = times[lo:lo + width]
-        surv = np.asarray(surv_fn(data.x, block), dtype=np.float64)
-        here = slice(np.searchsorted(t_anchor, block[0], side="left"),
-                     np.searchsorted(t_anchor, block[-1], side="right"))
-        pairs[:, here] = _concordant_pairs(surv, block, rec, rec.anchors[here])
-        brier[:, lo:lo + width] = _brier_values(surv, block, data, i_counts, event_w, g)
-    c_vals, n_comp, n_excluded = _concordance_from_pairs(pairs, rec)
+    for cols, here, surv in _blocks(surv_fn, data, rec):
+        pairs[:, here] = _concordant_pairs(surv, times[cols], rec, rec.anchors[here])
+        brier[:, cols] = _brier_values(surv, times[cols], data, i_counts, event_w, g)
+    c_vals, n_comp = _concordance_from_pairs(pairs, rec)
     # each resample's Brier curve lies on its own grid, the times it drew an event at
-    drawn = np.add.reduceat(i_counts[:, rec.order[rec.anchors]], first, axis=1) > 0
-    ibs_vals = np.array([ibs(BrierCurve(times[on], values[on]))
-                         for on, values in zip(drawn, brier)])
+    drawn = np.add.reduceat(i_counts[:, rec.order[rec.anchors]], rec.first, axis=1) > 0
+    ibs_vals = np.array([ibs(times[on], values[on]) for on, values in zip(drawn, brier)])
     return EvalReport(
         c_index=float(c_vals[0]),
         ibs=float(ibs_vals[0]),
@@ -379,6 +337,5 @@ def evaluate(surv_fn, data, n_resamples=100, seed=0) -> EvalReport:
         c_index_bootstrap=_spread(c_vals[1:]),
         ibs_bootstrap=_spread(ibs_vals[1:]),
         n_comparable_pairs=int(n_comp[0]),
-        n_excluded_pairs=int(n_excluded[0]),
         n_bootstrap=n_resamples,
     )

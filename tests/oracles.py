@@ -28,13 +28,7 @@ from fhtsurv.data import (
     PreprocessRecipe,
     SurvivalData,
 )
-from fhtsurv.metrics import (
-    BootstrapResult,
-    BrierCurve,
-    EvalReport,
-    MetricUndefinedError,
-    ibs,
-)
+from fhtsurv.metrics import BootstrapResult, EvalReport, MetricUndefinedError
 
 
 def erf_ref(x):
@@ -487,7 +481,27 @@ def apply_preprocess(recipe: PreprocessRecipe, raw: RawDataset) -> SurvivalData:
 
 # ----------------------------------------------------------------------
 # the former evaluation, verbatim: each bootstrap resample copied its rows
-# and gathered its own (n x events) concordance and Brier matrices
+# and gathered its own (n x events) concordance and Brier matrices.  Only
+# the report's former ``n_excluded_pairs`` is left out, a key the report no
+# longer has.
+
+
+@dataclass(frozen=True)
+class BrierCurve:
+    times: np.ndarray
+    values: np.ndarray
+
+
+def ibs(curve: BrierCurve) -> float:
+    """Trapezoidal integral of the Brier curve over [0, last grid time],
+    divided by that time.
+
+    The curve is linear between grid points and constant, at its first
+    value, from 0 to the first grid time.
+    """
+    knots = np.concatenate([[0.0], curve.times])
+    vals = np.concatenate([curve.values[:1], curve.values])
+    return float(np.trapezoid(vals, knots) / curve.times[-1])
 
 
 @dataclass(frozen=True)
@@ -643,7 +657,7 @@ def evaluate(surv_fn, data, n_resamples=100, seed=0) -> EvalReport:
     """
     times = np.unique(data.time[data.delta == 1])
     surv = np.asarray(surv_fn(data.x, times), dtype=np.float64)
-    c_val, n_comp, n_excl = concordance(surv, times, data)
+    c_val, n_comp, _ = concordance(surv, times, data)
     curve = brier_curve(surv, times, data)
     ibs_val = ibs(curve)
 
@@ -667,6 +681,5 @@ def evaluate(surv_fn, data, n_resamples=100, seed=0) -> EvalReport:
         c_index_bootstrap=c_boot,
         ibs_bootstrap=i_boot,
         n_comparable_pairs=n_comp,
-        n_excluded_pairs=n_excl,
         n_bootstrap=n_resamples,
     )

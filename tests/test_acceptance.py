@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from fhtsurv import fht
+from fhtsurv import fht, metrics
 from fhtsurv.cox import fit_cox
 from fhtsurv.data import (
     NonPhConfig,
@@ -23,7 +23,7 @@ from fhtsurv.data import (
     stratified_split,
 )
 from fhtsurv.interpret import idw_time
-from fhtsurv.metrics import brier_curve, concordance, evaluate
+from fhtsurv.metrics import concordance, evaluate
 from fhtsurv.network import NetworkSpec, init_network
 from fhtsurv.simulate import SimConfig, empirical_survival, simulate_fpt
 from fhtsurv.training import (
@@ -44,9 +44,8 @@ def report(criterion, ok, detail):
 
 
 def c_index(surv_fn, data):
-    """Concordance of ``surv_fn`` from its matrix on the unique event times of ``data``."""
-    times = unique_event_times(data.time, data.delta)
-    return concordance(surv_fn(data.x, times), times, data)[0]
+    """Concordance of ``surv_fn`` on ``data``."""
+    return concordance(surv_fn, data)[0]
 
 
 def test_criterion_1_monte_carlo_vs_closed_form():
@@ -176,8 +175,11 @@ def test_criterion_4_metric_oracles():
 
     n = 9
     d_unif = SurvivalData(np.zeros((n, 1)), np.linspace(1, 5, n), np.ones(n, dtype=int), ["f"])
-    curve = brier_curve(np.full((n, 3), 0.5), np.array([1.0, 2.5, 4.9]), d_unif)
-    brier_dev = float(np.max(np.abs(curve.values - 0.25)))
+    ones = np.ones((1, n))
+    g = metrics.km_censoring(d_unif, ones)
+    brier = metrics._brier_values(np.full((n, 3), 0.5), np.array([1.0, 2.5, 4.9]), d_unif, ones,
+                                  metrics._event_weights(d_unif, ones, g), g)
+    brier_dev = float(np.max(np.abs(brier - 0.25)))
 
     rng2 = np.random.default_rng(5)
     n = 1000

@@ -12,8 +12,16 @@ import pytest
 
 from fhtsurv import cli
 from fhtsurv.cli import _model_config, build_parser, main
-from fhtsurv.data import NonPhConfig, apply_preprocess, generate_nonph, load_csv, write_csv
+from fhtsurv.data import (
+    NonPhConfig,
+    SurvivalData,
+    apply_preprocess,
+    generate_nonph,
+    load_csv,
+    write_csv,
+)
 from fhtsurv.interpret import risk_grid
+from fhtsurv.metrics import evaluate
 from fhtsurv.modelio import read_json
 from fhtsurv.training import FittedModel
 
@@ -444,6 +452,14 @@ class TestReadme:
                 pytest.fail(f"README line {call.lineno}: {ast.unparse(call)}: {exc}")
             bound.add(func.__name__)
         assert {"fit", "evaluate", "NetworkSpec", "TrainConfig"} <= bound
+
+    def test_report_keys_match_the_evaluation_reports_entry(self):
+        text = " ".join(self.readme_lines())
+        entry = re.search(r"\*\*Evaluation reports\*\*.*?JSON with the keys (.*?)\.", text).group(1)
+        d = SurvivalData(np.zeros((4, 1)), np.array([1.0, 2.0, 3.0, 4.0]), np.array([1, 0, 1, 1]),
+                         ["f"])
+        rep = evaluate(lambda x, ts: np.full((x.shape[0], ts.size), 0.5), d, n_resamples=2)
+        assert re.findall(r"`(\w+)`", entry) == list(rep.to_dict())
 
     def test_named_scripts_exist(self):
         paths = set(re.findall(r"scripts/[\w./-]*\w", "\n".join(self.readme_lines())))

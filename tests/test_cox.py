@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fhtsurv.cox import CoxConvergenceError, CoxModel, fit_cox
+from fhtsurv.cox import CoxConvergenceError, CoxModel, _partial_lik_parts, fit_cox
 from fhtsurv.data import SurvivalData
 
 
@@ -212,3 +212,25 @@ class TestAgainstBruteForce:
         for _ in range(20):
             probe = model.beta + rng.normal(0, 0.05, 2)
             assert partial_loglik_breslow(x, t, deltas, probe) <= ll_fit + 1e-9
+
+    def test_hessian_matches_central_differences_of_the_gradient(self):
+        rng = np.random.default_rng(21)
+        n, m = 40, 3
+        xs = rng.normal(size=(n, m))
+        ts = np.sort(np.round(rng.exponential(1, n), 1) + 0.1)
+        ds = rng.integers(0, 2, n)
+        ds[:4] = 1
+        _, start_all = np.unique(ts, return_index=True)
+        d_count = np.add.reduceat(ds, start_all)
+        start, d_count = start_all[d_count > 0], d_count[d_count > 0]
+        assert d_count.max() > 1  # tied event times
+        beta = rng.normal(0, 0.5, m)
+        _, _, info = _partial_lik_parts(xs, ds, start, d_count, xs @ beta)
+        h = 1e-5
+        for k in range(m):
+            step = h * np.eye(m)[k]
+            g_up = _partial_lik_parts(xs, ds, start, d_count, xs @ (beta + step))[1]
+            g_down = _partial_lik_parts(xs, ds, start, d_count, xs @ (beta - step))[1]
+            # info is the negative Hessian of the log partial likelihood
+            fd = -(g_up - g_down) / (2.0 * h)
+            assert np.max(np.abs(info[:, k] - fd)) < 1e-7 * np.max(np.abs(info))

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from fhtsurv import metrics
 from fhtsurv.data import SurvivalData
 from fhtsurv.metrics import (
-    BrierCurve,
     MetricUndefinedError,
     bootstrap,
-    brier_curve,
     concordance,
     evaluate,
     ibs,
@@ -44,10 +42,26 @@ def crossing_model(x, ts):
 
 
 def cindex(values, d):
-    """Concordance of time-constant predictions on the event-time matrix of ``d``."""
-    times = unique_event_times(d.time, d.delta)
-    surv = np.tile(np.asarray(values, dtype=float)[:, None], (1, times.size))
-    return concordance(surv, times, d)[0]
+    """Concordance of time-constant predictions."""
+    return concordance(surv_from_values(values), d)[0]
+
+
+def cindex_counted(surv, times, d, counts):
+    """Concordance and comparable pairs of the matrix ``surv`` on the sorted
+    ``times`` (holding every event time), each record counted ``counts`` times."""
+    rec = metrics._by_time(d, np.asarray(counts, dtype=float)[None, :])
+    pairs = metrics._concordant_pairs(surv, times, rec, rec.anchors)
+    value, n_comp = metrics._concordance_from_pairs(pairs, rec)
+    return float(value[0]), int(n_comp[0])
+
+
+def brier_counted(surv, times, d, counts=None):
+    """IPCW Brier values of the matrix ``surv`` at any ``times``, each record
+    counted ``counts`` times (once by default)."""
+    row = np.ones((1, len(d))) if counts is None else np.asarray(counts, dtype=float)[None, :]
+    g = km_censoring(d, row)
+    times = np.asarray(times, dtype=float)
+    return metrics._brier_values(surv, times, d, row, metrics._event_weights(d, row, g), g)[0]
 
 
 class TestKaplanMeier:
@@ -135,11 +149,12 @@ class TestCindex:
         def s_of(j, t):
             return float(np.exp(-slopes[j] * t**scales[j]))
 
+        def surv_fn(x, ts):
+            return np.exp(-slopes[:, None] * ts[None, :] ** scales[:, None])
+
         d = make_data(times, deltas)
-        grid = unique_event_times(times, deltas)
-        surv = np.exp(-slopes[:, None] * grid[None, :] ** scales[:, None])
         ref = oracles.cindex_bruteforce(s_of, list(times), list(deltas))
-        assert abs(concordance(surv, grid, d)[0] - ref) < 1e-12
+        assert abs(concordance(surv_fn, d)[0] - ref) < 1e-12
 
     def test_random_predictor_near_half(self):
         rng = np.random.default_rng(5)
@@ -159,35 +174,37 @@ class TestCindex:
         c2 = cindex(np.tanh(3.0 * vals), d)  # strictly monotone
         assert c1 == pytest.approx(c2, abs=1e-12)
 
-    def test_missing_event_time_column_named(self):
-        d = make_data([1.0, 2.0, 3.0], [1, 1, 0])
-        surv = np.full((3, 2), 0.5)
-        with pytest.raises(ValueError, match=r"event time 2\.0"):
-            concordance(surv, np.array([1.0, 2.5]), d)
-
-    def test_exclusion_counting(self):
-        # last subject censored last: G hits zero before the final event anchor
-        d = make_data([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0])
-        grid = np.array([1.0, 3.0])
-        surv = np.tile(np.array([[0.9], [0.7], [0.5], [0.3]]), (1, 2))
-        _, n_comp, n_excl = concordance(surv, grid, d)
-        assert n_comp >= 1
-        assert n_excl >= 0
+    def test_censoring_curve_positive_at_counted_anchors(self):
+        # an event record is at risk at every censoring time before its own,
+        # so no pair anchored at a counted event loses its IPCW weight; tied
+        # and censored times, the latest record often censored, and bootstrap
+        # count rows that leave anchors undrawn
+        rng = np.random.default_rng(41)
+        for trial in range(20):
+            n = int(rng.integers(2, 40))
+            d = make_data(np.round(rng.uniform(0.1, 4.0, n), 1), rng.integers(0, 2, n))
+            d.delta[0] = 1
+            if trial % 2:
+                d.delta[np.argmax(d.time)] = 0
+            counts = np.vstack([np.ones(n), bootstrap(d, n_resamples=30, seed=trial)])
+            ev = d.delta == 1
+            g_left = km_censoring(d, counts).eval_left(d.time[ev])
+            assert np.all(g_left[counts[:, ev] > 0] > 0.0)
 
 
 class TestBrierCurve:
     def test_uninformative_quarter(self):
         d = make_data(np.linspace(1, 5, 9), np.ones(9, dtype=int))
-        curve = brier_curve(np.full((9, 3), 0.5), np.array([1.0, 2.5, 4.9]), d)
-        assert np.allclose(curve.values, 0.25, atol=1e-12)
+        values = brier_counted(np.full((9, 3), 0.5), [1.0, 2.5, 4.9], d)
+        assert np.allclose(values, 0.25, atol=1e-12)
 
     def test_oracle_step_predictor_zero(self):
         times = np.array([1.0, 2.0, 3.0])
         d = make_data(times, np.ones(3, dtype=int))
 
         grid = np.array([0.5, 1.5, 2.5])
-        curve = brier_curve((times[:, None] > grid[None, :]).astype(float), grid, d)
-        assert np.allclose(curve.values, 0.0)
+        values = brier_counted((times[:, None] > grid[None, :]).astype(float), grid, d)
+        assert np.allclose(values, 0.0)
 
     def test_hand_value_with_censoring(self):
         times = [1.0, 2.0, 3.0]
@@ -196,7 +213,7 @@ class TestBrierCurve:
         d = make_data(times, deltas)
         for t in (1.5, 2.5):
             ref = oracles.brier_ref(lambda j, u: vals[j], times, deltas, t)
-            ours = brier_curve(np.array(vals)[:, None], np.array([t]), d).values[0]
+            ours = brier_counted(np.array(vals)[:, None], [t], d)[0]
             assert ours == pytest.approx(ref, abs=1e-12)
 
     def test_unweighted_matches_loss_summands(self):
@@ -211,23 +228,20 @@ class TestBrierCurve:
         per_time = (past_event * surv**2 + ~past_event * (1 - surv) ** 2).sum(axis=0) / n
         loss, _ = brier_terms(surv, grid, d.time, d.delta)
         assert loss == pytest.approx(per_time.mean(), rel=1e-12)
-        curve = brier_curve(surv, grid, d)
-        assert np.allclose(curve.values, per_time, atol=1e-12)
+        assert np.allclose(brier_counted(surv, grid, d), per_time, atol=1e-12)
 
 
 class TestIbs:
     def test_constant_curve(self):
-        c = BrierCurve(np.array([0.0, 1.0]), np.array([0.25, 0.25]))
-        assert ibs(c) == pytest.approx(0.25)
+        assert ibs(np.array([0.0, 1.0]), np.array([0.25, 0.25])) == pytest.approx(0.25)
 
     def test_linear_curve(self):
-        c = BrierCurve(np.array([0.0, 1.0]), np.array([0.0, 0.5]))
-        assert ibs(c) == pytest.approx(0.25)
+        assert ibs(np.array([0.0, 1.0]), np.array([0.0, 0.5])) == pytest.approx(0.25)
 
     def test_window_extension_constant(self):
         # [0, 1] at the first value 0.1, then linear from 0.1 to 0.3 on [1, 2]
-        c = BrierCurve(np.array([1.0, 2.0]), np.array([0.1, 0.3]))
-        assert ibs(c) == pytest.approx((0.1 + 0.2) / 2.0, rel=1e-15)
+        v = ibs(np.array([1.0, 2.0]), np.array([0.1, 0.3]))
+        assert v == pytest.approx((0.1 + 0.2) / 2.0, rel=1e-15)
 
     def test_trapezoid_from_zero_identity(self):
         rng = np.random.default_rng(5)
@@ -236,13 +250,12 @@ class TestIbs:
             t = np.unique(rng.uniform(1e-3, 10.0, n))
             v = rng.uniform(0.0, 0.5, t.size)
             want = np.trapezoid([v[0], *v], [0, *t]) / t[-1]
-            assert ibs(BrierCurve(t, v)) == want
+            assert ibs(t, v) == want
 
     def test_bounds(self):
         rng = np.random.default_rng(1)
         vals = rng.uniform(0, 0.5, 12)
-        c = BrierCurve(np.sort(rng.uniform(0.1, 5, 12)), vals)
-        v = ibs(c)
+        v = ibs(np.sort(rng.uniform(0.1, 5, 12)), vals)
         assert 0.0 <= v <= vals.max() + 1e-12
 
 
@@ -314,11 +327,11 @@ class TestRowCounts:
             km, ref = km_censoring(d, row), oracles.km_censoring(dd)
             assert np.array_equal(km.eval(probe), ref.eval(probe))
             assert np.array_equal(km.eval_left(probe), ref.eval_left(probe))
-            value, n_comp, n_excl = concordance(surv, times, d, row)
+            value, n_comp = cindex_counted(surv, times, d, row)
             ref_value, ref_comp, ref_excl = oracles.concordance(surv[sel], times, dd)
             assert abs(value - ref_value) <= 1e-12
-            assert (n_comp, n_excl) == (ref_comp, ref_excl)
-            got = brier_curve(surv, times, d, row).values
+            assert (n_comp, ref_excl) == (ref_comp, 0)
+            got = brier_counted(surv, times, d, row)
             assert np.max(np.abs(got - oracles.brier_curve(surv[sel], times, dd).values)) <= 1e-12
 
     def test_count_matrix_gives_one_censoring_curve_per_row(self):
@@ -332,16 +345,11 @@ class TestRowCounts:
     def test_all_ones_is_the_data_as_given(self):
         d, _, times, surv = self.case(3)
         ones = np.ones(len(d), dtype=int)
-        assert concordance(surv, times, d, ones) == concordance(surv, times, d)
-        assert np.array_equal(brier_curve(surv, times, d, ones).values,
-                              brier_curve(surv, times, d).values)
-
-    def test_count_columns_checked(self):
-        d, _, times, surv = self.case(4)
-        with pytest.raises(ValueError, match=r"one count per record \(30\)"):
-            concordance(surv, times, d, np.ones(29))
-        with pytest.raises(ValueError, match=r"one count per record \(30\)"):
-            brier_curve(surv, times, d, np.ones((2, 30)))
+        assert cindex_counted(surv, times, d, ones) == concordance(crossing_model, d)
+        # evaluate's row of ones shares its matrix products with the resample
+        # rows, which can change the summation order in the last bit
+        rep = evaluate(crossing_model, d, n_resamples=2, seed=0)
+        assert np.max(np.abs(brier_counted(surv, times, d, ones) - rep.brier_values)) <= 1e-15
 
 
 def test_km_matches_statsmodels():
@@ -418,7 +426,7 @@ class TestEvaluate:
         def ibs_ref(sel):
             dd = d[sel]
             t = unique_event_times(dd.time, dd.delta)
-            return ibs(oracles.brier_curve(fn(dd.x, t), t, dd))
+            return oracles.ibs(oracles.brier_curve(fn(dd.x, t), t, dd))
 
         rep = evaluate(fn, d, n_resamples=15, seed=9)
         seq = np.random.SeedSequence(9).spawn(2)
@@ -458,7 +466,8 @@ class TestEvaluate:
         finally:
             metrics._BLOCK_ELEMS = original
         want = want.to_dict()
-        for key in ("n_comparable_pairs", "n_excluded_pairs", "n_bootstrap"):
+        assert got.keys() == want.keys()
+        for key in ("n_comparable_pairs", "n_bootstrap"):
             assert got[key] == want[key]
         assert [t for t, _ in got["brier_curve"]] == [t for t, _ in want["brier_curve"]]
         assert np.max(np.abs(np.subtract(report_floats(got), report_floats(want)))) <= 1e-12
