@@ -7,8 +7,10 @@ rerun --manifest <path>`` re-executes the recorded command and reproduces
 the outputs byte for byte.
 
 Model configuration files are JSON with the keys ``distribution``
-(``levy`` or ``invgauss``), ``hidden_sizes`` (a list of integer widths),
-``epochs`` and ``batch_size`` (integers), and ``learning_rate``.  The keys
+(``levy`` or ``invgauss``), ``hidden_sizes`` (a list of integer widths
+>= 1), ``epochs`` (an integer >= 0), ``batch_size`` (an integer >= 1) and
+``learning_rate`` (a finite number > 0), all checked before any data is
+read.  The keys
 ``activation``, ``dropout``, ``eval_time_cap`` and ``optimizer`` are
 accepted so older files still load, but each takes only the one value
 training uses (``FIXED_CONFIG``): hidden layers are ReLU without dropout,
@@ -20,6 +22,7 @@ epochs, batch 256, learning rate 0.0039, driftless kind).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -99,13 +102,28 @@ def _model_config(path_or_none, overrides=None):
         want = DEFAULT_MODEL_CONFIG[key]
         if cfg[key] != want:
             raise ValueError(f"model config key '{key}' must be {want!r}, got {cfg[key]!r}")
-    for key in ("epochs", "batch_size"):
+    kinds = [kind.value for kind in fht.DistKind]
+    if cfg["distribution"] not in kinds:
+        raise ValueError(
+            f"model config key 'distribution' must be one of {kinds}, got {cfg['distribution']!r}"
+        )
+    for key, low in (("epochs", 0), ("batch_size", 1)):
         if not _is_int(cfg[key]):
             raise ValueError(f"model config key '{key}' must be an integer, got {cfg[key]!r}")
+        if cfg[key] < low:
+            raise ValueError(f"model config key '{key}' must be >= {low}, got {cfg[key]!r}")
     widths = cfg["hidden_sizes"]
     if not isinstance(widths, list) or not all(_is_int(w) for w in widths):
         raise ValueError(
             f"model config key 'hidden_sizes' must be a list of integers, got {widths!r}"
+        )
+    if not all(w >= 1 for w in widths):
+        raise ValueError(f"model config key 'hidden_sizes' must hold widths >= 1, got {widths!r}")
+    rate = cfg["learning_rate"]
+    if not (isinstance(rate, (int, float)) and not isinstance(rate, bool)
+            and 0.0 < rate < math.inf):
+        raise ValueError(
+            f"model config key 'learning_rate' must be a finite number > 0, got {rate!r}"
         )
     return cfg
 

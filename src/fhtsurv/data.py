@@ -13,13 +13,17 @@ text is kept, and read only for columns used as categorical.  Whether a
 column is numeric is decided on the rows a recipe is fitted on: numeric
 when every present cell there is a number.
 
-Preprocessing, fitted on training rows only: numeric columns are imputed
-with the mean when |sample skewness| <= 1 and the median otherwise;
-categorical columns are imputed with the mode (lexicographically smallest
-on ties) and one-hot encoded over the categories seen at fit time, a value
-unseen at apply time encoding as an all-zero block; finally every surviving
-column is standardized to train mean 0 / std 1.  Constant columns are
-dropped with a warning.
+Preprocessing is fitted on training rows only.  Each column is first
+encoded, then each encoded output is standardized.  Encoding a numeric
+column fills its missing cells with the mean when |sample skewness| <= 1
+and the median otherwise.  Encoding a categorical column fills its missing
+cells with the mode (lexicographically smallest on ties) and turns it into
+one-hot indicators of the categories seen at fit time; a value unseen at
+apply time encodes as an all-zero block.  Standardizing scales each output
+to train mean 0 / std 1; an output constant on the training rows is
+dropped with a warning, as is a column with no present cell.  Fitting and
+applying run the same encoder, so a recipe holds only the fitted values,
+and its file's keys for a column are ``ColumnTransform``'s fields.
 
 The NonPH generator draws i.i.d. standard-normal features, builds for each
 subject a piecewise-constant event density over equal time intervals whose
@@ -34,8 +38,10 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -249,11 +255,14 @@ def _sample_skewness(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ColumnTransform:
+    """How one feature column is encoded.  The fields are the column's keys
+    in the recipe file."""
+
     name: str
     kind: str  # "numeric" | "categorical"
     impute: object  # value for numeric, mode string for categorical
-    categories: tuple = ()
-    # one standardization (mean, std) per emitted output column
+    categories: tuple = ()  # the one-hot categories; () for numeric
+    # one name and standardization (mean, std) per emitted output column
     out_names: tuple = ()
     means: tuple = ()
     stds: tuple = ()
@@ -271,18 +280,7 @@ class PreprocessRecipe:
         return {
             "format": "fhtsurv-recipe",
             "version": 1,
-            "columns": [
-                {
-                    "name": c.name,
-                    "kind": c.kind,
-                    "impute": c.impute,
-                    "categories": list(c.categories),
-                    "out_names": list(c.out_names),
-                    "means": list(c.means),
-                    "stds": list(c.stds),
-                }
-                for c in self.columns
-            ],
+            "columns": [asdict(c) for c in self.columns],
         }
 
     @classmethod
@@ -291,15 +289,7 @@ class PreprocessRecipe:
             raise ValueError("not a recipe")
         return cls(
             columns=tuple(
-                ColumnTransform(
-                    name=c["name"],
-                    kind=c["kind"],
-                    impute=c["impute"],
-                    categories=tuple(c["categories"]),
-                    out_names=tuple(c["out_names"]),
-                    means=tuple(c["means"]),
-                    stds=tuple(c["stds"]),
-                )
+                ColumnTransform(**{k: tuple(v) if isinstance(v, list) else v for k, v in c.items()})
                 for c in obj["columns"]
             )
         )
@@ -316,91 +306,66 @@ def _require_numbers(name, col: RawColumn, rows):
                               f"got {col.cells[i].strip()!r}")
 
 
+def _encode(tr: ColumnTransform, col: RawColumn, rows) -> np.ndarray:
+    """The column's (cells, outputs) block before standardization: a numeric
+    column's values with missing cells imputed, or a categorical column's
+    one-hot indicators of ``tr.categories``.  A label not among them encodes
+    as an all-zero row."""
+    if tr.kind == "numeric":
+        _require_numbers(tr.name, col, rows)
+        return np.where(np.isnan(col.values), tr.impute, col.values)[:, None]
+    labels = np.array([tr.impute if c is None else c for c in col.labels()], dtype=str)
+    return (labels[:, None] == np.array(tr.categories, dtype=str)).astype(np.float64)
+
+
 def fit_preprocess(raw: RawDataset) -> PreprocessRecipe:
     """Learn imputation, encoding, and scaling from the given (training) rows."""
     columns = []
     for name, col in raw.columns.items():
-        values = col.values
-        missing = np.isnan(values)
+        missing = np.isnan(col.values)
         if not (col.bad.any() or missing.all()):
             _require_numbers(name, col, raw.rows)
-            observed = values[~missing]
+            observed = col.values[~missing]
             skew = _sample_skewness(observed)
             impute = float(observed.mean() if abs(skew) <= 1.0 else np.median(observed))
-            filled = np.where(missing, impute, values)
-            mean = float(filled.mean())
-            std = float(filled.std())
-            if std == 0.0:
-                warnings.warn(f"dropping constant column '{name}'")
-                continue
-            columns.append(
-                ColumnTransform(
-                    name=name,
-                    kind="numeric",
-                    impute=impute,
-                    out_names=(name,),
-                    means=(mean,),
-                    stds=(std,),
-                )
-            )
+            tr = ColumnTransform(name, "numeric", impute, out_names=(name,))
         else:
-            cells = col.labels()
-            observed = [c for c in cells if c is not None]
+            observed = [c for c in col.labels() if c is not None]
             if not observed:
                 warnings.warn(f"dropping empty column '{name}'")
                 continue
             cats, counts = np.unique(observed, return_counts=True)
-            mode = str(cats[np.argmax(counts)])  # ties: first = smallest
-            filled = [c if c is not None else mode for c in cells]
-            keep_cats, out_names, means, stds = [], [], [], []
-            arr = np.asarray(filled)
-            for cat in cats:
-                col = (arr == cat).astype(np.float64)
-                mean, std = float(col.mean()), float(col.std())
-                if std == 0.0:
-                    warnings.warn(f"dropping constant one-hot column '{name}={cat}'")
-                    continue
-                keep_cats.append(str(cat))
-                out_names.append(f"{name}={cat}")
-                means.append(mean)
-                stds.append(std)
-            if not keep_cats:
-                continue
-            columns.append(
-                ColumnTransform(
-                    name=name,
-                    kind="categorical",
-                    impute=mode,
-                    categories=tuple(keep_cats),
-                    out_names=tuple(out_names),
-                    means=tuple(means),
-                    stds=tuple(stds),
-                )
-            )
+            cats = tuple(cats.tolist())
+            mode = cats[np.argmax(counts)]  # ties: first = smallest
+            tr = ColumnTransform(name, "categorical", mode, cats,
+                                 out_names=tuple(f"{name}={c}" for c in cats))
+        block = _encode(tr, col, raw.rows)
+        means = [float(v.mean()) for v in block.T]
+        stds = [float(v.std()) for v in block.T]
+        for out, std in zip(tr.out_names, stds):
+            if std == 0.0:
+                one_hot = "one-hot " if tr.kind == "categorical" else ""
+                warnings.warn(f"dropping constant {one_hot}column '{out}'")
+        keep = [std != 0.0 for std in stds]
+        if any(keep):
+            def kept(values):
+                return tuple(itertools.compress(values, keep))
+
+            columns.append(replace(
+                tr, categories=kept(tr.categories), out_names=kept(tr.out_names),
+                means=kept(means), stds=kept(stds)))
     return PreprocessRecipe(columns=tuple(columns))
 
 
 def apply_preprocess(recipe: PreprocessRecipe, raw: RawDataset) -> SurvivalData:
     """Encode a raw dataset with a fitted recipe (deterministic)."""
-    n = len(raw)
     blocks = []
     for tr in recipe.columns:
         col = raw.columns.get(tr.name)
         if col is None:
             raise PreprocessError(f"dataset is missing column '{tr.name}'")
-        if tr.kind == "numeric":
-            _require_numbers(tr.name, col, raw.rows)
-            filled = np.where(np.isnan(col.values), tr.impute, col.values)
-            blocks.append(((filled - tr.means[0]) / tr.stds[0])[:, None])
-        else:
-            arr = np.asarray([c if c is not None else tr.impute for c in col.labels()])
-            block = np.zeros((n, len(tr.categories)))
-            for j, cat in enumerate(tr.categories):
-                block[:, j] = (arr == cat).astype(np.float64)
-            # an unseen category leaves its whole block at zero, by convention
-            block = (block - np.asarray(tr.means)) / np.asarray(tr.stds)
-            blocks.append(block)
-    x = np.hstack(blocks) if blocks else np.zeros((n, 0))
+        blocks.append((_encode(tr, col, raw.rows) - np.asarray(tr.means)) / np.asarray(tr.stds))
+    x = np.hstack(blocks) if blocks else np.zeros((len(raw), 0))
     return SurvivalData(x=x, time=raw.time, delta=raw.delta, feature_names=recipe.output_names)
 
 
@@ -461,8 +426,17 @@ class NonPhConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_raw, self.n_features, self.n_intervals, self.n_subintervals, self.n_keep) < 1:
-            raise ValueError("all sizes must be positive")
+        for name in ("n_raw", "n_features", "n_intervals", "n_subintervals", "n_keep"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        for name in ("beta", "horizon", "target_censoring"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.n_features < self.n_intervals:
             raise ValueError("need at least one feature per time interval")
         if not self.horizon > 0.0:

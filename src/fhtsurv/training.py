@@ -54,8 +54,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
 
 
 def unique_event_times(time_obs, delta) -> np.ndarray:

@@ -318,17 +318,65 @@ def test_compare_checks_both_sections_before_training(small_csv, tmp_path, capsy
 
     monkeypatch.setattr(cli, "fit", must_not_run)
     monkeypatch.setattr(cli, "load_csv", must_not_run)
+    prefix = "model config key "
+    cases = [
+        ({"epochs": 2.5}, "'epochs' must be an integer, got 2.5"),
+        ({"epochs": -1}, "'epochs' must be >= 0, got -1"),
+        ({"batch_size": 0}, "'batch_size' must be >= 1, got 0"),
+        ({"hidden_sizes": [0]}, "'hidden_sizes' must hold widths >= 1, got [0]"),
+        ({"learning_rate": 0}, "'learning_rate' must be a finite number > 0, got 0"),
+        ({"learning_rate": True}, "'learning_rate' must be a finite number > 0, got True"),
+        ({"learning_rate": "0.01"}, "'learning_rate' must be a finite number > 0, got '0.01'"),
+        ({"learning_rate": float("inf")}, "'learning_rate' must be a finite number > 0, got inf"),
+        ({"learning_rate": float("nan")}, "'learning_rate' must be a finite number > 0, got nan"),
+    ]
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"levy": {"epochs": 1}, "invgauss": {"epochs": 2.5}}))
     out = tmp_path / "compare.json"
-    rc = main(["compare", "--data", small_csv, "--config", str(cfg), "--out", str(out)])
-    assert rc == 1
-    assert "model config key 'epochs' must be an integer, got 2.5" in capsys.readouterr().err
+    for section, message in cases:
+        cfg.write_text(json.dumps({"levy": {"epochs": 1}, "invgauss": section}))
+        rc = main(["compare", "--data", small_csv, "--config", str(cfg), "--out", str(out)])
+        assert rc == 1, section
+        assert prefix + message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"beta": float("nan")}, "beta must be a finite number, got nan"),
+    ({"beta": float("inf")}, "beta must be a finite number, got inf"),
+    ({"beta": True}, "beta must be a finite number, got True"),
+    ({"horizon": float("inf")}, "horizon must be a finite number, got inf"),
+    ({"n_keep": 2.5}, "n_keep must be an integer, got 2.5"),
+    ({"n_raw": 1000.0}, "n_raw must be an integer, got 1000.0"),
+    ({"n_intervals": "16"}, "n_intervals must be an integer, got '16'"),
+    ({"n_features": True}, "n_features must be an integer, got True"),
+    ({"n_subintervals": 0}, "n_subintervals must be >= 1, got 0"),
+    ({"target_censoring": "0.25"}, "target_censoring must be a finite number, got '0.25'"),
+], ids=["beta-nan", "beta-infinite", "beta-bool", "horizon-infinite", "n_keep-fraction",
+        "n_raw-float", "n_intervals-text", "n_features-bool", "n_subintervals-zero",
+        "censoring-text"])
+def test_generate_names_the_config_field_it_rejects(overrides, message, tmp_path, capsys):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps(overrides))
+    out = tmp_path / "nonph.csv"
+    assert main(["generate", "--out", str(out), "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("the command did work before checking its options")
+
+
+def test_train_checks_the_distribution_before_reading_data(small_csv, tmp_path, capsys,
+                                                           monkeypatch):
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"distribution": "gamma", "epochs": 1}))
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", small_csv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert ("model config key 'distribution' must be one of ['levy', 'invgauss'], got 'gamma'"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

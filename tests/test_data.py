@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import os
 import re
 import tempfile
@@ -33,6 +34,7 @@ from fhtsurv.data import (
     subinterval_masses,
     write_csv,
 )
+from fhtsurv.modelio import write_json_atomic
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -259,6 +261,83 @@ class TestPreprocess:
         a = apply_preprocess(recipe, raw)
         b = apply_preprocess(clone, raw)
         assert np.array_equal(a.x, b.x)
+
+
+# The recipe file format, pinned: the recipe fitted on test_fitted_as_pinned's
+# CSV, a numeric column (mean-imputed) and a categorical one (mode "a" by the
+# smallest-label tie rule).  A renamed ColumnTransform field changes the file.
+PINNED_RECIPE = """\
+{
+ "columns": [
+  {
+   "categories": [],
+   "impute": 2.75,
+   "kind": "numeric",
+   "means": [
+    2.75
+   ],
+   "name": "num",
+   "out_names": [
+    "num"
+   ],
+   "stds": [
+    1.02469507659596
+   ]
+  },
+  {
+   "categories": [
+    "a",
+    "b"
+   ],
+   "impute": "a",
+   "kind": "categorical",
+   "means": [
+    0.6,
+    0.4
+   ],
+   "name": "cat",
+   "out_names": [
+    "cat=a",
+    "cat=b"
+   ],
+   "stds": [
+    0.48989794855663565,
+    0.48989794855663565
+   ]
+  }
+ ],
+ "format": "fhtsurv-recipe",
+ "version": 1
+}
+"""
+
+
+class TestRecipeFileFormat:
+    def test_read_then_written_unchanged(self, tmp_path):
+        recipe = PreprocessRecipe.from_dict(json.loads(PINNED_RECIPE))
+        assert isinstance(recipe.columns[1].categories, tuple)
+        out = tmp_path / "recipe.json"
+        write_json_atomic(out, recipe.to_dict())
+        assert out.read_text() == PINNED_RECIPE
+
+    def test_fitted_as_pinned(self, tmp_path):
+        p = write(tmp_path, "num,cat,time,event\n1.5,a,1,1\n,b,2,0\n3.0,a,3,1\n4.5,,4,1\n"
+                            "2.0,b,5,0\n")
+        out = tmp_path / "recipe.json"
+        write_json_atomic(out, fit_preprocess(load_csv(p)).to_dict())
+        assert out.read_text() == PINNED_RECIPE
+
+    def test_applied_values_pinned(self, tmp_path):
+        # missing cells take the imputed values; the unseen label "z" is an
+        # all-zero one-hot block
+        recipe = PreprocessRecipe.from_dict(json.loads(PINNED_RECIPE))
+        p = write(tmp_path, "num,cat,time,event\n2.5,b,1,1\nNA,z,2,0\n-1,?,3,1\n")
+        x = apply_preprocess(recipe, load_csv(p)).x
+        assert x.tolist() == [
+            [-0.24397501823713327, -1.224744871391589, 1.224744871391589],
+            [0.0, -1.224744871391589, -0.816496580927726],
+            [-3.659625273556999, 0.816496580927726, -0.816496580927726],
+        ]
 
 
 class TestSurvivalData:

@@ -155,6 +155,11 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(d, toy_spec(), TrainConfig(1, 32, 0.01))
 
+    @pytest.mark.parametrize("rate", [0.0, -0.01, np.inf, np.nan])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            TrainConfig(1, 32, rate)
+
     def test_divergence_aborts_with_diagnostic(self, monkeypatch):
         # the stable links and saturating survival make organic blow-ups
         # essentially impossible, so inject a poisoned batch to exercise the
