@@ -6,23 +6,19 @@ manifest next to the main output (``<out>.manifest.json``).  ``fhtsurv
 rerun --manifest <path>`` re-executes the recorded command and reproduces
 the outputs byte for byte.
 
-Model configuration files are JSON with the keys ``distribution``
-(``levy`` or ``invgauss``), ``hidden_sizes`` (a list of integer widths
->= 1), ``epochs`` (an integer >= 0), ``batch_size`` (an integer >= 1) and
-``learning_rate`` (a finite number > 0), all checked before any data is
-read.  The keys
-``activation``, ``dropout``, ``eval_time_cap`` and ``optimizer`` are
-accepted so older files still load, but each takes only the one value
-training uses (``FIXED_CONFIG``): hidden layers are ReLU without dropout,
-at most 256 event times enter each batch's loss, and the optimizer is Adam.
-Defaults mirror the synthetic-benchmark configuration (hidden 16,16, 450
-epochs, batch 256, learning rate 0.0039, driftless kind).
+Model configuration files are JSON whose keys are the fields of
+``training.ModelConfig``, which states their defaults and checks their
+values; both happen before any data is read.  The keys ``activation``,
+``dropout``, ``eval_time_cap`` and ``optimizer`` are accepted so older
+files still load, but each takes only the one value training uses
+(``FIXED_CONFIG``): hidden layers are ReLU without dropout, at most 256
+event times enter each batch's loss, and the optimizer is Adam.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import os
 import sys
 import time
@@ -44,23 +40,12 @@ from .data import (
 from .interpret import risk_grid
 from .metrics import concordance, evaluate
 from .modelio import read_json, write_json_atomic
-from .network import NetworkSpec
 from .simulate import SimConfig, empirical_survival, simulate_fpt, write_samples_csv
-from .training import EVAL_TIME_CAP, FittedModel, TrainConfig, fit
+from .training import EVAL_TIME_CAP, FittedModel, ModelConfig, fit
 
-DEFAULT_MODEL_CONFIG = {
-    "distribution": "levy",
-    "hidden_sizes": [16, 16],
-    "activation": "relu",
-    "dropout": 0.0,
-    "epochs": 450,
-    "batch_size": 256,
-    "learning_rate": 0.0039,
-    "optimizer": "adam",
-    "eval_time_cap": EVAL_TIME_CAP,
-}
-# keys kept so older config files load; each accepts only its default
-FIXED_CONFIG = ("activation", "dropout", "optimizer", "eval_time_cap")
+# keys kept so older config files load, each with the one value training uses
+FIXED_CONFIG = {"activation": "relu", "dropout": 0.0, "optimizer": "adam",
+                "eval_time_cap": EVAL_TIME_CAP}
 
 
 def _manifest_path(out_path):
@@ -91,58 +76,20 @@ def _write_manifest(command, args_dict, outputs, started):
 
 
 def _model_config(path_or_none, overrides=None):
-    cfg = dict(DEFAULT_MODEL_CONFIG)
-    if path_or_none:
-        cfg.update(read_json(path_or_none))
-    cfg.update(overrides or {})
-    unknown = set(cfg) - set(DEFAULT_MODEL_CONFIG)
+    """The ``ModelConfig`` of a config file, or of the defaults, with
+    ``overrides`` applied."""
+    cfg = {**(read_json(path_or_none) if path_or_none else {}), **(overrides or {})}
+    unknown = set(cfg) - {f.name for f in dataclasses.fields(ModelConfig)} - set(FIXED_CONFIG)
     if unknown:
         raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-    for key in FIXED_CONFIG:
-        want = DEFAULT_MODEL_CONFIG[key]
-        if cfg[key] != want:
-            raise ValueError(f"model config key '{key}' must be {want!r}, got {cfg[key]!r}")
-    kinds = [kind.value for kind in fht.DistKind]
-    if cfg["distribution"] not in kinds:
-        raise ValueError(
-            f"model config key 'distribution' must be one of {kinds}, got {cfg['distribution']!r}"
-        )
-    for key, low in (("epochs", 0), ("batch_size", 1)):
-        if not _is_int(cfg[key]):
-            raise ValueError(f"model config key '{key}' must be an integer, got {cfg[key]!r}")
-        if cfg[key] < low:
-            raise ValueError(f"model config key '{key}' must be >= {low}, got {cfg[key]!r}")
-    widths = cfg["hidden_sizes"]
-    if not isinstance(widths, list) or not all(_is_int(w) for w in widths):
-        raise ValueError(
-            f"model config key 'hidden_sizes' must be a list of integers, got {widths!r}"
-        )
-    if not all(w >= 1 for w in widths):
-        raise ValueError(f"model config key 'hidden_sizes' must hold widths >= 1, got {widths!r}")
-    rate = cfg["learning_rate"]
-    if not (isinstance(rate, (int, float)) and not isinstance(rate, bool)
-            and 0.0 < rate < math.inf):
-        raise ValueError(
-            f"model config key 'learning_rate' must be a finite number > 0, got {rate!r}"
-        )
-    return cfg
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _net_spec(cfg, input_dim):
-    return NetworkSpec(input_dim, tuple(cfg["hidden_sizes"]), fht.DistKind(cfg["distribution"]))
-
-
-def _train_config(cfg, seed):
-    return TrainConfig(
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        learning_rate=float(cfg["learning_rate"]),
-        seed=seed,
-    )
+    for key, want in FIXED_CONFIG.items():
+        got = cfg.pop(key, want)
+        if got != want:
+            raise ValueError(f"model config key '{key}' must be {want!r}, got {got!r}")
+    try:
+        return ModelConfig(**cfg)
+    except ValueError as exc:
+        raise ValueError(f"model config key {exc}") from None
 
 
 def _load_any_model(path):
@@ -158,7 +105,9 @@ def _load_any_model(path):
 
 def cmd_generate(args):
     overrides = read_json(args.config) if args.config else {}
-    cfg = NonPhConfig(**{**overrides, "seed": args.seed})
+    if "seed" in overrides:
+        raise ValueError("generate config key 'seed' is not allowed; use --seed")
+    cfg = NonPhConfig(**overrides, seed=args.seed)
     data = generate_nonph(cfg)
     write_csv(data, args.out)
     return [args.out]
@@ -168,9 +117,7 @@ def cmd_train(args):
     cfg = _model_config(args.config, {"distribution": args.distribution} if args.distribution else None)
     raw = load_csv(args.data)
     recipe = fit_preprocess(raw)
-    data = apply_preprocess(recipe, raw)
-    spec = _net_spec(cfg, data.x.shape[1])
-    model = fit(data, spec, _train_config(cfg, args.seed), recipe=recipe)
+    model = fit(apply_preprocess(recipe, raw), cfg, args.seed, recipe=recipe)
     model.save(args.out)
     return [args.out]
 
@@ -191,13 +138,12 @@ def cmd_eval(args):
     return [args.out]
 
 
-def _cv_scores(data, spec, tcfg, folds, seed):
+def _cv_scores(data, cfg, folds, seed):
     scores = []
-    fold_idx = cv_folds(data, k=folds, seed=seed)
-    for i, val_idx in enumerate(fold_idx):
+    for val_idx in cv_folds(data, k=folds, seed=seed):
         mask = np.ones(len(data), dtype=bool)
         mask[val_idx] = False
-        model = fit(data[np.flatnonzero(mask)], spec, tcfg)
+        model = fit(data[np.flatnonzero(mask)], cfg, seed)
         scores.append(concordance(model.survival_matrix, data[val_idx])[0])
     return scores
 
@@ -214,7 +160,15 @@ def cmd_compare(args):
     if unknown:
         raise ValueError(f"compare config sections must be 'levy'/'invgauss', got {sorted(unknown)}")
     # both sections are checked before any data is read or model trained
-    cfgs = {kind: _model_config(None, full_cfg.get(kind, {})) for kind in ("levy", "invgauss")}
+    cfgs = {}
+    for kind in ("levy", "invgauss"):
+        section = full_cfg.get(kind, {})
+        if section.get("distribution", kind) != kind:
+            raise ValueError(
+                f"compare config section '{kind}' sets 'distribution' to "
+                f"{section['distribution']!r}; leave it out, the section's name sets it"
+            )
+        cfgs[kind] = _model_config(None, {**section, "distribution": kind})
     raw = load_csv(args.data)
     report = {"n_records": len(raw), "seed": args.seed, "bootstrap": args.bootstrap, "models": {}}
 
@@ -225,14 +179,11 @@ def cmd_compare(args):
     test = apply_preprocess(recipe, raw.subset(te_rows))
 
     for kind_name, kind_seed in (("levy", levy_seed), ("invgauss", ig_seed)):
-        cfg = dict(cfgs[kind_name], distribution=kind_name)
-        spec = _net_spec(cfg, train.x.shape[1])
-        tcfg = _train_config(cfg, kind_seed)
-        model = fit(train, spec, tcfg, recipe=recipe)
+        model = fit(train, cfgs[kind_name], kind_seed, recipe=recipe)
         rep = evaluate(model.survival_matrix, test, n_resamples=args.bootstrap, seed=boot_seed)
         entry = rep.to_dict()
         if args.folds:
-            entry["cv_c_index"] = _cv_scores(train, spec, tcfg, args.folds, kind_seed)
+            entry["cv_c_index"] = _cv_scores(train, cfgs[kind_name], args.folds, kind_seed)
         report["models"][kind_name] = entry
 
     cox = fit_cox(train, tol=1e-6)

@@ -75,6 +75,8 @@ class CoxModel:
     def from_dict(cls, obj: dict) -> "CoxModel":
         if obj.get("format") != "fhtsurv-model" or obj.get("kind") != "cox":
             raise ValueError("not a cox model file")
+        if obj.get("version") != 1:
+            raise ValueError(f"unsupported model file version {obj.get('version')!r}")
         recipe = None
         if obj.get("recipe") is not None:
             recipe = PreprocessRecipe.from_dict(obj["recipe"])

@@ -80,6 +80,13 @@ class SurvivalData:
                 f"inconsistent array shapes: x {self.x.shape}, time {self.time.shape}, "
                 f"delta {self.delta.shape}"
             )
+        finite = np.isfinite(self.x)
+        if not finite.all():
+            i, j = (int(k) for k in np.argwhere(~finite)[0])
+            name = self.feature_names[j] if j < len(self.feature_names) else j
+            raise ValueError(
+                f"features must be finite, got {float(self.x[i, j])} at index {i}, column {name!r}"
+            )
         ok = np.isfinite(self.time) & (self.time > 0.0)
         if not ok.all():
             i = int(np.argmin(ok))

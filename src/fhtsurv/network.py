@@ -26,6 +26,7 @@ eval-mode passes are pure functions of the weights and input.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +54,10 @@ class NetworkSpec:
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         hidden = tuple(self.hidden)
-        if not all(isinstance(w, int) and w >= 1 for w in hidden):
+        if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool) and w >= 1
+                   for w in hidden):
             raise ValueError(f"hidden layer widths must be positive integers, got {hidden!r}")
-        object.__setattr__(self, "hidden", hidden)
+        object.__setattr__(self, "hidden", tuple(int(w) for w in hidden))
         object.__setattr__(self, "kind", DistKind(self.kind))
 
 

@@ -196,11 +196,12 @@ def _block_tasks(params, cfg):
 def simulate_fpt(params, cfg: SimConfig) -> FptSamples:
     """Sample first-passage times for every path of the diffusion whose
     parameter struct (``LevyParams`` or ``InvGaussParams``) is given, on
-    ``cfg.n_jobs`` worker processes when there is more than one block."""
+    ``cfg.n_jobs`` worker processes, but no more than there are blocks, when
+    there is more than one block."""
     tasks = _block_tasks(params, cfg)
     if cfg.n_jobs > 1 and len(tasks) > 1:
         ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=cfg.n_jobs, mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.n_jobs, len(tasks)), mp_context=ctx) as pool:
             parts = list(pool.map(_run_block, tasks))
     else:
         parts = [_run_block(t) for t in tasks]

@@ -18,10 +18,16 @@ range.
 
 Gradients flow from the loss through the closed-form survival functions
 (analytic parameter partials) into the network via its reverse pass.
+
+``ModelConfig`` is the model config: its fields are the config file's keys,
+and its checks are the only ones made on their values.  ``fit`` builds the
+network from it, as wide as the data has feature columns.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,20 +48,46 @@ class TrainingDivergedError(RuntimeError):
     pass
 
 
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
-class TrainConfig:
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    seed: int = 0
+class ModelConfig:
+    """The model config file's keys, defaulting to the synthetic-benchmark
+    configuration.  With hidden layers a batch holds at least two rows, which
+    batch normalization needs."""
+
+    distribution: str = "levy"
+    hidden_sizes: tuple = (16, 16)
+    epochs: int = 450
+    batch_size: int = 256
+    learning_rate: float = 0.0039
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        kinds = [kind.value for kind in DistKind]
+        if self.distribution not in kinds:
+            raise ValueError(f"'distribution' must be one of {kinds}, got {self.distribution!r}")
+        for key, low in (("epochs", 0), ("batch_size", 1)):
+            value = getattr(self, key)
+            if not _is_int(value):
+                raise ValueError(f"'{key}' must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"'{key}' must be >= {low}, got {value!r}")
+        widths = self.hidden_sizes
+        if not isinstance(widths, (list, tuple)) or not all(_is_int(w) for w in widths):
+            raise ValueError(f"'hidden_sizes' must be a list of integers, got {widths!r}")
+        if not all(w >= 1 for w in widths):
+            raise ValueError(f"'hidden_sizes' must hold widths >= 1, got {widths!r}")
+        object.__setattr__(self, "hidden_sizes", tuple(widths))
+        if widths and self.batch_size < 2:
+            raise ValueError(
+                f"'batch_size' must be >= 2 when 'hidden_sizes' is not empty, since batch "
+                f"normalization needs two rows, got {self.batch_size!r}"
+            )
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not (isinstance(rate, numbers.Real) and 0.0 < rate < math.inf):
+            raise ValueError(f"'learning_rate' must be a finite number > 0, got {rate!r}")
 
 
 def unique_event_times(time_obs, delta) -> np.ndarray:
@@ -161,6 +193,8 @@ class FittedModel:
     def from_dict(cls, obj: dict) -> "FittedModel":
         if obj.get("format") != "fhtsurv-model" or obj.get("kind") == "cox":
             raise ValueError("not a network model file")
+        if obj.get("version") != 1:
+            raise ValueError(f"unsupported model file version {obj.get('version')!r}")
         network = Network.from_dict(obj["payload"])
         if obj.get("kind") != network.kind.value:
             raise ValueError(
@@ -181,20 +215,17 @@ class FittedModel:
         return cls.from_dict(read_json(path))
 
 
-def fit(data, net_spec: NetworkSpec, cfg: TrainConfig, *, recipe=None) -> FittedModel:
-    """Train a network of ``net_spec``, whose kind fixes the survival law, on
-    survival data; bit-reproducible for a given seed."""
+def fit(data, cfg: ModelConfig, seed=0, *, recipe=None) -> FittedModel:
+    """Train a network of ``cfg``'s kind and hidden widths, as wide as the
+    data has feature columns, on survival data; bit-reproducible for a given
+    seed."""
+    net_spec = NetworkSpec(data.x.shape[1], cfg.hidden_sizes, cfg.distribution)
     kind = net_spec.kind
     n = len(data)
-    if data.x.shape[1] != net_spec.input_dim:
-        raise ValueError(
-            f"data has {data.x.shape[1]} feature columns but the network expects "
-            f"input_dim {net_spec.input_dim}"
-        )
     u_full = unique_event_times(data.time, data.delta)
     if u_full.size == 0:
         raise ValueError("training data has no uncensored subject")
-    root = np.random.SeedSequence(cfg.seed)
+    root = np.random.SeedSequence(seed)
     init_seq, shuffle_seq, times_seq = root.spawn(3)
     net = init_network(net_spec, seed=init_seq)
     shuffle_rng = np.random.default_rng(shuffle_seq)
@@ -214,12 +245,7 @@ def fit(data, net_spec: NetworkSpec, cfg: TrainConfig, *, recipe=None) -> Fitted
             if sel.size < 2 and net_spec.hidden:
                 continue  # batch-norm variance undefined for a singleton batch
             u_batch = _subsample_times(u_full, EVAL_TIME_CAP, times_rng)
-            try:
-                param_cols, cache = net.forward(data.x[sel], train=True)
-            except ValueError as exc:
-                raise TrainingDivergedError(
-                    f"non-finite activations at epoch {epoch}, batch offset {start}: {exc}"
-                ) from exc
+            param_cols, cache = net.forward(data.x[sel], train=True)
             if not np.all(np.isfinite(param_cols)):
                 raise TrainingDivergedError(
                     f"non-finite parameters at epoch {epoch}, batch offset {start}"

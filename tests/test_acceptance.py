@@ -27,7 +27,7 @@ from fhtsurv.metrics import concordance, evaluate
 from fhtsurv.network import NetworkSpec, init_network
 from fhtsurv.simulate import SimConfig, empirical_survival, simulate_fpt
 from fhtsurv.training import (
-    TrainConfig,
+    ModelConfig,
     brier_terms,
     fit,
     survival_and_grads,
@@ -209,18 +209,17 @@ def test_criterion_5_nonph_desk_scale_reproduction():
     start = time.time()
     data = generate_nonph(NonPhConfig(seed=1234))
     train, test = stratified_split(data, test_frac=0.2, seed=7)
-    spec = NetworkSpec(20, (16, 16), fht.DistKind.LEVY)
-    cfg = TrainConfig(epochs=450, batch_size=256, learning_rate=0.0039, seed=11)
+    cfg = ModelConfig("levy", (16, 16), epochs=450, batch_size=256, learning_rate=0.0039)
 
     cv_scores = []
     for val_idx in cv_folds(train, k=5, seed=3):
         mask = np.ones(len(train), dtype=bool)
         mask[val_idx] = False
-        model = fit(train[np.flatnonzero(mask)], spec, cfg)
+        model = fit(train[np.flatnonzero(mask)], cfg, seed=11)
         cv_scores.append(c_index(model.survival_matrix, train[val_idx]))
     cv_mean = float(np.mean(cv_scores))
 
-    model = fit(train, spec, cfg)
+    model = fit(train, cfg, seed=11)
     rep = evaluate(model.survival_matrix, test, n_resamples=100, seed=0)
     cox = fit_cox(train, tol=1e-6)
     c_cox = c_index(cox.survival_matrix, test)

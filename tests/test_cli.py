@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -23,7 +24,7 @@ from fhtsurv.data import (
 from fhtsurv.interpret import risk_grid
 from fhtsurv.metrics import evaluate
 from fhtsurv.modelio import read_json
-from fhtsurv.training import FittedModel
+from fhtsurv.training import FittedModel, ModelConfig
 
 
 def sha(path):
@@ -189,9 +190,9 @@ class TestCompare:
         sections = read_json(path)
         assert set(sections) <= {"levy", "invgauss"}
         resolved = {k: _model_config(None, v) for k, v in sections.items()}
-        assert resolved["invgauss"]["epochs"] == 200
-        assert resolved["invgauss"]["batch_size"] == 64
-        assert resolved["invgauss"]["learning_rate"] == 0.0028
+        assert resolved["invgauss"].epochs == 200
+        assert resolved["invgauss"].batch_size == 64
+        assert resolved["invgauss"].learning_rate == 0.0028
 
 
 class TestRiskmap:
@@ -216,6 +217,23 @@ class TestRiskmap:
         data = apply_preprocess(model.recipe, load_csv(small_csv))
         rmap = risk_grid(model, data, resolution=12)
         assert np.array_equal(cells[:, 2], rmap.grid.ravel())
+
+
+    def test_overlay_lists_the_overlay_file(self, trained_model, small_csv, tmp_path):
+        overlay_csv = tmp_path / "overlay-records.csv"
+        write_csv(generate_nonph(NonPhConfig(seed=4, n_raw=300, n_keep=50)), str(overlay_csv))
+        out = tmp_path / "grid.csv"
+        rc = main(["riskmap", "--model", trained_model, "--data", small_csv,
+                   "--overlay-data", str(overlay_csv), "--out", str(out), "--resolution", "8"])
+        assert rc == 0
+        lines = (tmp_path / "grid.overlay.csv").read_text().splitlines()
+        assert len(lines) == 1 + 50
+        cells = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        model = FittedModel.load(trained_model)
+        records = apply_preprocess(model.recipe, load_csv(str(overlay_csv)))
+        assert np.array_equal(cells[:, :2], model.params_for(records.x))
+        assert np.array_equal(cells[:, 2], records.time)
+        assert np.array_equal(cells[:, 3], records.delta)
 
 
 class TestSimulate:
@@ -379,6 +397,54 @@ def test_train_checks_the_distribution_before_reading_data(small_csv, tmp_path, 
     assert not out.exists()
 
 
+def test_batch_of_one_with_hidden_layers_rejected_before_reading_data(small_csv, tmp_path,
+                                                                      capsys, monkeypatch):
+    # batch normalization skips one-row batches, so this would train nothing
+    monkeypatch.setattr(cli, "fit", _must_not_run)
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"batch_size": 1, "epochs": 3, "hidden_sizes": [4]}))
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", small_csv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert ("model config key 'batch_size' must be >= 2 when 'hidden_sizes' is not empty"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_generate_refuses_a_seed_in_its_config(tmp_path, capsys):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"seed": 9, "n_raw": 500, "n_keep": 100}))
+    out = tmp_path / "nonph.csv"
+    assert main(["generate", "--out", str(out), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "'seed'" in err and "use --seed" in err
+    assert not out.exists()
+
+
+def test_compare_refuses_a_section_of_another_distribution(small_csv, tmp_path, capsys,
+                                                           monkeypatch):
+    monkeypatch.setattr(cli, "fit", _must_not_run)
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    cfg = tmp_path / "cmp.json"
+    cfg.write_text(json.dumps({"levy": {"distribution": "invgauss", "epochs": 1}}))
+    out = tmp_path / "compare.json"
+    assert main(["compare", "--data", small_csv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert ("compare config section 'levy' sets 'distribution' to 'invgauss'; leave it out, "
+            "the section's name sets it" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_eval_refuses_another_model_file_version(trained_model, small_csv, tmp_path, capsys,
+                                                 monkeypatch):
+    model = tmp_path / "v99.json"
+    model.write_text(json.dumps(dict(read_json(trained_model), version=99)))
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    out = tmp_path / "report.json"
+    assert main(["eval", "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
+    assert "unsupported model file version 99" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["compare", "--folds", "1"], "--folds must be 0 (no cross-validation) or >= 2, got 1"),
     (["compare", "--folds", "-3"], "--folds must be 0 (no cross-validation) or >= 2, got -3"),
@@ -470,7 +536,8 @@ class TestReadme:
         text = "\n".join(self.readme_lines())
         start = text.index("### Model config")
         block = re.search(r"```json\n(.*?)```", text[start:], re.S).group(1)
-        assert json.loads(block) == cli.DEFAULT_MODEL_CONFIG
+        defaults = {**dataclasses.asdict(ModelConfig()), **cli.FIXED_CONFIG}
+        assert json.loads(block) == json.loads(json.dumps(defaults))
 
     def test_library_sketch_binds(self):
         # every call of an imported fhtsurv name matches its current signature
@@ -499,7 +566,7 @@ class TestReadme:
             except TypeError as exc:
                 pytest.fail(f"README line {call.lineno}: {ast.unparse(call)}: {exc}")
             bound.add(func.__name__)
-        assert {"fit", "evaluate", "NetworkSpec", "TrainConfig"} <= bound
+        assert {"fit", "evaluate", "ModelConfig"} <= bound
 
     def test_report_keys_match_the_evaluation_reports_entry(self):
         text = " ".join(self.readme_lines())

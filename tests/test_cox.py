@@ -141,6 +141,14 @@ class TestSerialization:
             model.survival_matrix(d.x[:5], ts), clone.survival_matrix(d.x[:5], ts)
         )
 
+    def test_version_must_be_1(self):
+        rng = np.random.default_rng(3)
+        d = make_data(rng.normal(size=(40, 2)), rng.exponential(1, 40) + 0.01,
+                      np.ones(40, dtype=int))
+        obj = dict(fit_cox(d).to_dict(), version=99)
+        with pytest.raises(ValueError, match="unsupported model file version 99"):
+            CoxModel.from_dict(obj)
+
     def test_loglik_nondecreasing_over_newton_path(self):
         # indirectly verified by convergence; here check the reported state
         rng = np.random.default_rng(5)

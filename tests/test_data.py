@@ -355,6 +355,14 @@ class TestSurvivalData:
             d[0]
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_feature_rejected(self, bad):
+        x = np.zeros((3, 2))
+        x[1, 1] = bad
+        with pytest.raises(ValueError, match=rf"features must be finite, got {bad} at index 1, "
+                                             r"column 'b'"):
+            SurvivalData(x, [1.0, 2.0, 3.0], [1, 1, 1], ["a", "b"])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_time_rejected(self, bad):
         with pytest.raises(ValueError, match=rf"times must be finite and > 0, got {bad} at index 1"):
             SurvivalData(np.zeros((3, 1)), [1.0, bad, 2.0], [1, 1, 1])

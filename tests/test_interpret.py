@@ -15,8 +15,7 @@ from fhtsurv.interpret import (
     idw_time,
     risk_grid,
 )
-from fhtsurv.network import NetworkSpec
-from fhtsurv.training import TrainConfig, fit
+from fhtsurv.training import ModelConfig, fit
 
 import oracles
 
@@ -152,8 +151,7 @@ def tiny_model(kind=fht.DistKind.LEVY, n=60, seed=0):
     t = np.exp(0.5 * x[:, 0]) * rng.exponential(1.0, n) + 0.01
     delta = (rng.random(n) > 0.2).astype(int)
     data = SurvivalData(x, t, delta, ["a", "b", "c"])
-    spec = NetworkSpec(3, (6,), kind)
-    model = fit(data, spec, TrainConfig(3, 32, 0.01, seed=1))
+    model = fit(data, ModelConfig(kind.value, (6,), 3, 32, 0.01), seed=1)
     return model, data
 
 
@@ -210,8 +208,7 @@ class TestRiskGrid:
 
         data = generate_nonph(NonPhConfig(seed=21, n_raw=2000, n_keep=800))
         train, test = stratified_split(data, 0.2, seed=0)
-        spec = NetworkSpec(20, (16, 16), fht.DistKind.LEVY)
-        model = fit(train, spec, TrainConfig(60, 256, 0.0039, seed=2))
+        model = fit(train, ModelConfig("levy", (16, 16), 60, 256, 0.0039), seed=2)
         params = model.params_for(test.x)
         coords = np.column_stack([params[:, 0], np.log(params[:, 1])])
         coords -= coords.mean(axis=0)

@@ -233,7 +233,7 @@ class TestSerialization:
 
 
 class TestSpec:
-    @pytest.mark.parametrize("hidden", [(0,), (4, -1), (2.5,), ("8",)])
+    @pytest.mark.parametrize("hidden", [(0,), (4, -1), (2.5,), ("8",), (True,)])
     def test_bad_widths_rejected(self, hidden):
         with pytest.raises(ValueError, match="hidden layer widths"):
             NetworkSpec(3, hidden, DistKind.LEVY)

@@ -80,6 +80,34 @@ class TestSimulate:
         b = simulate_fpt(fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=2))
         assert np.array_equal(a.hit_times, b.hit_times)
 
+    def test_no_more_workers_than_blocks(self, monkeypatch):
+        # a stand-in pool that records its size and maps serially, so no
+        # process is started
+        import fhtsurv.simulate as sim_mod
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sim_mod, "ProcessPoolExecutor", SerialPool)
+        base = dict(n_paths=2 * sim_mod._BLOCK_PATHS, dt=1e-1, t_max=1.0, seed=7,
+                    bridge_correction=True)
+        a = simulate_fpt(fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=4))
+        assert sizes == [2]
+        b = simulate_fpt(fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=1))
+        assert np.array_equal(a.hit_times, b.hit_times)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(n_paths=0)

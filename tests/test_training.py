@@ -9,7 +9,7 @@ from fhtsurv.metrics import kaplan_meier
 from fhtsurv.network import NetworkSpec, init_network
 from fhtsurv.training import (
     FittedModel,
-    TrainConfig,
+    ModelConfig,
     TrainingDivergedError,
     _subsample_times,
     brier_terms,
@@ -105,6 +105,10 @@ def toy_spec(kind=fht.DistKind.LEVY):
     return NetworkSpec(4, (8,), kind)
 
 
+def toy_cfg(epochs, batch_size, learning_rate, kind=fht.DistKind.LEVY):
+    return ModelConfig(kind.value, (8,), epochs, batch_size, learning_rate)
+
+
 def subsample_loop_ref(times_sorted, cap, rng):
     """The strata drawn one at a time, as ``np.array_split`` cuts them."""
     if times_sorted.size <= cap:
@@ -134,17 +138,16 @@ class TestSubsampleTimes:
 class TestFit:
     def test_bit_reproducible(self):
         d = toy_data()
-        cfg = TrainConfig(epochs=4, batch_size=32, learning_rate=0.01, seed=5)
-        m1 = fit(d, toy_spec(), cfg)
-        m2 = fit(d, toy_spec(), cfg)
+        cfg = toy_cfg(epochs=4, batch_size=32, learning_rate=0.01)
+        m1 = fit(d, cfg, seed=5)
+        m2 = fit(d, cfg, seed=5)
         for k in m1.network.weights:
             assert np.array_equal(m1.network.weights[k], m2.network.weights[k])
         assert m1.loss_trace == m2.loss_trace
 
     def test_zero_epochs_returns_initialized_network(self):
         d = toy_data()
-        cfg = TrainConfig(epochs=0, batch_size=32, learning_rate=0.01, seed=5)
-        m = fit(d, toy_spec(), cfg)
+        m = fit(d, toy_cfg(epochs=0, batch_size=32, learning_rate=0.01), seed=5)
         ref = init_network(toy_spec(), seed=np.random.SeedSequence(5).spawn(3)[0])
         for k in ref.weights:
             assert np.array_equal(m.network.weights[k], ref.weights[k])
@@ -153,12 +156,12 @@ class TestFit:
         d = toy_data()
         d.delta[:] = 0
         with pytest.raises(ValueError):
-            fit(d, toy_spec(), TrainConfig(1, 32, 0.01))
+            fit(d, toy_cfg(1, 32, 0.01))
 
     @pytest.mark.parametrize("rate", [0.0, -0.01, np.inf, np.nan])
     def test_learning_rate_must_be_finite_and_positive(self, rate):
-        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
-            TrainConfig(1, 32, rate)
+        with pytest.raises(ValueError, match="'learning_rate' must be a finite number > 0"):
+            ModelConfig(learning_rate=rate)
 
     def test_divergence_aborts_with_diagnostic(self, monkeypatch):
         # the stable links and saturating survival make organic blow-ups
@@ -176,9 +179,8 @@ class TestFit:
 
         monkeypatch.setattr(tr_mod, "survival_and_grads", poisoned)
         d = toy_data()
-        cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=0.01, seed=0)
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
-            fit(d, toy_spec(), cfg)
+            fit(d, toy_cfg(epochs=2, batch_size=64, learning_rate=0.01))
 
     def test_marginal_survival_tracks_kaplan_meier(self):
         # exponential times, covariates carry no signal: the fitted marginal
@@ -196,9 +198,9 @@ class TestFit:
             np.ones(n, dtype=int),
             ["a", "b", "c"],
         )
-        spec = NetworkSpec(3, (8,), fht.DistKind.INVERSE_GAUSSIAN)
-        cfg = TrainConfig(epochs=300, batch_size=128, learning_rate=0.03, seed=2)
-        m = fit(d, spec, cfg)
+        cfg = toy_cfg(epochs=300, batch_size=128, learning_rate=0.03,
+                      kind=fht.DistKind.INVERSE_GAUSSIAN)
+        m = fit(d, cfg, seed=2)
         km = kaplan_meier(d.time, d.delta)
         grid = np.quantile(d.time, np.linspace(0.25, 0.75, 20))
         model_marginal = m.survival_matrix(d.x, grid).mean(axis=0)
@@ -211,9 +213,7 @@ class TestFit:
         d = generate_nonph(NonPhConfig(n_raw=1500, n_keep=320, seed=3))
         ok = 0
         for seed in range(10):
-            cfg = TrainConfig(epochs=10, batch_size=64, learning_rate=0.005, seed=seed)
-            spec = NetworkSpec(20, (8,), fht.DistKind.LEVY)
-            m = fit(d, spec, cfg)
+            m = fit(d, toy_cfg(epochs=10, batch_size=64, learning_rate=0.005), seed=seed)
             diffs = np.diff(m.loss_trace)
             if np.all(diffs < 0):
                 ok += 1
@@ -222,30 +222,46 @@ class TestFit:
     @pytest.mark.parametrize("kind", [fht.DistKind.LEVY, fht.DistKind.INVERSE_GAUSSIAN])
     def test_both_kinds_train(self, kind):
         d = toy_data(80, seed=1)
-        cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.01, seed=1)
-        m = fit(d, toy_spec(kind), cfg)
+        m = fit(d, toy_cfg(epochs=3, batch_size=32, learning_rate=0.01, kind=kind), seed=1)
         s = m.survival_matrix(d.x[:5], np.array([0.5, 1.0, 2.0]))
         assert np.all((s >= 0) & (s <= 1))
         assert np.all(np.diff(s, axis=1) <= 1e-12)
 
 
-class TestInputWidth:
-    def test_width_mismatch_names_both_widths(self):
-        d = toy_data(40, seed=1)  # 4 feature columns
-        spec = NetworkSpec(3, (8,), fht.DistKind.LEVY)
-        with pytest.raises(ValueError, match="4 feature columns.*input_dim 3"):
-            fit(d, spec, TrainConfig(1, 16, 0.01))
+class TestModelConfig:
+    @pytest.mark.parametrize("key,value", [("epochs", 2.5), ("batch_size", True),
+                                           ("hidden_sizes", (True,)), ("hidden_sizes", "16"),
+                                           ("distribution", "gamma")])
+    def test_names_the_field_it_rejects(self, key, value):
+        with pytest.raises(ValueError, match=f"^'{key}' must be"):
+            ModelConfig(**{key: value})
+
+    def test_numpy_integers_train_and_save(self):
+        cfg = ModelConfig(hidden_sizes=[np.int64(8)], epochs=np.int64(1), batch_size=np.int32(32))
+        assert cfg.hidden_sizes == (8,)
+        m = fit(toy_data(40, seed=1), cfg)
+        assert FittedModel.from_dict(m.to_dict()).network.spec.hidden == (8,)
+
+    def test_batch_of_one_needs_no_hidden_layer(self):
+        with pytest.raises(ValueError, match="'batch_size' must be >= 2 when 'hidden_sizes'"):
+            ModelConfig(hidden_sizes=(4,), batch_size=1)
+        d = toy_data(40, seed=1)
+        m = fit(d, ModelConfig(hidden_sizes=(), epochs=2, batch_size=1, learning_rate=0.01))
+        assert all(loss > 0.0 for loss in m.loss_trace)
+        untrained = init_network(NetworkSpec(4, (), fht.DistKind.LEVY),
+                                 seed=np.random.SeedSequence(0).spawn(3)[0])
+        assert not np.array_equal(m.network.weights["out.w"], untrained.weights["out.w"])
 
 
 class TestPredict:
     def test_limit_at_small_time(self):
         d = toy_data(60, seed=2)
-        m = fit(d, toy_spec(), TrainConfig(2, 32, 0.01, seed=3))
+        m = fit(d, toy_cfg(2, 32, 0.01), seed=3)
         assert m.survival_matrix(d.x[:1], 1e-9)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_manual_composition(self):
         d = toy_data(60, seed=2)
-        m = fit(d, toy_spec(), TrainConfig(2, 32, 0.01, seed=3))
+        m = fit(d, toy_cfg(2, 32, 0.01), seed=3)
         x = d.x[:7]
         ts = np.array([0.3, 1.2, 4.0])
         cols, _ = m.network.forward(x)
@@ -254,7 +270,7 @@ class TestPredict:
 
     def test_monotone_over_grid(self):
         d = toy_data(60, seed=4)
-        m = fit(d, toy_spec(fht.DistKind.INVERSE_GAUSSIAN), TrainConfig(2, 32, 0.01, seed=3))
+        m = fit(d, toy_cfg(2, 32, 0.01, fht.DistKind.INVERSE_GAUSSIAN), seed=3)
         s = m.survival_matrix(d.x[:1], np.geomspace(0.01, 20, 50))[0]
         assert np.all(np.diff(s) <= 1e-15)
 
@@ -262,10 +278,15 @@ class TestPredict:
 class TestModelFile:
     def test_kind_is_the_networks(self):
         kind = fht.DistKind.INVERSE_GAUSSIAN
-        m = fit(toy_data(40, seed=1), toy_spec(kind), TrainConfig(1, 32, 0.01))
+        m = fit(toy_data(40, seed=1), toy_cfg(1, 32, 0.01, kind))
         assert m.kind is kind
         back = FittedModel.from_dict(m.to_dict())
         assert back.kind is kind and back.to_dict() == m.to_dict()
+
+    def test_envelope_version_must_be_1(self):
+        obj = dict(fit(toy_data(40, seed=1), toy_cfg(1, 32, 0.01)).to_dict(), version=99)
+        with pytest.raises(ValueError, match="unsupported model file version 99"):
+            FittedModel.from_dict(obj)
 
     def test_envelope_kind_must_match_payload(self):
         obj = {"format": "fhtsurv-model", "version": 1, "kind": "invgauss",
