@@ -38,7 +38,7 @@ from .data import (
     write_csv,
 )
 from .interpret import risk_grid
-from .metrics import concordance, evaluate
+from .metrics import MetricUndefinedError, concordance, evaluate
 from .modelio import read_json, write_json_atomic
 from .simulate import SimConfig, empirical_survival, simulate_fpt, write_samples_csv
 from .training import EVAL_TIME_CAP, FittedModel, ModelConfig, fit
@@ -140,11 +140,15 @@ def cmd_eval(args):
 
 def _cv_scores(data, cfg, folds, seed):
     scores = []
-    for val_idx in cv_folds(data, k=folds, seed=seed):
+    for i, val_idx in enumerate(cv_folds(data, k=folds, seed=seed)):
         mask = np.ones(len(data), dtype=bool)
         mask[val_idx] = False
         model = fit(data[np.flatnonzero(mask)], cfg, seed)
-        scores.append(concordance(model.survival_matrix, data[val_idx])[0])
+        try:
+            scores.append(concordance(model.survival_matrix, data[val_idx])[0])
+        except MetricUndefinedError as exc:
+            raise ValueError(f"cross-validation fold {i + 1} of --folds {folds} "
+                             f"({val_idx.size} validation rows): {exc}") from None
     return scores
 
 
@@ -163,6 +167,9 @@ def cmd_compare(args):
     cfgs = {}
     for kind in ("levy", "invgauss"):
         section = full_cfg.get(kind, {})
+        if not isinstance(section, dict):
+            raise ValueError(f"compare config section '{kind}' must be a JSON object, "
+                             f"got {section!r}")
         if section.get("distribution", kind) != kind:
             raise ValueError(
                 f"compare config section '{kind}' sets 'distribution' to "

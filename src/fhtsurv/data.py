@@ -294,6 +294,8 @@ class PreprocessRecipe:
     def from_dict(cls, obj: dict) -> "PreprocessRecipe":
         if obj.get("format") != "fhtsurv-recipe":
             raise ValueError("not a recipe")
+        if obj.get("version") != 1:
+            raise ValueError(f"unsupported recipe version {obj.get('version')!r}")
         return cls(
             columns=tuple(
                 ColumnTransform(**{k: tuple(v) if isinstance(v, list) else v for k, v in c.items()})

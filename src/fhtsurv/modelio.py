@@ -47,5 +47,9 @@ def write_json_atomic(path, obj) -> None:
 
 
 def read_json(path) -> dict:
+    """The JSON object a file holds; any other top-level value is refused."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} holds a JSON {type(obj).__name__}, not an object")
+    return obj

@@ -18,6 +18,10 @@ bias chosen so an untrained network starts near x0 = 1 and a second
 parameter of magnitude ``second_init`` (D = 1, or mu = -0.1), which keeps
 the initial survival curves away from the saturated regions of erf/Phi.
 
+A network is its kind plus its weight arrays, whose shapes define the
+architecture: the input and hidden widths are read from the weight
+matrices, and a missing, extra or misshapen array is refused by name.
+
 Everything is plain numpy with explicit reverse-mode gradients; there is no
 autodiff.  Training-mode forward passes update batch-norm running
 statistics (momentum 0.9, variance epsilon 1e-5, biased batch variance);
@@ -25,9 +29,6 @@ eval-mode passes are pure functions of the weights and input.
 """
 
 from __future__ import annotations
-
-import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,23 +43,40 @@ N_DIST_PARAMS = 2
 _FIXED_LAYER_KEYS = {"batch_norm": True, "activation": "relu", "dropout": 0.0}
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
-    """Input width, the width of each hidden layer, and the distribution kind."""
+def _shapes(input_dim, hidden):
+    """Each weight array's name and shape for these widths, in layer order."""
+    shapes = {}
+    fan_in = input_dim
+    for i, width in enumerate(hidden):
+        shapes[f"h{i}.w"] = (fan_in, width)
+        for name in ("b", "gamma", "beta", "run_mean", "run_var"):
+            shapes[f"h{i}.{name}"] = (width,)
+        fan_in = width
+    shapes["out.w"] = (fan_in, N_DIST_PARAMS)
+    shapes["out.b"] = (N_DIST_PARAMS,)
+    return shapes
 
-    input_dim: int
-    hidden: tuple
-    kind: DistKind
 
-    def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        hidden = tuple(self.hidden)
-        if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool) and w >= 1
-                   for w in hidden):
-            raise ValueError(f"hidden layer widths must be positive integers, got {hidden!r}")
-        object.__setattr__(self, "hidden", tuple(int(w) for w in hidden))
-        object.__setattr__(self, "kind", DistKind(self.kind))
+def _architecture(weights):
+    """Input and hidden widths read from the weight matrices; a ValueError names
+    the first array that is missing, extra, misshapen or of a width below 1."""
+    matrices = [f"h{i}.w" for i in range(len(weights)) if f"h{i}.w" in weights] + ["out.w"]
+    for name in matrices:
+        if name not in weights:
+            raise ValueError(f"missing array '{name}'")
+        if weights[name].ndim != 2 or 0 in weights[name].shape:
+            raise ValueError(f"array '{name}' has shape {weights[name].shape}, expected a "
+                             "matrix with every width >= 1")
+    input_dim = weights[matrices[0]].shape[0]
+    hidden = tuple(weights[name].shape[1] for name in matrices[:-1])
+    expected = _shapes(input_dim, hidden)
+    for name in [*expected, *sorted(set(weights) - set(expected))]:
+        if name not in weights or name not in expected:
+            raise ValueError(f"{'missing' if name in expected else 'unexpected'} array '{name}'")
+        if weights[name].shape != expected[name]:
+            raise ValueError(f"array '{name}' has shape {weights[name].shape}, "
+                             f"expected {expected[name]}")
+    return input_dim, hidden
 
 
 def softplus(r):
@@ -88,31 +106,17 @@ def link_backward(kind: DistKind, raw: np.ndarray, d_params: np.ndarray) -> np.n
 
 
 class Network:
-    """Parameter container with explicit forward/backward passes."""
+    """Parameter container with explicit forward/backward passes; its input and
+    hidden widths are read from the weight arrays, checked on construction."""
 
-    def __init__(self, spec: NetworkSpec, weights):
-        self.spec = spec
+    def __init__(self, kind, weights):
+        self.kind = DistKind(kind)
         self.weights = weights  # dict name -> ndarray
-
-    # ------------------------------------------------------------------
-    # construction and parameter access
-
-    @property
-    def kind(self) -> DistKind:
-        return self.spec.kind
+        self.input_dim, self.hidden = _architecture(weights)
 
     def trainable_names(self):
-        names = []
-        for i in range(len(self.spec.hidden)):
-            names += [f"h{i}.w", f"h{i}.b", f"h{i}.gamma", f"h{i}.beta"]
-        names += ["out.w", "out.b"]
-        return names
-
-    def trainable_arrays(self):
-        return [self.weights[n] for n in self.trainable_names()]
-
-    def copy(self) -> "Network":
-        return Network(self.spec, {k: v.copy() for k, v in self.weights.items()})
+        return [name for name in _shapes(self.input_dim, self.hidden)
+                if not name.endswith((".run_mean", ".run_var"))]
 
     # ------------------------------------------------------------------
     # forward / backward
@@ -124,14 +128,14 @@ class Network:
         running statistics; eval mode is a pure function of weights and input.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise ValueError(f"expected batch of shape (n, {self.spec.input_dim})")
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ValueError(f"expected batch of shape (n, {self.input_dim})")
         if not np.all(np.isfinite(x)):
             raise ValueError("batch contains non-finite values")
         n = x.shape[0]
         cache = {"x": x, "train": train, "layers": []}
         a = x
-        for i in range(len(self.spec.hidden)):
+        for i in range(len(self.hidden)):
             lc = {"a_in": a}
             z = a @ self.weights[f"h{i}.w"] + self.weights[f"h{i}.b"]
             if train:
@@ -173,7 +177,7 @@ class Network:
         grads["out.w"] = cache["a_last"].T @ d_raw
         grads["out.b"] = d_raw.sum(axis=0)
         d_a = d_raw @ self.weights["out.w"].T
-        for i in range(len(self.spec.hidden) - 1, -1, -1):
+        for i in range(len(self.hidden) - 1, -1, -1):
             lc = cache["layers"][i]
             d_y = d_a * (lc["act_in"] > 0.0)
             zhat, inv_std = lc["zhat"], lc["inv_std"]
@@ -201,8 +205,8 @@ class Network:
             "format": "fhtsurv-network",
             "version": 1,
             "kind": self.kind.value,
-            "input_dim": self.spec.input_dim,
-            "hidden": [{"width": w} for w in self.spec.hidden],
+            "input_dim": self.input_dim,
+            "hidden": [{"width": w} for w in self.hidden],
             "arrays": {k: encode_array(v) for k, v in sorted(self.weights.items())},
         }
 
@@ -219,34 +223,27 @@ class Network:
                         f"hidden layer {i}: {key}={h[key]!r} is not supported; every "
                         "hidden layer is batch-normalized ReLU without dropout"
                     )
-        spec = NetworkSpec(
-            input_dim=obj["input_dim"],
-            hidden=tuple(h["width"] for h in obj["hidden"]),
-            kind=DistKind(obj["kind"]),
-        )
         weights = {k: decode_array(v) for k, v in obj["arrays"].items()}
-        return cls(spec, weights)
+        net = cls(obj["kind"], weights)
+        declared = [obj.get("input_dim"), *(h.get("width") for h in obj["hidden"])]
+        # JSON integers only: True == 1 and 8.0 == 8 would pass the comparison
+        if declared != [net.input_dim, *net.hidden] or any(type(w) is not int for w in declared):
+            raise ValueError(f"network file declares input then hidden widths {declared}, but "
+                             f"its arrays have {[net.input_dim, *net.hidden]}")
+        return net
 
 
-def init_network(spec: NetworkSpec, seed=0) -> Network:
+def init_network(kind, input_dim, hidden, seed=0) -> Network:
     """Reproducibly initialize a network (see module docstring for scheme)."""
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(root.spawn(1)[0])
-    weights = {}
-    fan_in = spec.input_dim
-    for i, width in enumerate(spec.hidden):
-        weights[f"h{i}.w"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, width))
-        weights[f"h{i}.b"] = np.zeros(width)
-        weights[f"h{i}.gamma"] = np.ones(width)
-        weights[f"h{i}.beta"] = np.zeros(width)
-        weights[f"h{i}.run_mean"] = np.zeros(width)
-        weights[f"h{i}.run_var"] = np.ones(width)
-        fan_in = width
-    weights["out.w"] = rng.normal(
-        0.0, np.sqrt(2.0 / (fan_in + N_DIST_PARAMS)), size=(fan_in, N_DIST_PARAMS)
-    )
-    second = params_class(spec.kind).second_init
-    weights["out.b"] = np.array(
-        [_inv_softplus(1.0 - LINK_EPS), _inv_softplus(second - LINK_EPS)]
-    )
-    return Network(spec, weights)
+    net = Network(kind, {name: np.zeros(shape) for name, shape in _shapes(input_dim, hidden).items()})
+    for name, w in net.weights.items():
+        if name.endswith(".w"):
+            fan = sum(w.shape) if name == "out.w" else w.shape[0]
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / fan), size=w.shape)
+        elif name.endswith((".gamma", ".run_var")):
+            w[...] = 1.0
+    second = params_class(kind).second_init
+    net.weights["out.b"][...] = [_inv_softplus(1.0 - LINK_EPS), _inv_softplus(second - LINK_EPS)]
+    return net

@@ -20,8 +20,9 @@ Gradients flow from the loss through the closed-form survival functions
 (analytic parameter partials) into the network via its reverse pass.
 
 ``ModelConfig`` is the model config: its fields are the config file's keys,
-and its checks are the only ones made on their values.  ``fit`` builds the
-network from it, as wide as the data has feature columns.
+and its checks are the only ones made on their values.  ``fit`` initializes
+a network of the config's kind and hidden widths, as wide as the data has
+feature columns, and returns the trained network itself.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import fht
 from .data import PreprocessRecipe
 from .fht import DistKind
 from .modelio import read_json, write_json_atomic
-from .network import Network, NetworkSpec, init_network
+from .network import Network, init_network
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -219,30 +220,30 @@ def fit(data, cfg: ModelConfig, seed=0, *, recipe=None) -> FittedModel:
     """Train a network of ``cfg``'s kind and hidden widths, as wide as the
     data has feature columns, on survival data; bit-reproducible for a given
     seed."""
-    net_spec = NetworkSpec(data.x.shape[1], cfg.hidden_sizes, cfg.distribution)
-    kind = net_spec.kind
+    if data.x.shape[1] == 0:
+        raise ValueError("training data has no feature column")
     n = len(data)
     u_full = unique_event_times(data.time, data.delta)
     if u_full.size == 0:
         raise ValueError("training data has no uncensored subject")
     root = np.random.SeedSequence(seed)
     init_seq, shuffle_seq, times_seq = root.spawn(3)
-    net = init_network(net_spec, seed=init_seq)
+    net = init_network(cfg.distribution, data.x.shape[1], cfg.hidden_sizes, seed=init_seq)
     shuffle_rng = np.random.default_rng(shuffle_seq)
     times_rng = np.random.default_rng(times_seq)
 
-    arrays = net.trainable_arrays()
+    names = net.trainable_names()
+    arrays = [net.weights[nm] for nm in names]
     opt = _Adam(arrays, cfg.learning_rate)
 
     trace = []
-    names = net.trainable_names()
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         epoch_count = 0
         for start in range(0, n, cfg.batch_size):
             sel = perm[start : start + cfg.batch_size]
-            if sel.size < 2 and net_spec.hidden:
+            if sel.size < 2 and net.hidden:
                 continue  # batch-norm variance undefined for a singleton batch
             u_batch = _subsample_times(u_full, EVAL_TIME_CAP, times_rng)
             param_cols, cache = net.forward(data.x[sel], train=True)
@@ -250,7 +251,7 @@ def fit(data, cfg: ModelConfig, seed=0, *, recipe=None) -> FittedModel:
                 raise TrainingDivergedError(
                     f"non-finite parameters at epoch {epoch}, batch offset {start}"
                 )
-            surv, g0, g1 = survival_and_grads(kind, param_cols, u_batch)
+            surv, g0, g1 = survival_and_grads(net.kind, param_cols, u_batch)
             loss, d_surv = brier_terms(surv, u_batch, data.time[sel], data.delta[sel])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
@@ -264,4 +265,4 @@ def fit(data, cfg: ModelConfig, seed=0, *, recipe=None) -> FittedModel:
             epoch_loss += loss * sel.size
             epoch_count += sel.size
         trace.append(epoch_loss / max(epoch_count, 1))
-    return FittedModel(network=net.copy(), recipe=recipe, loss_trace=trace)
+    return FittedModel(network=net, recipe=recipe, loss_trace=trace)

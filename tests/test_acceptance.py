@@ -24,7 +24,7 @@ from fhtsurv.data import (
 )
 from fhtsurv.interpret import idw_time
 from fhtsurv.metrics import concordance, evaluate
-from fhtsurv.network import NetworkSpec, init_network
+from fhtsurv.network import init_network
 from fhtsurv.simulate import SimConfig, empirical_survival, simulate_fpt
 from fhtsurv.training import (
     ModelConfig,
@@ -113,8 +113,7 @@ def test_criterion_3_end_to_end_gradients(kind):
     """Brier-loss gradients of every trainable match central differences
     (step 1e-5) with max relative error < 1e-4 on a 4-subject toy."""
     rng = np.random.default_rng(8)
-    spec = NetworkSpec(3, (5, 4), kind)
-    net = init_network(spec, seed=7)
+    net = init_network(kind, 3, (5, 4), seed=7)
     for i, width in enumerate((5, 4)):
         net.weights[f"h{i}.run_mean"] += rng.normal(0, 0.3, width)
         net.weights[f"h{i}.run_var"] *= np.exp(rng.normal(0, 0.3, width))

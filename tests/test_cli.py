@@ -515,6 +515,116 @@ def test_fixed_config_keys_at_their_value_still_load(small_csv, quick_cfg, train
     assert sha(out) == sha(trained_model)
 
 
+@pytest.mark.parametrize("command", ["train", "generate", "eval", "riskmap", "rerun"])
+def test_json_input_must_be_an_object(command, small_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "fit", _must_not_run)
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    out = tmp_path / "out.json"
+    flag = {"train": "--config", "generate": "--config", "eval": "--model",
+            "riskmap": "--model", "rerun": "--manifest"}[command]
+    data = [] if command in ("generate", "rerun") else ["--data", small_csv]
+    output = [] if command == "rerun" else ["--out", str(out)]
+    assert main([command, flag, str(path), *data, *output]) == 1
+    assert f"{path} holds a JSON list, not an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_section_must_be_an_object(small_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "fit", _must_not_run)
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    cfg = tmp_path / "cmp.json"
+    cfg.write_text(json.dumps({"levy": [1]}))
+    out = tmp_path / "compare.json"
+    assert main(["compare", "--data", small_csv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert "compare config section 'levy' must be a JSON object, got [1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_refuses_data_without_a_feature_column(tmp_path, capsys):
+    # the only feature is constant, so preprocessing drops it
+    path = tmp_path / "d.csv"
+    path.write_text("c,time,event\n" + "".join(f"1,{t},{t % 2}\n" for t in range(1, 9)))
+    out = tmp_path / "m.json"
+    with pytest.warns(UserWarning, match="dropping constant column 'c'"):
+        assert main(["train", "--data", str(path), "--out", str(out)]) == 1
+    assert "training data has no feature column" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_refuses_another_recipe_version(trained_model, small_csv, tmp_path, capsys,
+                                             monkeypatch):
+    obj = read_json(trained_model)
+    obj["recipe"]["version"] = 99
+    model = tmp_path / "recipe99.json"
+    model.write_text(json.dumps(obj))
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    out = tmp_path / "report.json"
+    assert main(["eval", "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
+    assert "unsupported recipe version 99" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _declare_width_9(payload):
+    payload["hidden"][0]["width"] = 9
+
+
+def _drop_gamma(payload):
+    del payload["arrays"]["h0.gamma"]
+
+
+def _declare_no_layer(payload):
+    payload["hidden"] = []
+
+
+def _add_an_array(payload):
+    payload["arrays"]["out.scale"] = payload["arrays"]["out.b"]
+
+
+def _declare_another_input_width(payload):
+    payload["input_dim"] += 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_declare_width_9, r"declares input then hidden widths \[\d+, 9\], but its arrays have "
+                       r"\[\d+, 8\]"),
+    (_drop_gamma, "missing array 'h0.gamma'"),
+    (_declare_no_layer, r"declares input then hidden widths \[\d+\], but its arrays have "
+                        r"\[\d+, 8\]"),
+    (_add_an_array, "unexpected array 'out.scale'"),
+    (_declare_another_input_width, r"declares input then hidden widths \[(\d+), 8\], but its "
+                                   r"arrays have \[(?!\1\b)\d+, 8\]"),
+], ids=["declared-width", "missing-array", "declared-no-layer", "extra-array",
+        "declared-input-width"])
+def test_eval_refuses_a_network_its_arrays_contradict(edit, message, trained_model, small_csv,
+                                                     tmp_path, capsys, monkeypatch):
+    obj = read_json(trained_model)
+    edit(obj["payload"])
+    model = tmp_path / "edited.json"
+    model.write_text(json.dumps(obj))
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    out = tmp_path / "report.json"
+    assert main(["eval", "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_compare_names_the_fold_without_comparable_pairs(tmp_path, capsys):
+    # 80 records leave a 64-row training split, so 50 folds hold one or two rows each
+    path = tmp_path / "d.csv"
+    write_csv(generate_nonph(NonPhConfig(seed=3, n_raw=600, n_keep=80)), str(path))
+    section = {"epochs": 1, "hidden_sizes": []}
+    cfg = tmp_path / "cmp.json"
+    cfg.write_text(json.dumps({"levy": section, "invgauss": section}))
+    out = tmp_path / "compare.json"
+    assert main(["compare", "--data", str(path), "--config", str(cfg), "--out", str(out),
+                 "--folds", "50", "--bootstrap", "2"]) == 1
+    assert re.search(r"cross-validation fold \d+ of --folds 50 \(\d validation rows\): "
+                     "no comparable pairs", capsys.readouterr().err)
+    assert not out.exists()
+
+
 class TestReadme:
     ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -5,35 +5,33 @@ from fhtsurv.fht import DistKind
 from fhtsurv.network import (
     LINK_EPS,
     Network,
-    NetworkSpec,
     init_network,
     link_forward,
     softplus,
 )
 
 
-def small_spec(kind=DistKind.LEVY):
-    return NetworkSpec(3, (5, 4), kind)
+def small_net(kind=DistKind.LEVY, seed=0):
+    return init_network(kind, 3, (5, 4), seed=seed)
 
 
 class TestInit:
     def test_same_seed_bit_identical(self):
-        a = init_network(small_spec(), seed=42)
-        b = init_network(small_spec(), seed=42)
+        a = small_net(seed=42)
+        b = small_net(seed=42)
         assert a.weights.keys() == b.weights.keys()
         for k in a.weights:
             assert np.array_equal(a.weights[k], b.weights[k])
 
     def test_different_seeds_differ(self):
-        a = init_network(small_spec(), seed=1)
-        b = init_network(small_spec(), seed=2)
+        a = small_net(seed=1)
+        b = small_net(seed=2)
         assert any(not np.array_equal(a.weights[k], b.weights[k]) for k in a.weights)
 
     def test_fan_in_scaling_variance(self):
         # He scaling: pre-activation variance about 2x input variance
         rng = np.random.default_rng(0)
-        spec = NetworkSpec(64, (64,), DistKind.LEVY)
-        net = init_network(spec, seed=5)
+        net = init_network(DistKind.LEVY, 64, (64,), seed=5)
         x = rng.standard_normal((10000, 64))
         z = x @ net.weights["h0.w"] + net.weights["h0.b"]
         ratio = z.var() / 2.0
@@ -41,11 +39,11 @@ class TestInit:
 
     def test_initial_params_near_targets(self):
         x = np.zeros((4, 3))
-        levy = init_network(small_spec(DistKind.LEVY), seed=0)
+        levy = small_net(DistKind.LEVY)
         cols, _ = levy.forward(x)
         assert np.allclose(cols[:, 0], 1.0, atol=1e-9)
         assert np.allclose(cols[:, 1], 1.0, atol=1e-9)
-        ig = init_network(small_spec(DistKind.INVERSE_GAUSSIAN), seed=0)
+        ig = small_net(DistKind.INVERSE_GAUSSIAN)
         cols, _ = ig.forward(x)
         assert np.allclose(cols[:, 0], 1.0, atol=1e-9)
         assert np.allclose(cols[:, 1], -0.1, atol=1e-9)
@@ -60,8 +58,7 @@ class TestLink:
         assert np.all(ig[:, 0] > 0) and np.all(ig[:, 1] < 0)
 
     def test_zero_weight_network_constant_params(self):
-        spec = small_spec()
-        net = init_network(spec, seed=0)
+        net = small_net()
         for name in net.trainable_names():
             net.weights[name][...] = 0.0
         x = np.random.default_rng(1).normal(size=(6, 3))
@@ -72,15 +69,14 @@ class TestLink:
 
 class TestForward:
     def test_eval_deterministic(self):
-        net = init_network(small_spec(), seed=9)
+        net = small_net(seed=9)
         x = np.random.default_rng(2).normal(size=(5, 3))
         a, _ = net.forward(x)
         b, _ = net.forward(x)
         assert np.array_equal(a, b)
 
     def test_train_batchnorm_standardizes_preactivations(self):
-        spec = small_spec()
-        net = init_network(spec, seed=11)
+        net = small_net(seed=11)
         x = np.random.default_rng(3).normal(size=(8, 3)) * 3.0 + 1.0
         _, cache = net.forward(x, train=True)
         zhat = cache["layers"][0]["zhat"]
@@ -88,15 +84,14 @@ class TestForward:
         assert np.allclose(zhat.var(axis=0), 1.0, atol=1e-3)
 
     def test_train_batch_of_one_rejected(self):
-        net = init_network(small_spec(), seed=0)
+        net = small_net()
         with pytest.raises(ValueError):
             net.forward(np.zeros((1, 3)), train=True)
 
     def test_running_stats_converge_and_eval_stabilizes(self):
         # epochs over a fixed dataset drive the running statistics to a
         # periodic fixed point; successive-epoch eval outputs stabilize
-        spec = small_spec()
-        net = init_network(spec, seed=8)
+        net = small_net(seed=8)
         rng = np.random.default_rng(6)
         batches = [rng.normal(size=(32, 3)) + 0.5 for _ in range(8)]
         probe = rng.normal(size=(16, 3))
@@ -112,7 +107,7 @@ class TestForward:
         assert drift < 1e-3
 
     def test_shape_validation(self):
-        net = init_network(small_spec(), seed=0)
+        net = small_net()
         with pytest.raises(ValueError):
             net.forward(np.zeros((4, 7)))
         with pytest.raises(ValueError):
@@ -121,14 +116,14 @@ class TestForward:
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
-        net = init_network(small_spec(), seed=1)
+        net = small_net(seed=1)
         x = np.random.default_rng(7).normal(size=(4, 3))
         _, cache = net.forward(x)
         grads = net.backward(cache, np.zeros((4, 2)))
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_shape_mismatch_rejected(self):
-        net = init_network(small_spec(), seed=1)
+        net = small_net(seed=1)
         x = np.random.default_rng(7).normal(size=(4, 3))
         _, cache = net.forward(x)
         with pytest.raises(ValueError):
@@ -136,8 +131,7 @@ class TestBackward:
 
     def test_single_affine_layer_matches_least_squares_gradient(self):
         # no hidden layers: raw = x @ W + b; take dL/draw for L = 0.5 ||raw - y||^2
-        spec = NetworkSpec(2, (), DistKind.LEVY)
-        net = init_network(spec, seed=2)
+        net = init_network(DistKind.LEVY, 2, (), seed=2)
         x = np.array([[1.0, 2.0], [3.0, -1.0]])
         y = np.array([[0.5, 0.1], [0.2, 0.4]])
         _, cache = net.forward(x)
@@ -155,8 +149,7 @@ class TestBackward:
         # quadratic loss on the linked parameters; train mode exercises the
         # batch-statistics path of the normalization backward
         rng = np.random.default_rng(10)
-        spec = NetworkSpec(3, (4, 3), DistKind.LEVY)
-        net = init_network(spec, seed=13)
+        net = init_network(DistKind.LEVY, 3, (4, 3), seed=13)
         x = rng.normal(size=(6, 3))
         target = rng.random((6, 2)) + 0.5
         base = {k: v.copy() for k, v in net.weights.items()}
@@ -195,13 +188,13 @@ class TestBackward:
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):
-        net = init_network(small_spec(DistKind.INVERSE_GAUSSIAN), seed=21)
+        net = small_net(DistKind.INVERSE_GAUSSIAN, seed=21)
         # push the running stats away from init so they round-trip too
         net.forward(np.random.default_rng(0).normal(size=(16, 3)), train=True)
         obj = net.to_dict()
         assert obj["hidden"] == [{"width": 5}, {"width": 4}]
         clone = Network.from_dict(obj)
-        assert clone.spec == net.spec
+        assert (clone.kind, clone.input_dim, clone.hidden) == (DistKind.INVERSE_GAUSSIAN, 3, (5, 4))
         for k in net.weights:
             assert np.array_equal(net.weights[k], clone.weights[k]), k
 
@@ -210,30 +203,42 @@ class TestSerialization:
             Network.from_dict({"format": "something-else"})
 
     def test_batch_norm_key_of_older_files(self):
-        net = init_network(small_spec(), seed=3)
+        net = small_net(seed=3)
         obj = net.to_dict()
         assert all("batch_norm" not in h for h in obj["hidden"])
         for h in obj["hidden"]:
             h["batch_norm"] = True
-        assert Network.from_dict(obj).spec == net.spec
+        assert Network.from_dict(obj).hidden == (5, 4)
         obj["hidden"][1]["batch_norm"] = False
         with pytest.raises(ValueError, match="hidden layer 1"):
             Network.from_dict(obj)
 
     @pytest.mark.parametrize("key,value,other", [("activation", "relu", "elu"), ("dropout", 0.0, 0.5)])
     def test_layer_keys_of_older_files(self, key, value, other):
-        net = init_network(small_spec(), seed=3)
+        net = small_net(seed=3)
         obj = net.to_dict()
         for h in obj["hidden"]:
             h[key] = value
-        assert Network.from_dict(obj).spec == net.spec
+        assert Network.from_dict(obj).hidden == (5, 4)
         obj["hidden"][1][key] = other
         with pytest.raises(ValueError, match=f"hidden layer 1: {key}="):
             Network.from_dict(obj)
 
 
 class TestSpec:
+    """The arrays define the architecture; a file's declared widths must match them."""
+
     @pytest.mark.parametrize("hidden", [(0,), (4, -1), (2.5,), ("8",), (True,)])
     def test_bad_widths_rejected(self, hidden):
-        with pytest.raises(ValueError, match="hidden layer widths"):
-            NetworkSpec(3, hidden, DistKind.LEVY)
+        # the arrays take the nearest valid widths, so only the declared type or value is wrong
+        obj = init_network(DistKind.LEVY, 3, tuple(max(1, int(w)) for w in hidden)).to_dict()
+        for layer, width in zip(obj["hidden"], hidden):
+            layer["width"] = width
+        with pytest.raises(ValueError, match="network file declares input then hidden widths"):
+            Network.from_dict(obj)
+
+    @pytest.mark.parametrize("input_dim,hidden,name", [(0, (4,), "h0.w"), (3, (4, 0), "h1.w"),
+                                                       (0, (), "out.w")])
+    def test_zero_width_named(self, input_dim, hidden, name):
+        with pytest.raises(ValueError, match=f"array '{name}' has shape"):
+            init_network(DistKind.LEVY, input_dim, hidden)

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import re
 import sys
 
 import fhtsurv
@@ -27,6 +28,36 @@ def test_only_fht_names_a_distribution_kind():
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert list(_member_references(ast.parse((SRC / "fht.py").read_text(encoding="utf-8"))))
+
+
+# a weight array's name: h<i> or out, then the array, as in "h0.gamma" or f"h{i}.w"
+_WEIGHT_NAME = re.compile(r"\b(?:h\d+|out)\.(?:w|b|gamma|beta|run_mean|run_var)\b")
+
+
+def _weight_names(tree):
+    """Line numbers of string literals that spell a weight-array name; an
+    f-string's replacement fields read as ``0``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(part.value if isinstance(part, ast.Constant) else "0"
+                           for part in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            continue
+        if _WEIGHT_NAME.search(text):
+            yield node.lineno
+
+
+def test_only_network_names_a_weight_array():
+    # the architecture is read from the arrays, so only network.py knows their names
+    found = {
+        path.name: list(_weight_names(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "network.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert list(_weight_names(ast.parse((SRC / "network.py").read_text(encoding="utf-8"))))
 
 
 def test_every_exported_name_resolves():

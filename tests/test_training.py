@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fhtsurv import fht
 from fhtsurv.data import SurvivalData
 from fhtsurv.metrics import kaplan_meier
-from fhtsurv.network import NetworkSpec, init_network
+from fhtsurv.network import init_network
 from fhtsurv.training import (
     FittedModel,
     ModelConfig,
@@ -101,8 +101,8 @@ def toy_data(n=120, seed=0, censor_frac=0.2):
     return SurvivalData(x, t, delta, [f"f{i}" for i in range(4)])
 
 
-def toy_spec(kind=fht.DistKind.LEVY):
-    return NetworkSpec(4, (8,), kind)
+def toy_net(seed=0):
+    return init_network(fht.DistKind.LEVY, 4, (8,), seed=seed)
 
 
 def toy_cfg(epochs, batch_size, learning_rate, kind=fht.DistKind.LEVY):
@@ -148,7 +148,7 @@ class TestFit:
     def test_zero_epochs_returns_initialized_network(self):
         d = toy_data()
         m = fit(d, toy_cfg(epochs=0, batch_size=32, learning_rate=0.01), seed=5)
-        ref = init_network(toy_spec(), seed=np.random.SeedSequence(5).spawn(3)[0])
+        ref = toy_net(seed=np.random.SeedSequence(5).spawn(3)[0])
         for k in ref.weights:
             assert np.array_equal(m.network.weights[k], ref.weights[k])
 
@@ -240,7 +240,7 @@ class TestModelConfig:
         cfg = ModelConfig(hidden_sizes=[np.int64(8)], epochs=np.int64(1), batch_size=np.int32(32))
         assert cfg.hidden_sizes == (8,)
         m = fit(toy_data(40, seed=1), cfg)
-        assert FittedModel.from_dict(m.to_dict()).network.spec.hidden == (8,)
+        assert FittedModel.from_dict(m.to_dict()).network.hidden == (8,)
 
     def test_batch_of_one_needs_no_hidden_layer(self):
         with pytest.raises(ValueError, match="'batch_size' must be >= 2 when 'hidden_sizes'"):
@@ -248,7 +248,7 @@ class TestModelConfig:
         d = toy_data(40, seed=1)
         m = fit(d, ModelConfig(hidden_sizes=(), epochs=2, batch_size=1, learning_rate=0.01))
         assert all(loss > 0.0 for loss in m.loss_trace)
-        untrained = init_network(NetworkSpec(4, (), fht.DistKind.LEVY),
+        untrained = init_network(fht.DistKind.LEVY, 4, (),
                                  seed=np.random.SeedSequence(0).spawn(3)[0])
         assert not np.array_equal(m.network.weights["out.w"], untrained.weights["out.w"])
 
@@ -290,7 +290,7 @@ class TestModelFile:
 
     def test_envelope_kind_must_match_payload(self):
         obj = {"format": "fhtsurv-model", "version": 1, "kind": "invgauss",
-               "payload": init_network(toy_spec()).to_dict(), "recipe": None, "loss_trace": []}
+               "payload": toy_net().to_dict(), "recipe": None, "loss_trace": []}
         with pytest.raises(ValueError, match="'invgauss'.*'levy'"):
             FittedModel.from_dict(obj)
 
@@ -300,8 +300,7 @@ class TestEndToEndGradient:
     def test_brier_gradients_match_finite_differences(self, kind):
         # 4 subjects, 2 hidden ReLU layers, batch norm in eval mode
         rng = np.random.default_rng(8)
-        spec = NetworkSpec(3, (5, 4), kind)
-        net = init_network(spec, seed=7)
+        net = init_network(kind, 3, (5, 4), seed=7)
         for i in range(2):
             net.weights[f"h{i}.run_mean"] += rng.normal(0, 0.3, 5 if i == 0 else 4)
             net.weights[f"h{i}.run_var"] *= np.exp(rng.normal(0, 0.3, 5 if i == 0 else 4))
