@@ -39,7 +39,7 @@ from .data import (
 )
 from .interpret import risk_grid
 from .metrics import MetricUndefinedError, concordance, evaluate
-from .modelio import read_json, write_json_atomic
+from .modelio import read_json, require, write_json_atomic
 from .simulate import SimConfig, empirical_survival, simulate_fpt, write_samples_csv
 from .training import EVAL_TIME_CAP, FittedModel, ModelConfig, fit
 
@@ -48,12 +48,7 @@ FIXED_CONFIG = {"activation": "relu", "dropout": 0.0, "optimizer": "adam",
                 "eval_time_cap": EVAL_TIME_CAP}
 
 
-def _manifest_path(out_path):
-    return str(out_path) + ".manifest.json"
-
-
 def _write_manifest(command, args_dict, outputs, started):
-    out = outputs[0]
     snapshot = None
     if args_dict.get("config"):
         try:
@@ -61,7 +56,7 @@ def _write_manifest(command, args_dict, outputs, started):
         except (OSError, ValueError):
             snapshot = None
     write_json_atomic(
-        _manifest_path(out),
+        f"{outputs[0]}.manifest.json",
         {
             "format": "fhtsurv-manifest",
             "version": 1,
@@ -94,9 +89,10 @@ def _model_config(path_or_none, overrides=None):
 
 def _load_any_model(path):
     obj = read_json(path)
-    if obj.get("kind") == "cox":
-        return CoxModel.from_dict(obj)
-    return FittedModel.from_dict(obj)
+    model = CoxModel.from_dict(obj) if obj.get("kind") == "cox" else FittedModel.from_dict(obj)
+    if model.recipe is None:
+        raise ValueError("model file carries no preprocessing recipe")
+    return model
 
 
 # ----------------------------------------------------------------------
@@ -130,11 +126,9 @@ def _check_bootstrap(args):
 def cmd_eval(args):
     _check_bootstrap(args)
     model = _load_any_model(args.model)
-    if model.recipe is None:
-        raise ValueError("model file carries no preprocessing recipe")
     data = apply_preprocess(model.recipe, load_csv(args.data))
-    report = evaluate(model.survival_matrix, data, n_resamples=args.bootstrap, seed=args.seed)
-    write_json_atomic(args.out, report.to_dict())
+    write_json_atomic(args.out, evaluate(model.survival_matrix, data,
+                                         n_resamples=args.bootstrap, seed=args.seed))
     return [args.out]
 
 
@@ -187,15 +181,14 @@ def cmd_compare(args):
 
     for kind_name, kind_seed in (("levy", levy_seed), ("invgauss", ig_seed)):
         model = fit(train, cfgs[kind_name], kind_seed, recipe=recipe)
-        rep = evaluate(model.survival_matrix, test, n_resamples=args.bootstrap, seed=boot_seed)
-        entry = rep.to_dict()
+        entry = evaluate(model.survival_matrix, test, n_resamples=args.bootstrap, seed=boot_seed)
         if args.folds:
             entry["cv_c_index"] = _cv_scores(train, cfgs[kind_name], args.folds, kind_seed)
         report["models"][kind_name] = entry
 
     cox = fit_cox(train, tol=1e-6)
-    rep = evaluate(cox.survival_matrix, test, n_resamples=args.bootstrap, seed=boot_seed)
-    report["models"]["cox"] = rep.to_dict()
+    report["models"]["cox"] = evaluate(cox.survival_matrix, test,
+                                       n_resamples=args.bootstrap, seed=boot_seed)
     write_json_atomic(args.out, report)
     return [args.out]
 
@@ -204,8 +197,6 @@ def cmd_riskmap(args):
     model = _load_any_model(args.model)
     if isinstance(model, CoxModel):
         raise ValueError("risk maps need a diffusion-parameter model, not cox")
-    if model.recipe is None:
-        raise ValueError("model file carries no preprocessing recipe")
     raw = load_csv(args.data)
     data = apply_preprocess(model.recipe, raw)
     overlay = None
@@ -232,9 +223,9 @@ def cmd_simulate(args):
         bridge_correction=args.bridge,
         n_jobs=args.jobs,
     )
-    samples = simulate_fpt(params, cfg)
+    hit_times = simulate_fpt(params, cfg)
     t_grid = np.linspace(args.tmax / 10.0, args.tmax, 10)
-    emp = empirical_survival(samples, t_grid)
+    emp = empirical_survival(hit_times, t_grid)
     closed = np.asarray(params.survival(t_grid), dtype=np.float64)
     se = np.sqrt(np.maximum(closed * (1.0 - closed), 1e-300) / cfg.n_paths)
     summary = {
@@ -244,7 +235,7 @@ def cmd_simulate(args):
         "dt": cfg.dt,
         "t_max": cfg.t_max,
         "bridge_correction": cfg.bridge_correction,
-        "fraction_absorbed": float(np.isfinite(samples.hit_times).mean()),
+        "fraction_absorbed": float(np.isfinite(hit_times).mean()),
         "comparison": [
             {
                 "t": float(t),
@@ -258,7 +249,7 @@ def cmd_simulate(args):
     write_json_atomic(args.out, summary)
     outputs = [args.out]
     if args.samples_out:
-        write_samples_csv(samples, args.samples_out)
+        write_samples_csv(hit_times, args.samples_out)
         outputs.append(args.samples_out)
     return outputs
 
@@ -268,13 +259,22 @@ def cmd_rerun(args):
     manifest = read_json(args.manifest)
     if manifest.get("format") != "fhtsurv-manifest":
         raise ValueError("not a manifest file")
-    command = manifest["command"]
-    config = manifest["args"].get("config")
-    if config and read_json(config) != manifest["config_snapshot"]:
+    where = f"manifest {args.manifest}"
+    command = manifest.get("command")
+    if command not in sorted(_COMMANDS):  # a list: `in` takes an unhashable value too
+        raise ValueError(f"{where} key 'command' must be one of {sorted(_COMMANDS)}, "
+                         f"got {command!r}")
+    recorded = require(manifest, "args", where, dict)
+    # the options of the command, by the names main records them under
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = {a.dest for a in sub.choices[command]._actions} - {"help"} - set(recorded)
+    if missing:
+        raise ValueError(f"{where} key 'args' lacks the {command} options {sorted(missing)}")
+    config = recorded.get("config")
+    if config and read_json(config) != manifest.get("config_snapshot"):
         raise ValueError(f"config file {config} has changed since the manifest was written")
-    ns = argparse.Namespace(**manifest["args"])
-    outputs = _COMMANDS[command](ns)
-    _write_manifest(command, manifest["args"], outputs, started)
+    outputs = _COMMANDS[command](argparse.Namespace(**recorded))
+    _write_manifest(command, recorded, outputs, started)
     return outputs
 
 

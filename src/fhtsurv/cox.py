@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PreprocessRecipe
-from .modelio import decode_array, encode_array, write_json_atomic
+from .modelio import decode_array, encode_array, require, write_json_atomic
 
 RIDGE_EPS = 1e-9
 
@@ -33,7 +33,6 @@ class CoxModel:
     baseline_times: np.ndarray
     baseline_cumhaz: np.ndarray
     n_iter: int
-    converged: bool
     grad_norm: float
     log_likelihood: float
     recipe: object | None = None
@@ -60,7 +59,6 @@ class CoxModel:
                 "baseline_times": encode_array(self.baseline_times),
                 "baseline_cumhaz": encode_array(self.baseline_cumhaz),
                 "n_iter": self.n_iter,
-                "converged": self.converged,
                 "grad_norm": self.grad_norm,
                 "log_likelihood": self.log_likelihood,
             },
@@ -80,17 +78,15 @@ class CoxModel:
         recipe = None
         if obj.get("recipe") is not None:
             recipe = PreprocessRecipe.from_dict(obj["recipe"])
-        p = obj["payload"]
-        return cls(
-            beta=decode_array(p["beta"]),
-            baseline_times=decode_array(p["baseline_times"]),
-            baseline_cumhaz=decode_array(p["baseline_cumhaz"]),
-            n_iter=p["n_iter"],
-            converged=p["converged"],
-            grad_norm=p["grad_norm"],
-            log_likelihood=p["log_likelihood"],
-            recipe=recipe,
-        )
+        # older files also carry "converged", always true as an unconverged fit raises
+        p = require(obj, "payload", "model file")
+        arrays = {k: decode_array(require(p, k, "cox payload"), k)
+                  for k in ("beta", "baseline_times", "baseline_cumhaz")}
+        if recipe is not None and arrays["beta"].shape != (len(recipe.output_names),):
+            raise ValueError(f"cox payload array 'beta' has shape {arrays['beta'].shape}, but "
+                             f"the recipe makes {len(recipe.output_names)} feature columns")
+        return cls(**arrays, recipe=recipe, **{k: require(p, k, "cox payload")
+                                               for k in ("n_iter", "grad_norm", "log_likelihood")})
 
 
 def _partial_lik_parts(xs, ds, start, d_count, eta):
@@ -185,7 +181,6 @@ def fit_cox(data, max_iter=100, tol=1e-8) -> CoxModel:
         baseline_times=event_times,
         baseline_cumhaz=np.cumsum(increments),
         n_iter=n_iter,
-        converged=True,
         grad_norm=float(np.max(np.abs(grad))),
         log_likelihood=loglik,
     )

@@ -45,6 +45,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .modelio import require
+
 MISSING_MARKERS = {"", "na", "nan", "n/a", "?", "null", "none"}
 TIME_COL, EVENT_COL = "time", "event"
 _READ_ROWS = 4096  # rows read and transposed at a time
@@ -292,16 +294,30 @@ class PreprocessRecipe:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PreprocessRecipe":
-        if obj.get("format") != "fhtsurv-recipe":
+        if not isinstance(obj, dict) or obj.get("format") != "fhtsurv-recipe":
             raise ValueError("not a recipe")
         if obj.get("version") != 1:
             raise ValueError(f"unsupported recipe version {obj.get('version')!r}")
-        return cls(
-            columns=tuple(
-                ColumnTransform(**{k: tuple(v) if isinstance(v, list) else v for k, v in c.items()})
-                for c in obj["columns"]
-            )
-        )
+        return cls(columns=tuple(map(_column, require(obj, "columns", "recipe", list))))
+
+
+def _column(obj: dict) -> ColumnTransform:
+    """A recipe file's column; a ValueError names the column and the key when
+    the column cannot be applied as it stands."""
+    tr = ColumnTransform(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
+    where = f"recipe column {tr.name!r}"
+    if tr.kind not in ("numeric", "categorical"):
+        raise ValueError(f"{where}: key 'kind' must be 'numeric' or 'categorical', got {tr.kind!r}")
+    width = 1 if tr.kind == "numeric" else len(tr.categories)
+    for key in ("out_names", "means", "stds"):
+        if len(getattr(tr, key)) != width:
+            raise ValueError(f"{where}: key '{key}' has {len(getattr(tr, key))} entries, but the "
+                             f"{tr.kind} encoding makes {width} outputs")
+    for i, std in enumerate(tr.stds):
+        if not (isinstance(std, numbers.Real) and 0.0 < std < math.inf):
+            raise ValueError(f"{where}: key 'stds' entry {i} must be a finite number > 0, "
+                             f"got {std!r}")
+    return tr
 
 
 def _require_numbers(name, col: RawColumn, rows):

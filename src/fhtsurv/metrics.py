@@ -241,11 +241,6 @@ def ibs(times, values) -> float:
     return float(np.trapezoid(vals, knots) / times[-1])
 
 
-class BootstrapResult(NamedTuple):
-    mean: float
-    std: float
-
-
 def bootstrap(data, n_resamples=100, seed=0) -> np.ndarray:
     """Row counts of censoring-ratio-preserving resamples.
 
@@ -268,43 +263,15 @@ def bootstrap(data, n_resamples=100, seed=0) -> np.ndarray:
     return counts
 
 
-def _spread(values) -> BootstrapResult:
+def _spread(values) -> dict:
     """Mean and sample standard deviation of the resample values."""
-    return BootstrapResult(mean=float(values.mean()), std=float(values.std(ddof=1)))
+    return {"mean": float(values.mean()), "std": float(values.std(ddof=1))}
 
 
-@dataclass
-class EvalReport:
-    """Headline metrics plus bootstrap spread, serializable to JSON."""
-
-    c_index: float
-    ibs: float
-    brier_times: np.ndarray
-    brier_values: np.ndarray
-    c_index_bootstrap: BootstrapResult
-    ibs_bootstrap: BootstrapResult
-    n_comparable_pairs: int = 0
-    n_bootstrap: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "c_index": self.c_index,
-            "c_index_bootstrap": {"mean": self.c_index_bootstrap.mean,
-                                  "std": self.c_index_bootstrap.std},
-            "ibs": self.ibs,
-            "ibs_bootstrap": {"mean": self.ibs_bootstrap.mean,
-                              "std": self.ibs_bootstrap.std},
-            "brier_curve": [[float(t), float(v)]
-                            for t, v in zip(self.brier_times, self.brier_values)],
-            "n_comparable_pairs": self.n_comparable_pairs,
-            "n_bootstrap": self.n_bootstrap,
-        }
-
-
-def evaluate(surv_fn, data, n_resamples=100, seed=0) -> EvalReport:
+def evaluate(surv_fn, data, n_resamples=100, seed=0) -> dict:
     """Standard evaluation: concordance, Brier curve on the event-time grid,
     integrated Brier score over [0, last event time], and bootstrap spread
-    for both headline metrics.
+    for both headline metrics, returned as the JSON object ``eval`` writes.
 
     The model runs once per column block of the sorted unique event times
     ``U``, as ``surv_fn(data.x, U[block])``; the point estimate and every
@@ -329,13 +296,12 @@ def evaluate(surv_fn, data, n_resamples=100, seed=0) -> EvalReport:
     # each resample's Brier curve lies on its own grid, the times it drew an event at
     drawn = np.add.reduceat(i_counts[:, rec.order[rec.anchors]], rec.first, axis=1) > 0
     ibs_vals = np.array([ibs(times[on], values[on]) for on, values in zip(drawn, brier)])
-    return EvalReport(
-        c_index=float(c_vals[0]),
-        ibs=float(ibs_vals[0]),
-        brier_times=times,
-        brier_values=brier[0],
-        c_index_bootstrap=_spread(c_vals[1:]),
-        ibs_bootstrap=_spread(ibs_vals[1:]),
-        n_comparable_pairs=int(n_comp[0]),
-        n_bootstrap=n_resamples,
-    )
+    return {
+        "c_index": float(c_vals[0]),
+        "c_index_bootstrap": _spread(c_vals[1:]),
+        "ibs": float(ibs_vals[0]),
+        "ibs_bootstrap": _spread(ibs_vals[1:]),
+        "brier_curve": [[float(t), float(v)] for t, v in zip(times, brier[0])],
+        "n_comparable_pairs": int(n_comp[0]),
+        "n_bootstrap": n_resamples,
+    }

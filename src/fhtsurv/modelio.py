@@ -2,13 +2,16 @@
 
 Model files, preprocessing recipes, and evaluation reports are all JSON.
 Float arrays are stored as base64 of their little-endian bytes so that a
-save/load round trip reproduces every bit.
+save/load round trip reproduces every bit.  Loading accepts only what
+``encode_array`` writes for a model: dtype ``float64``, a shape of
+integers >= 0 and exactly as many bytes as the shape holds.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import tempfile
 
@@ -24,10 +27,32 @@ def encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def decode_array(obj: dict) -> np.ndarray:
-    dtype = np.dtype(obj["dtype"]).newbyteorder("<")
-    raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype=dtype).reshape(obj["shape"]).astype(obj["dtype"])
+def require(obj: dict, key, where, kind=object):
+    """``obj[key]``; a ValueError names ``where`` and the key when ``obj`` is
+    no object holding it, or its value no ``kind`` (``dict`` or ``list``)."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where} has no key '{key}'")
+    if not isinstance(obj[key], kind):
+        want = "an object" if kind is dict else "a list"
+        raise ValueError(f"{where} key '{key}' must be {want}, got {obj[key]!r}")
+    return obj[key]
+
+
+def decode_array(obj: dict, name) -> np.ndarray:
+    """The float64 array of an ``encode_array`` entry; a ValueError names the
+    array ``name`` and the key at fault."""
+    where = f"array '{name}'"
+    dtype, shape, data = (require(obj, key, where) for key in ("dtype", "shape", "data"))
+    if dtype != "float64":
+        raise ValueError(f"{where} key 'dtype' must be 'float64', got {dtype!r}")
+    if not (isinstance(shape, list) and all(type(w) is int and w >= 0 for w in shape)):
+        raise ValueError(f"{where} key 'shape' must be a list of integers >= 0, got {shape!r}")
+    try:  # binascii.Error, and numpy's size errors, are ValueErrors
+        raw = base64.b64decode(data, validate=True)
+        return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where} key 'data' is not the base64 of {math.prod(shape)} "
+                         f"float64 values: {exc}") from None
 
 
 def write_json_atomic(path, obj) -> None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fht import DistKind, params_class
-from .modelio import decode_array, encode_array
+from .modelio import decode_array, encode_array, require
 
 LINK_EPS = 1e-6
 BN_EPS = 1e-5
@@ -216,16 +216,20 @@ class Network:
             raise ValueError("not a network file")
         if obj.get("version") != 1:
             raise ValueError(f"unsupported network version {obj.get('version')!r}")
-        for i, h in enumerate(obj["hidden"]):
+        hidden = require(obj, "hidden", "network file", list)
+        for i, h in enumerate(hidden):
+            if not isinstance(h, dict):
+                raise ValueError(f"network file key 'hidden': layer {i} is not an object: {h!r}")
             for key, value in _FIXED_LAYER_KEYS.items():
                 if key in h and h[key] != value:
                     raise ValueError(
                         f"hidden layer {i}: {key}={h[key]!r} is not supported; every "
                         "hidden layer is batch-normalized ReLU without dropout"
                     )
-        weights = {k: decode_array(v) for k, v in obj["arrays"].items()}
-        net = cls(obj["kind"], weights)
-        declared = [obj.get("input_dim"), *(h.get("width") for h in obj["hidden"])]
+        arrays = require(obj, "arrays", "network file", dict)
+        net = cls(require(obj, "kind", "network file"),
+                  {k: decode_array(v, k) for k, v in arrays.items()})
+        declared = [obj.get("input_dim"), *(h.get("width") for h in hidden)]
         # JSON integers only: True == 1 and 8.0 == 8 would pass the comparison
         if declared != [net.input_dim, *net.hidden] or any(type(w) is not int for w in declared):
             raise ValueError(f"network file declares input then hidden widths {declared}, but "

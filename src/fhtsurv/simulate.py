@@ -76,13 +76,6 @@ class SimConfig:
             raise ValueError("n_jobs must be >= 1")
 
 
-@dataclass(frozen=True)
-class FptSamples:
-    """Per-path hitting times; ``inf`` marks paths alive at ``t_max``."""
-
-    hit_times: np.ndarray
-
-
 def _first_fine_crossings(rng, left, right, diff, dt, bridge):
     """Refine coarse steps from ``left`` to ``right`` (> 0) onto the dt grid.
 
@@ -193,11 +186,11 @@ def _block_tasks(params, cfg):
     return tasks
 
 
-def simulate_fpt(params, cfg: SimConfig) -> FptSamples:
-    """Sample first-passage times for every path of the diffusion whose
-    parameter struct (``LevyParams`` or ``InvGaussParams``) is given, on
-    ``cfg.n_jobs`` worker processes, but no more than there are blocks, when
-    there is more than one block."""
+def simulate_fpt(params, cfg: SimConfig) -> np.ndarray:
+    """float64 first-passage times, ``inf`` where a path outlives ``cfg.t_max``,
+    of the diffusion whose parameter struct (``LevyParams`` or
+    ``InvGaussParams``) is given, on ``cfg.n_jobs`` worker processes, but no
+    more than there are blocks, when there is more than one block."""
     tasks = _block_tasks(params, cfg)
     if cfg.n_jobs > 1 and len(tasks) > 1:
         ctx = multiprocessing.get_context("fork")
@@ -205,23 +198,20 @@ def simulate_fpt(params, cfg: SimConfig) -> FptSamples:
             parts = list(pool.map(_run_block, tasks))
     else:
         parts = [_run_block(t) for t in tasks]
-    return FptSamples(hit_times=np.concatenate(parts))
+    return np.concatenate(parts)
 
 
-def empirical_survival(samples: FptSamples, t_grid) -> np.ndarray:
+def empirical_survival(hit_times, t_grid) -> np.ndarray:
     """Fraction of paths with hitting time strictly beyond each grid time."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
-    if samples.hit_times.size == 0:
+    if hit_times.size == 0:
         raise ValueError("no samples")
-    finite_sorted = np.sort(samples.hit_times)
-    n = samples.hit_times.size
-    counts = np.searchsorted(finite_sorted, t_grid, side="right")
-    return 1.0 - counts / n
+    return 1.0 - np.searchsorted(np.sort(hit_times), t_grid, side="right") / hit_times.size
 
 
-def write_samples_csv(samples: FptSamples, path):
+def write_samples_csv(hit_times, path):
     """Single-column dump; survivors are written as the string 'inf'."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("hit_time\n")
-        for v in samples.hit_times:
+        for v in hit_times:
             fh.write(("inf" if np.isinf(v) else repr(float(v))) + "\n")

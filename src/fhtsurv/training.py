@@ -36,7 +36,7 @@ import numpy as np
 from . import fht
 from .data import PreprocessRecipe
 from .fht import DistKind
-from .modelio import read_json, write_json_atomic
+from .modelio import read_json, require, write_json_atomic
 from .network import Network, init_network
 
 ADAM_BETA1 = 0.9
@@ -196,7 +196,7 @@ class FittedModel:
             raise ValueError("not a network model file")
         if obj.get("version") != 1:
             raise ValueError(f"unsupported model file version {obj.get('version')!r}")
-        network = Network.from_dict(obj["payload"])
+        network = Network.from_dict(require(obj, "payload", "model file", dict))
         if obj.get("kind") != network.kind.value:
             raise ValueError(
                 f"model file says kind {obj.get('kind')!r} but its network payload "

@@ -28,7 +28,7 @@ from fhtsurv.data import (
     PreprocessRecipe,
     SurvivalData,
 )
-from fhtsurv.metrics import BootstrapResult, EvalReport, MetricUndefinedError
+from fhtsurv.metrics import MetricUndefinedError
 
 
 def erf_ref(x):
@@ -622,13 +622,14 @@ def brier_curve(surv, times, data) -> BrierCurve:
     return BrierCurve(times=t_grid, values=values)
 
 
-def bootstrap(metric_fn, data, n_resamples=100, seed=0) -> BootstrapResult:
+def bootstrap(metric_fn, data, n_resamples=100, seed=0) -> dict:
     """Mean/std of a metric over censoring-ratio-preserving resamples.
 
     Each resample draws, with replacement, exactly the original number of
     censored and of uncensored records, so the censoring ratio is preserved
     by construction.  ``metric_fn`` receives each resample's row indices
-    into ``data``.  ``std`` is the sample standard deviation.
+    into ``data``.  Returns ``{mean, std}``; ``std`` is the sample standard
+    deviation.
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be >= 2")
@@ -644,10 +645,10 @@ def bootstrap(metric_fn, data, n_resamples=100, seed=0) -> BootstrapResult:
             parts.append(rng.choice(idx_ev, size=idx_ev.size, replace=True))
         sel = np.concatenate(parts)
         values[b] = metric_fn(sel)
-    return BootstrapResult(mean=float(values.mean()), std=float(values.std(ddof=1)))
+    return {"mean": float(values.mean()), "std": float(values.std(ddof=1))}
 
 
-def evaluate(surv_fn, data, n_resamples=100, seed=0) -> EvalReport:
+def evaluate(surv_fn, data, n_resamples=100, seed=0) -> dict:
     """Standard evaluation: concordance, Brier curve on the event-time grid,
     integrated Brier score over [0, last event time], and bootstrap spread
     for both headline metrics.
@@ -673,13 +674,12 @@ def evaluate(surv_fn, data, n_resamples=100, seed=0) -> EvalReport:
     seq = np.random.SeedSequence(seed).spawn(2)
     c_boot = bootstrap(c_metric, data, n_resamples=n_resamples, seed=seq[0])
     i_boot = bootstrap(ibs_metric, data, n_resamples=n_resamples, seed=seq[1])
-    return EvalReport(
-        c_index=c_val,
-        ibs=ibs_val,
-        brier_times=curve.times,
-        brier_values=curve.values,
-        c_index_bootstrap=c_boot,
-        ibs_bootstrap=i_boot,
-        n_comparable_pairs=n_comp,
-        n_bootstrap=n_resamples,
-    )
+    return {
+        "c_index": c_val,
+        "c_index_bootstrap": c_boot,
+        "ibs": ibs_val,
+        "ibs_bootstrap": i_boot,
+        "brier_curve": [[float(t), float(v)] for t, v in zip(curve.times, curve.values)],
+        "n_comparable_pairs": n_comp,
+        "n_bootstrap": n_resamples,
+    }

@@ -13,17 +13,19 @@ import pytest
 
 from fhtsurv import cli
 from fhtsurv.cli import _model_config, build_parser, main
+from fhtsurv.cox import fit_cox
 from fhtsurv.data import (
     NonPhConfig,
     SurvivalData,
     apply_preprocess,
+    fit_preprocess,
     generate_nonph,
     load_csv,
     write_csv,
 )
 from fhtsurv.interpret import risk_grid
 from fhtsurv.metrics import evaluate
-from fhtsurv.modelio import read_json
+from fhtsurv.modelio import encode_array, read_json
 from fhtsurv.training import FittedModel, ModelConfig
 
 
@@ -610,6 +612,172 @@ def test_eval_refuses_a_network_its_arrays_contradict(edit, message, trained_mod
     assert not out.exists()
 
 
+def _set(path, value):
+    """An edit that sets the model-file entry at ``path`` (a key sequence)."""
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return edit
+
+
+def _drop(path):
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        del obj[path[-1]]
+    return edit
+
+
+def _cut_data(obj):
+    entry = obj["payload"]["arrays"]["h0.b"]
+    entry["data"] = entry["data"][:8]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set(("payload", "arrays", "h0.w", "dtype"), "int64"),
+     "array 'h0.w' key 'dtype' must be 'float64', got 'int64'"),
+    (_drop(("payload", "arrays", "h0.w", "shape")), "array 'h0.w' has no key 'shape'"),
+    (_set(("payload", "arrays", "h0.b", "shape"), [-8]),
+     r"array 'h0.b' key 'shape' must be a list of integers >= 0, got \[-8\]"),
+    (_cut_data, "array 'h0.b' key 'data' is not the base64 of 8 float64 values"),
+    (_drop(("payload", "arrays", "out.b", "data")), "array 'out.b' has no key 'data'"),
+    (_drop(("payload",)), "model file has no key 'payload'"),
+    (_drop(("payload", "arrays")), "network file has no key 'arrays'"),
+    (_set(("payload", "hidden"), [4]),
+     "network file key 'hidden': layer 0 is not an object: 4"),
+], ids=["dtype-int64", "no-shape", "negative-shape", "short-data", "no-data", "no-payload",
+        "no-arrays", "hidden-not-objects"])
+def test_eval_names_the_model_file_array_or_key_at_fault(edit, message, trained_model,
+                                                         small_csv, tmp_path, capsys,
+                                                         monkeypatch):
+    obj = read_json(trained_model)
+    edit(obj)
+    model = tmp_path / "edited.json"
+    model.write_text(json.dumps(obj))
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    out = tmp_path / "report.json"
+    assert main(["eval", "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def cox_model(small_csv, tmp_path_factory):
+    raw = load_csv(small_csv)
+    recipe = fit_preprocess(raw)
+    model = fit_cox(apply_preprocess(recipe, raw), tol=1e-6)
+    model.recipe = recipe
+    out = tmp_path_factory.mktemp("cox") / "cox.json"
+    model.save(str(out))
+    return str(out)
+
+
+def _first_column(obj):
+    return obj["recipe"]["columns"][0]
+
+
+def _bogus_kind(obj):
+    _first_column(obj)["kind"] = "ordinal"
+
+
+def _extra_mean(obj):
+    _first_column(obj)["means"].append(0.0)
+
+
+def _zero_std(obj):
+    _first_column(obj)["stds"][0] = 0.0
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_bogus_kind, r"recipe column 'x\d+': key 'kind' must be 'numeric' or 'categorical', "
+                  "got 'ordinal'"),
+    (_extra_mean, r"recipe column 'x\d+': key 'means' has 2 entries, but the numeric "
+                  "encoding makes 1 outputs"),
+    (_zero_std, r"recipe column 'x\d+': key 'stds' entry 0 must be a finite number > 0, "
+                "got 0.0"),
+], ids=["kind", "unequal-lengths", "zero-std"])
+@pytest.mark.parametrize("which", ["network", "cox"])
+def test_eval_refuses_a_recipe_column_it_cannot_apply(edit, message, which, trained_model,
+                                                      cox_model, small_csv, tmp_path, capsys,
+                                                      monkeypatch):
+    obj = read_json(trained_model if which == "network" else cox_model)
+    edit(obj)
+    model = tmp_path / "edited.json"
+    model.write_text(json.dumps(obj))
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    out = tmp_path / "report.json"
+    assert main(["eval", "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_eval_refuses_a_cox_beta_the_recipe_contradicts(cox_model, small_csv, tmp_path,
+                                                        capsys, monkeypatch):
+    obj = read_json(cox_model)
+    beta = obj["payload"]["beta"]
+    width = beta["shape"][0]
+    beta.update(encode_array(np.zeros(width - 1)))
+    model = tmp_path / "edited.json"
+    model.write_text(json.dumps(obj))
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    out = tmp_path / "report.json"
+    assert main(["eval", "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
+    assert (f"cox payload array 'beta' has shape ({width - 1},), but the recipe makes {width} "
+            "feature columns" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_eval_names_a_missing_cox_payload_key(cox_model, small_csv, tmp_path, capsys,
+                                              monkeypatch):
+    obj = read_json(cox_model)
+    del obj["payload"]["baseline_cumhaz"]
+    model = tmp_path / "edited.json"
+    model.write_text(json.dumps(obj))
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    out = tmp_path / "report.json"
+    assert main(["eval", "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
+    assert "cox payload has no key 'baseline_cumhaz'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_reads_a_cox_file_that_carries_converged(cox_model, small_csv, tmp_path):
+    obj = read_json(cox_model)
+    obj["payload"]["converged"] = True
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(obj))
+    reports = []
+    for model in (cox_model, str(older)):
+        out = tmp_path / f"report-{len(reports)}.json"
+        assert main(["eval", "--model", model, "--data", small_csv, "--out", str(out),
+                     "--bootstrap", "3"]) == 0
+        reports.append(sha(out))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set(("args",), [1]), "key 'args' must be an object, got [1]"),
+    (_drop(("command",)), "key 'command' must be one of ['compare', 'eval', 'generate', "
+                          "'riskmap', 'simulate', 'train'], got None"),
+    (_set(("command",), "bogus"), "key 'command' must be one of ['compare', 'eval', "
+                                  "'generate', 'riskmap', 'simulate', 'train'], got 'bogus'"),
+    (_drop(("args", "bootstrap")), "key 'args' lacks the eval options ['bootstrap']"),
+], ids=["args-not-an-object", "no-command", "unknown-command", "missing-option"])
+def test_rerun_checks_the_manifest_before_running(edit, message, trained_model, small_csv,
+                                                  tmp_path, capsys, monkeypatch):
+    out = tmp_path / "report.json"
+    manifest = tmp_path / "report.json.manifest.json"
+    obj = {"format": "fhtsurv-manifest", "version": 1, "command": "eval",
+           "args": {"model": trained_model, "data": small_csv, "out": str(out),
+                    "bootstrap": 3, "seed": 0}}
+    edit(obj)
+    manifest.write_text(json.dumps(obj))
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    assert main(["rerun", "--manifest", str(manifest)]) == 1
+    assert f"manifest {manifest} {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_names_the_fold_without_comparable_pairs(tmp_path, capsys):
     # 80 records leave a 64-row training split, so 50 folds hold one or two rows each
     path = tmp_path / "d.csv"
@@ -684,7 +852,7 @@ class TestReadme:
         d = SurvivalData(np.zeros((4, 1)), np.array([1.0, 2.0, 3.0, 4.0]), np.array([1, 0, 1, 1]),
                          ["f"])
         rep = evaluate(lambda x, ts: np.full((x.shape[0], ts.size), 0.5), d, n_resamples=2)
-        assert re.findall(r"`(\w+)`", entry) == list(rep.to_dict())
+        assert re.findall(r"`(\w+)`", entry) == list(rep)
 
     def test_named_scripts_exist(self):
         paths = set(re.findall(r"scripts/[\w./-]*\w", "\n".join(self.readme_lines())))

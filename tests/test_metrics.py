@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -349,7 +350,8 @@ class TestRowCounts:
         # evaluate's row of ones shares its matrix products with the resample
         # rows, which can change the summation order in the last bit
         rep = evaluate(crossing_model, d, n_resamples=2, seed=0)
-        assert np.max(np.abs(brier_counted(surv, times, d, ones) - rep.brier_values)) <= 1e-15
+        values = [v for _, v in rep["brier_curve"]]
+        assert np.max(np.abs(brier_counted(surv, times, d, ones) - values)) <= 1e-15
 
 
 def test_km_matches_statsmodels():
@@ -375,8 +377,8 @@ class TestEvaluate:
         d = make_data(rng.uniform(0.3, 8, n), rng.integers(0, 2, n))
         if not (d.delta == 1).any():
             d.delta[0] = 1
-        rep = evaluate(surv_from_values(rng.random(n)), d, n_resamples=10, seed=0)
-        obj = rep.to_dict()
+        obj = evaluate(surv_from_values(rng.random(n)), d, n_resamples=10, seed=0)
+        assert json.loads(json.dumps(obj)) == obj
         assert 0.0 <= obj["c_index"] <= 1.0
         assert obj["ibs"] >= 0.0
         assert obj["c_index_bootstrap"]["std"] >= 0.0
@@ -430,10 +432,10 @@ class TestEvaluate:
 
         rep = evaluate(fn, d, n_resamples=15, seed=9)
         seq = np.random.SeedSequence(9).spawn(2)
-        for got, want in ((rep.c_index_bootstrap, oracles.bootstrap(c_ref, d, 15, seq[0])),
-                          (rep.ibs_bootstrap, oracles.bootstrap(ibs_ref, d, 15, seq[1]))):
-            assert abs(got.mean - want.mean) <= 1e-12
-            assert abs(got.std - want.std) <= 1e-12
+        for got, want in ((rep["c_index_bootstrap"], oracles.bootstrap(c_ref, d, 15, seq[0])),
+                          (rep["ibs_bootstrap"], oracles.bootstrap(ibs_ref, d, 15, seq[1]))):
+            assert abs(got["mean"] - want["mean"]) <= 1e-12
+            assert abs(got["std"] - want["std"]) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -462,10 +464,9 @@ class TestEvaluate:
         original = metrics._BLOCK_ELEMS
         metrics._BLOCK_ELEMS = block_elems
         try:
-            got = evaluate(crossing_model, d, n_resamples=resamples, seed=seed).to_dict()
+            got = evaluate(crossing_model, d, n_resamples=resamples, seed=seed)
         finally:
             metrics._BLOCK_ELEMS = original
-        want = want.to_dict()
         assert got.keys() == want.keys()
         for key in ("n_comparable_pairs", "n_bootstrap"):
             assert got[key] == want[key]

@@ -4,7 +4,6 @@ from scipy import stats
 
 from fhtsurv import fht
 from fhtsurv.simulate import (
-    FptSamples,
     SimConfig,
     _block_tasks,
     empirical_survival,
@@ -16,8 +15,7 @@ import oracles
 
 
 def z_scores(params, cfg, t_grid):
-    samples = simulate_fpt(params, cfg)
-    emp = empirical_survival(samples, t_grid)
+    emp = empirical_survival(simulate_fpt(params, cfg), t_grid)
     closed = np.asarray(params.survival(np.asarray(t_grid)), dtype=float)
     se = np.sqrt(closed * (1 - closed) / cfg.n_paths)
     return (emp - closed) / se
@@ -27,7 +25,8 @@ class TestSimulate:
     def test_frozen_process_never_absorbed(self):
         cfg = SimConfig(n_paths=500, dt=1e-3, t_max=1.0, seed=0)
         s = simulate_fpt(fht.LevyParams(1.0, 1e-12), cfg)
-        assert np.all(np.isinf(s.hit_times))
+        assert s.dtype == np.float64 and s.shape == (500,)
+        assert np.all(np.isinf(s))
 
     def test_levy_bridge_matches_closed_form(self):
         cfg = SimConfig(n_paths=20000, dt=1e-3, t_max=2.0, seed=42, bridge_correction=True)
@@ -43,9 +42,9 @@ class TestSimulate:
         # E[T] = x0/|mu|; variance 2*D*x0/|mu|^3
         cfg = SimConfig(n_paths=10000, dt=1e-3, t_max=30.0, seed=3, bridge_correction=True)
         s = simulate_fpt(fht.InvGaussParams(1.0, -1.0), cfg)
-        finite = np.isfinite(s.hit_times)
+        finite = np.isfinite(s)
         assert finite.mean() > 0.999
-        mean = s.hit_times[finite].mean()
+        mean = s[finite].mean()
         se = np.sqrt(2.0 / cfg.n_paths)
         assert abs(mean - 1.0) < 3 * se
 
@@ -72,13 +71,13 @@ class TestSimulate:
         cfg = SimConfig(n_paths=5000, dt=1e-2, t_max=1.0, seed=7, bridge_correction=True)
         a = simulate_fpt(fht.LevyParams(1.0, 1.0), cfg)
         b = simulate_fpt(fht.LevyParams(1.0, 1.0), cfg)
-        assert np.array_equal(a.hit_times, b.hit_times)
+        assert np.array_equal(a, b)
 
     def test_result_independent_of_worker_count(self):
         base = dict(n_paths=40000, dt=1e-2, t_max=1.0, seed=7, bridge_correction=True)
         a = simulate_fpt(fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=1))
         b = simulate_fpt(fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=2))
-        assert np.array_equal(a.hit_times, b.hit_times)
+        assert np.array_equal(a, b)
 
     def test_no_more_workers_than_blocks(self, monkeypatch):
         # a stand-in pool that records its size and maps serially, so no
@@ -106,7 +105,7 @@ class TestSimulate:
         a = simulate_fpt(fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=4))
         assert sizes == [2]
         b = simulate_fpt(fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=1))
-        assert np.array_equal(a.hit_times, b.hit_times)
+        assert np.array_equal(a, b)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -145,7 +144,7 @@ class TestAgainstFineStepSampler:
         cfg = SimConfig(100000, 1e-2, 5.0, 21, bridge)
         ref_cfg = SimConfig(100000, 1e-2, 5.0, 22, bridge)
         ref = np.concatenate([oracles.fine_fpt_reference(t) for t in _block_tasks(params, ref_cfg)])
-        ours = simulate_fpt(params, cfg).hit_times
+        ours = simulate_fpt(params, cfg)
         assert binned_chi_square_p(ours, ref) > 0.01
 
 
@@ -155,7 +154,7 @@ class TestGridEdges:
         dt = 0.01
         cfg = SimConfig(n_paths=40000, dt=dt, t_max=0.37, seed=31)
         p = fht.LevyParams(1.0, 1.0)
-        hits = simulate_fpt(p, cfg).hit_times
+        hits = simulate_fpt(p, cfg)
         finite = hits[np.isfinite(hits)]
         assert finite.size > 0
         assert np.array_equal(finite, np.round(finite / dt) * dt)
@@ -172,26 +171,25 @@ class TestGridEdges:
 
 class TestEmpiricalSurvival:
     def test_starts_at_one_and_nonincreasing(self):
-        s = FptSamples(hit_times=np.array([0.5, 1.5, np.inf, 2.5]))
+        s = np.array([0.5, 1.5, np.inf, 2.5])
         grid = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
         vals = empirical_survival(s, grid)
         assert vals[0] == 1.0
         assert np.all(np.diff(vals) <= 0)
 
     def test_manual_count(self):
-        hits = np.array([0.2, 0.4, 0.4, 1.0, np.inf, np.inf, 3.0, 0.9, 2.0, 1.5])
-        s = FptSamples(hit_times=hits)
+        s = np.array([0.2, 0.4, 0.4, 1.0, np.inf, np.inf, 3.0, 0.9, 2.0, 1.5])
         assert empirical_survival(s, [0.4])[0] == pytest.approx(0.7)
         assert empirical_survival(s, [1.0])[0] == pytest.approx(0.5)
         assert empirical_survival(s, [5.0])[0] == pytest.approx(0.2)
 
     def test_survivors_count_beyond_t_max(self):
-        s = FptSamples(hit_times=np.array([np.inf, 1.0]))
+        s = np.array([np.inf, 1.0])
         assert empirical_survival(s, [2.0])[0] == pytest.approx(0.5)
 
 
 def test_sample_dump(tmp_path):
-    s = FptSamples(hit_times=np.array([0.5, np.inf]))
+    s = np.array([0.5, np.inf])
     path = tmp_path / "samples.csv"
     write_samples_csv(s, str(path))
     lines = path.read_text().splitlines()
