@@ -41,7 +41,7 @@ import itertools
 import math
 import numbers
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -298,14 +298,25 @@ class PreprocessRecipe:
             raise ValueError("not a recipe")
         if obj.get("version") != 1:
             raise ValueError(f"unsupported recipe version {obj.get('version')!r}")
-        return cls(columns=tuple(map(_column, require(obj, "columns", "recipe", list))))
+        return cls(columns=tuple(itertools.starmap(
+            _column, enumerate(require(obj, "columns", "recipe", list)))))
 
 
-def _column(obj: dict) -> ColumnTransform:
-    """A recipe file's column; a ValueError names the column and the key when
-    the column cannot be applied as it stands."""
+def _column(i, obj: dict) -> ColumnTransform:
+    """A recipe file's column ``i``; a ValueError names the column (its index,
+    and its name where it has one) and the key when the column cannot be
+    applied as it stands."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"recipe column {i} must be an object, got {obj!r}")
+    where = f"recipe column {i}" + (f" {obj['name']!r}" if "name" in obj else "")
+    keys = {f.name: f.default is MISSING for f in fields(ColumnTransform)}
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{where} has an unknown key {key!r}")
+    for key, required in keys.items():
+        if required and key not in obj:
+            raise ValueError(f"{where} has no key {key!r}")
     tr = ColumnTransform(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
-    where = f"recipe column {tr.name!r}"
     if tr.kind not in ("numeric", "categorical"):
         raise ValueError(f"{where}: key 'kind' must be 'numeric' or 'categorical', got {tr.kind!r}")
     width = 1 if tr.kind == "numeric" else len(tr.categories)
@@ -313,9 +324,9 @@ def _column(obj: dict) -> ColumnTransform:
         if len(getattr(tr, key)) != width:
             raise ValueError(f"{where}: key '{key}' has {len(getattr(tr, key))} entries, but the "
                              f"{tr.kind} encoding makes {width} outputs")
-    for i, std in enumerate(tr.stds):
+    for j, std in enumerate(tr.stds):
         if not (isinstance(std, numbers.Real) and 0.0 < std < math.inf):
-            raise ValueError(f"{where}: key 'stds' entry {i} must be a finite number > 0, "
+            raise ValueError(f"{where}: key 'stds' entry {j} must be a finite number > 0, "
                              f"got {std!r}")
     return tr
 

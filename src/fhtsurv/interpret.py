@@ -10,10 +10,14 @@ the whole plane.  A query closer than 1e-12 to a source takes that source's
 time (the formula's limit), or the mean time of the sources it coincides
 with.
 
-Queries are evaluated in fixed blocks of ``_QUERY_BLOCK`` rows, one
-coordinate at a time, so the working memory is O(block x sources) float64
-values however many queries a map has; no (queries x sources x 2)
-difference array is formed.
+The queries of a map form the product grid of its two axes, and the grid
+is evaluated as such, in column blocks of at most ``_QUERY_BLOCK`` x
+values.  A block's squared x offsets to every source are formed once; each
+grid row then adds its source-length squared y offsets into one reused
+(block x sources) buffer, so a squared distance is the same sum of two
+squares as for a lone point, and the working memory is O(block x sources)
+float64 values however large the grid; no per-point coordinates or
+(queries x sources) difference arrays are formed.
 
 Distances are Euclidean in the coordinates of the map's axes.  The second
 parameter axis is on log scale where the parameter struct's
@@ -38,43 +42,48 @@ EXACT_MATCH_DIST = 1e-12
 _QUERY_BLOCK = 128
 
 
-def idw_time(query, source_params, source_times):
-    """Interpolate event times at query points (convex in the source times),
-    with Euclidean distances between the given coordinates.
+def idw_time(xs, ys, source_params, source_times):
+    """Interpolated event times over the product grid of ``xs`` and ``ys``
+    (convex in the source times), with Euclidean distances between the given
+    coordinates; ``grid[i, j]`` is the time at ``(xs[j], ys[i])``.
 
-    Queries are evaluated ``_QUERY_BLOCK`` rows at a time, so the working
-    memory is one ``(block, sources)`` array of squared distances and its
-    weights whatever the number of queries.
+    The grid is evaluated in column blocks of at most ``_QUERY_BLOCK`` x
+    values.  A block's squared x offsets ``(x - sx)^2`` are formed once, and
+    each grid row adds its source-length ``(y - sy)^2`` into one reused
+    ``(block, sources)`` buffer, so the working memory is that buffer, the
+    block's x offsets and the weights, whatever the size of the grid.
     """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
     source_params = np.atleast_2d(np.asarray(source_params, dtype=np.float64))
     source_times = np.asarray(source_times, dtype=np.float64)
+    if xs.ndim != 1 or ys.ndim != 1:
+        raise ValueError("grid axes must be 1-D arrays of coordinates")
     if source_params.shape[0] == 0:
         raise ValueError("source set is empty")
+    if source_params.shape[1] != 2:
+        raise ValueError("source points need 2 coordinates each")
     if not np.all(source_times > 0.0):
         raise ValueError("source times must be > 0")
-    query = np.asarray(query, dtype=np.float64)
-    scalar = query.ndim == 1
-    queries = np.atleast_2d(query)
-    if queries.shape[1] != 2 or source_params.shape[1] != 2:
-        raise ValueError("query and source points need 2 coordinates each")
-    out = np.empty(queries.shape[0])
-    for start in range(0, queries.shape[0], _QUERY_BLOCK):
-        q = queries[start : start + _QUERY_BLOCK]
-        block = out[start : start + _QUERY_BLOCK]
-        sq = q[:, 0:1] - source_params[:, 0]
-        sq *= sq
-        dy = q[:, 1:2] - source_params[:, 1]
-        dy *= dy
-        sq += dy
-        dist = np.sqrt(sq, out=sq)
-        hit = dist.min(axis=1) < EXACT_MATCH_DIST
-        for i in np.flatnonzero(hit):
-            block[i] = source_times[dist[i] < EXACT_MATCH_DIST].mean()
-        w = dist[~hit] if hit.any() else dist
-        np.sqrt(w, out=w)
-        np.divide(1.0, w, out=w)
-        block[~hit] = (w @ source_times) / w.sum(axis=1)
-    return float(out[0]) if scalar else out
+    out = np.empty((ys.size, xs.size))
+    dy = np.empty(source_params.shape[0])
+    buf = np.empty((min(xs.size, _QUERY_BLOCK), source_params.shape[0]))
+    for start in range(0, xs.size, _QUERY_BLOCK):
+        dx = xs[start : start + _QUERY_BLOCK, None] - source_params[:, 0]
+        dx *= dx
+        sq = buf[: dx.shape[0]]
+        for y, row in zip(ys, out[:, start : start + _QUERY_BLOCK]):
+            np.subtract(y, source_params[:, 1], out=dy)
+            dy *= dy
+            dist = np.sqrt(np.add(dx, dy, out=sq), out=sq)
+            hit = dist.min(axis=1) < EXACT_MATCH_DIST
+            for i in np.flatnonzero(hit):
+                row[i] = source_times[dist[i] < EXACT_MATCH_DIST].mean()
+            w = dist[~hit] if hit.any() else dist
+            np.sqrt(w, out=w)
+            np.divide(1.0, w, out=w)
+            row[~hit] = (w @ source_times) / w.sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -99,6 +108,11 @@ class AxisSpec:
         if self.scale == "log":
             return np.geomspace(self.lo, self.hi, self.resolution)
         return np.linspace(self.lo, self.hi, self.resolution)
+
+    def metric(self, values) -> np.ndarray:
+        """``values`` in the coordinate distances are measured in: their log
+        on a log axis."""
+        return np.log(values) if self.scale == "log" else values
 
 
 def _num(v) -> str:
@@ -164,11 +178,7 @@ def default_axes(kind: DistKind, params: np.ndarray, resolution=200):
 
 
 def _metric_coords(points: np.ndarray, axes) -> np.ndarray:
-    cols = []
-    for j, ax in enumerate(axes):
-        col = points[:, j]
-        cols.append(np.log(col) if ax.scale == "log" else col)
-    return np.stack(cols, axis=1)
+    return np.stack([ax.metric(points[:, j]) for j, ax in enumerate(axes)], axis=1)
 
 
 def risk_grid(model, train_data, resolution=200, overlay_data=None) -> RiskMap:
@@ -184,10 +194,8 @@ def risk_grid(model, train_data, resolution=200, overlay_data=None) -> RiskMap:
         raise ValueError("need at least one uncensored training record")
     axes = default_axes(model.kind, params, resolution=resolution)
     x_axis, y_axis = axes
-    qx, qy = np.meshgrid(x_axis.grid(), y_axis.grid())
-    queries = _metric_coords(np.stack([qx.ravel(), qy.ravel()], axis=1), axes)
-    src_coords = _metric_coords(params[uncensored], axes)
-    grid = idw_time(queries, src_coords, train_data.time[uncensored]).reshape(qx.shape)
+    grid = idw_time(x_axis.metric(x_axis.grid()), y_axis.metric(y_axis.grid()),
+                    _metric_coords(params[uncensored], axes), train_data.time[uncensored])
 
     if overlay_data is None:
         overlay_params, overlay_times, overlay_delta = params, train_data.time, train_data.delta

@@ -4,7 +4,7 @@ Model files, preprocessing recipes, and evaluation reports are all JSON.
 Float arrays are stored as base64 of their little-endian bytes so that a
 save/load round trip reproduces every bit.  Loading accepts only what
 ``encode_array`` writes for a model: dtype ``float64``, a shape of
-integers >= 0 and exactly as many bytes as the shape holds.
+integers >= 0, exactly as many bytes as the shape holds, and finite values.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ def require(obj: dict, key, where, kind=object):
 
 def decode_array(obj: dict, name) -> np.ndarray:
     """The float64 array of an ``encode_array`` entry; a ValueError names the
-    array ``name`` and the key at fault."""
+    array ``name`` and the key at fault, or the first index of a NaN or
+    infinite value."""
     where = f"array '{name}'"
     dtype, shape, data = (require(obj, key, where) for key in ("dtype", "shape", "data"))
     if dtype != "float64":
@@ -49,10 +50,16 @@ def decode_array(obj: dict, name) -> np.ndarray:
         raise ValueError(f"{where} key 'shape' must be a list of integers >= 0, got {shape!r}")
     try:  # binascii.Error, and numpy's size errors, are ValueErrors
         raw = base64.b64decode(data, validate=True)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where} key 'data' is not the base64 of {math.prod(shape)} "
                          f"float64 values: {exc}") from None
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        index = [int(k) for k in np.unravel_index(np.argmax(bad), arr.shape)]
+        raise ValueError(f"{where} holds {float(arr[tuple(index)])} at index {index}; "
+                         "model arrays must be finite")
+    return arr
 
 
 def write_json_atomic(path, obj) -> None:

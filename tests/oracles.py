@@ -10,7 +10,9 @@ The former CSV loader and preprocessing, which parsed each cell as text in
 every step, are kept verbatim at the end as the reference that the
 column-wise loader must reproduce; after them the former evaluation, which
 rebuilt every bootstrap resample from its rows, is kept verbatim as the
-reference for the count-weighted, column-blocked one.
+reference for the count-weighted, column-blocked one.  The former
+point-query risk map, which formed every query point's own offsets to every
+source, is kept as the bit-for-bit reference for the grid evaluation.
 """
 
 import csv
@@ -19,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
 from fhtsurv.data import (
     ColumnTransform,
@@ -184,6 +186,103 @@ def idw_ref(query, points, times, transform=None):
     if coincident:
         return sum(coincident) / len(coincident)
     return num / den
+
+
+def idw_points(query, source_params, source_times, block=128):
+    """The former point-query inverse-distance interpolation, kept verbatim as
+    the bit-for-bit reference for the grid evaluation: each query point and
+    each source form their own ``(qx - sx)^2`` and ``(qy - sy)^2``, ``block``
+    query rows at a time."""
+    source_params = np.atleast_2d(np.asarray(source_params, dtype=np.float64))
+    source_times = np.asarray(source_times, dtype=np.float64)
+    query = np.asarray(query, dtype=np.float64)
+    scalar = query.ndim == 1
+    queries = np.atleast_2d(query)
+    out = np.empty(queries.shape[0])
+    for start in range(0, queries.shape[0], block):
+        q = queries[start : start + block]
+        rows = out[start : start + block]
+        sq = q[:, 0:1] - source_params[:, 0]
+        sq *= sq
+        dy = q[:, 1:2] - source_params[:, 1]
+        dy *= dy
+        sq += dy
+        dist = np.sqrt(sq, out=sq)
+        hit = dist.min(axis=1) < 1e-12
+        for i in np.flatnonzero(hit):
+            rows[i] = source_times[dist[i] < 1e-12].mean()
+        w = dist[~hit] if hit.any() else dist
+        np.sqrt(w, out=w)
+        np.divide(1.0, w, out=w)
+        rows[~hit] = (w @ source_times) / w.sum(axis=1)
+    return float(out[0]) if scalar else out
+
+
+def idw_grid_points(xs, ys, source_params, source_times):
+    """The product grid of ``xs`` and ``ys`` as the former risk map built it:
+    a meshgrid of query points through ``idw_points``, shape (ys, xs)."""
+    qx, qy = np.meshgrid(xs, ys)
+    queries = np.stack([qx.ravel(), qy.ravel()], axis=1)
+    return idw_points(queries, source_params, source_times).reshape(qx.shape)
+
+
+def risk_grid_points(model, train_data, resolution):
+    """The former ``risk_grid`` map: every query point of the meshgrid of the
+    axes' raw grids mapped to metric coordinates (log on a log axis) one
+    column at a time, then ``idw_points``."""
+    from fhtsurv.interpret import default_axes
+
+    def metric(points, axes):
+        return np.stack([np.log(points[:, j]) if ax.scale == "log" else points[:, j]
+                         for j, ax in enumerate(axes)], axis=1)
+
+    params = model.params_for(train_data.x)
+    uncensored = train_data.delta == 1
+    axes = default_axes(model.kind, params, resolution=resolution)
+    qx, qy = np.meshgrid(axes[0].grid(), axes[1].grid())
+    queries = metric(np.stack([qx.ravel(), qy.ravel()], axis=1), axes)
+    src = metric(params[uncensored], axes)
+    return idw_points(queries, src, train_data.time[uncensored]).reshape(qx.shape)
+
+
+def cox_neg_loglik_ref(beta, x, times, deltas):
+    """Minus the Breslow log partial likelihood and its gradient, as a loop
+    over the distinct event times: at each time ``t`` the ``d`` subjects with
+    an event at ``t`` score against the risk set of subjects with time >= t,
+    ``sum_events (eta_i - log sum_risk exp(eta))``."""
+    eta = x @ beta
+    ll = 0.0
+    grad = np.zeros(x.shape[1])
+    for t in sorted(set(times[deltas == 1].tolist())):
+        events = (times == t) & (deltas == 1)
+        risk = times >= t
+        r = np.exp(eta[risk])
+        d = int(events.sum())
+        ll += eta[events].sum() - d * math.log(r.sum())
+        grad += x[events].sum(axis=0) - d * (r @ x[risk]) / r.sum()
+    return -ll, -grad
+
+
+def cox_beta_ref(x, times, deltas):
+    """The Breslow partial-likelihood estimate, ``cox_neg_loglik_ref``
+    minimised by scipy's BFGS from zero.  BFGS may stop on precision loss
+    once its line search cannot lower a log-likelihood in the hundreds, so
+    the caller checks the result, not ``success``."""
+    return optimize.minimize(cox_neg_loglik_ref, np.zeros(x.shape[1]), args=(x, times, deltas),
+                             jac=True, method="BFGS", options={"gtol": 1e-10}).x
+
+
+def breslow_cumhaz_ref(beta, x, times, deltas):
+    """The Breslow baseline cumulative hazard at each distinct event time, as
+    a loop summing the increments ``d_j / sum_{R_j} exp(eta)``."""
+    eta = x @ beta
+    event_times, cumhaz, total = [], [], 0.0
+    for t in sorted(set(times[deltas == 1].tolist())):
+        d = int(((times == t) & (deltas == 1)).sum())
+        total += d / math.fsum(math.exp(e) for e in eta[times >= t])
+        event_times.append(t)
+        cumhaz.append(total)
+    return np.array(event_times), np.array(cumhaz)
 
 
 def fine_fpt_reference(args):

@@ -259,8 +259,10 @@ def test_criterion_7_idw_properties():
     src = rng.normal(size=(40, 2))
     times = rng.uniform(0.2, 9.0, 40)
     queries = rng.normal(size=(1000, 2)) * 2.0
-    vals = idw_time(queries, src, times)
-    convex = bool(np.all(vals >= times.min()) and np.all(vals <= times.max()))
+    # the queries are the diagonal of the grid spanned by their coordinates
+    grid = idw_time(queries[:, 0], queries[:, 1], src, times)
+    vals = np.diagonal(grid)
+    convex = bool(np.all(grid >= times.min()) and np.all(grid <= times.max()))
     worst = 0.0
     for q, v in zip(queries, vals):
         worst = max(worst, abs(v - oracles.idw_ref(q, src, times)))

@@ -13,7 +13,7 @@ import pytest
 
 from fhtsurv import cli
 from fhtsurv.cli import _model_config, build_parser, main
-from fhtsurv.cox import fit_cox
+from fhtsurv.cox import CoxModel, fit_cox
 from fhtsurv.data import (
     NonPhConfig,
     SurvivalData,
@@ -690,11 +690,11 @@ def _zero_std(obj):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_bogus_kind, r"recipe column 'x\d+': key 'kind' must be 'numeric' or 'categorical', "
+    (_bogus_kind, r"recipe column 0 'x\d+': key 'kind' must be 'numeric' or 'categorical', "
                   "got 'ordinal'"),
-    (_extra_mean, r"recipe column 'x\d+': key 'means' has 2 entries, but the numeric "
+    (_extra_mean, r"recipe column 0 'x\d+': key 'means' has 2 entries, but the numeric "
                   "encoding makes 1 outputs"),
-    (_zero_std, r"recipe column 'x\d+': key 'stds' entry 0 must be a finite number > 0, "
+    (_zero_std, r"recipe column 0 'x\d+': key 'stds' entry 0 must be a finite number > 0, "
                 "got 0.0"),
 ], ids=["kind", "unequal-lengths", "zero-std"])
 @pytest.mark.parametrize("which", ["network", "cox"])
@@ -709,6 +709,64 @@ def test_eval_refuses_a_recipe_column_it_cannot_apply(edit, message, which, trai
     out = tmp_path / "report.json"
     assert main(["eval", "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
     assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def _unknown_key(obj):
+    _first_column(obj)["scale"] = 1.0
+
+
+def _no_impute(obj):
+    del _first_column(obj)["impute"]
+
+
+def _column_not_an_object(obj):
+    obj["recipe"]["columns"][1] = 5
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_unknown_key, r"recipe column 0 'x\d+' has an unknown key 'scale'"),
+    (_no_impute, r"recipe column 0 'x\d+' has no key 'impute'"),
+    (_column_not_an_object, "recipe column 1 must be an object, got 5"),
+], ids=["unknown-key", "missing-key", "not-an-object"])
+@pytest.mark.parametrize("which", ["network", "cox"])
+def test_eval_names_the_recipe_column_whose_keys_are_wrong(edit, message, which, trained_model,
+                                                          cox_model, small_csv, tmp_path,
+                                                          capsys, monkeypatch):
+    obj = read_json(trained_model if which == "network" else cox_model)
+    edit(obj)
+    model = tmp_path / "edited.json"
+    model.write_text(json.dumps(obj))
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    out = tmp_path / "report.json"
+    assert main(["eval", "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which, array, index, value", [
+    ("network", "h0.w", (2, 3), np.nan),
+    ("network", "out.b", (1,), -np.inf),
+    ("cox", "beta", (4,), np.inf),
+])
+@pytest.mark.parametrize("command", ["eval", "riskmap"])
+def test_model_file_with_a_non_finite_array_refused(command, which, array, index, value,
+                                                    trained_model, cox_model, small_csv,
+                                                    tmp_path, capsys, monkeypatch):
+    obj = read_json(trained_model if which == "network" else cox_model)
+    payload = obj["payload"]["arrays"] if which == "network" else obj["payload"]
+    weights = np.array(FittedModel.load(trained_model).network.weights[array]
+                       if which == "network" else CoxModel.from_dict(obj).beta)
+    weights[index] = value
+    payload[array] = encode_array(weights)
+    model = tmp_path / "edited.json"
+    model.write_text(json.dumps(obj))
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    out = tmp_path / "out.csv"
+    assert main([command, "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert (f"array '{array}' holds {value} at index {list(index)}; model arrays must be finite"
+            in err)
     assert not out.exists()
 
 

@@ -4,6 +4,8 @@ import pytest
 from fhtsurv.cox import CoxConvergenceError, CoxModel, _partial_lik_parts, fit_cox
 from fhtsurv.data import SurvivalData
 
+import oracles
+
 
 def make_data(x, times, deltas):
     x = np.asarray(x, dtype=float)
@@ -228,6 +230,44 @@ def partial_loglik_breslow(x, times, deltas, beta):
         risk = times >= t
         ll += eta[events].sum() - events.sum() * np.log(np.exp(eta[risk]).sum())
     return ll
+
+
+class TestAgainstBreslowLoop:
+    """``fit_cox`` and ``CoxModel.cumulative_hazard`` against the partial
+    likelihood and the Breslow increments written as loops over event times."""
+
+    @staticmethod
+    def make(tied, seed=23, n=300):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 4))
+        t = np.exp(0.6 * x[:, 0] - 0.4 * x[:, 1] + 0.1 * x[:, 2]) * rng.exponential(1, n) + 0.01
+        if tied:
+            t = np.round(t, 1) + 0.05
+        delta = (rng.random(n) > 0.3).astype(int)
+        return make_data(x, t, delta)
+
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+    def test_beta_minimises_the_partial_likelihood_loop(self, tied):
+        d = self.make(tied)
+        assert (np.unique(d.time[d.delta == 1]).size < (d.delta == 1).sum()) == tied
+        model = fit_cox(d, tol=1e-10)
+        ref = oracles.cox_beta_ref(d.x, d.time, d.delta)
+        assert np.max(np.abs(model.beta - ref)) < 1e-6
+        ref_nll, grad = oracles.cox_neg_loglik_ref(model.beta, d.x, d.time, d.delta)
+        assert model.log_likelihood == pytest.approx(-ref_nll, rel=1e-12)
+        assert np.max(np.abs(grad)) < 1e-9
+
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+    def test_cumulative_hazard_matches_the_increment_loop(self, tied):
+        d = self.make(tied)
+        model = fit_cox(d, tol=1e-10)
+        ref_times, ref_cumhaz = oracles.breslow_cumhaz_ref(model.beta, d.x, d.time, d.delta)
+        assert np.array_equal(model.baseline_times, ref_times)
+        assert np.allclose(model.cumulative_hazard(ref_times), ref_cumhaz, rtol=1e-12, atol=0)
+        queries = np.concatenate([[0.0, ref_times[0] - 1e-9], (ref_times[:-1] + ref_times[1:]) / 2,
+                                  [ref_times[-1] + 1.0]])
+        expected = [ref_cumhaz[ref_times <= q][-1] if q >= ref_times[0] else 0.0 for q in queries]
+        assert np.allclose(model.cumulative_hazard(queries), expected, rtol=1e-12, atol=0)
 
 
 class TestAgainstStatsmodels:
