@@ -66,14 +66,13 @@ def idw_time(xs, ys, source_params, source_times):
     if not np.all(source_times > 0.0):
         raise ValueError("source times must be > 0")
     out = np.empty((ys.size, xs.size))
-    dy = np.empty(source_params.shape[0])
     buf = np.empty((min(xs.size, _QUERY_BLOCK), source_params.shape[0]))
     for start in range(0, xs.size, _QUERY_BLOCK):
         dx = xs[start : start + _QUERY_BLOCK, None] - source_params[:, 0]
         dx *= dx
         sq = buf[: dx.shape[0]]
         for y, row in zip(ys, out[:, start : start + _QUERY_BLOCK]):
-            np.subtract(y, source_params[:, 1], out=dy)
+            dy = y - source_params[:, 1]
             dy *= dy
             dist = np.sqrt(np.add(dx, dy, out=sq), out=sq)
             hit = dist.min(axis=1) < EXACT_MATCH_DIST
