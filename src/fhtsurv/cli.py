@@ -211,6 +211,9 @@ def cmd_riskmap(args):
 def cmd_simulate(args):
     kind = fht.DistKind(args.distribution)
     name = fht.param_names(kind)[1]
+    for other in {fht.param_names(k)[1] for k in fht.DistKind} - {name}:
+        if getattr(args, other) is not None:
+            raise ValueError(f"{kind.value} simulation takes no --{other}; give --{name}")
     second = getattr(args, name)
     if second is None:
         raise ValueError(f"{kind.value} simulation needs --{name}")

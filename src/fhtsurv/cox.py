@@ -17,10 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PreprocessRecipe
-from .modelio import decode_array, encode_array, require, write_json_atomic
+from .modelio import decode_array, encode_array, is_finite, is_int, require, write_json_atomic
+from .training import model_from_dict, model_to_dict
 
 RIDGE_EPS = 1e-9
+# the model file's payload: its arrays, then its scalars with the check each passes
+PAYLOAD_ARRAYS = ("beta", "baseline_times", "baseline_cumhaz")
+PAYLOAD_SCALARS = {
+    "n_iter": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
+    "grad_norm": (is_finite, "a finite number"),
+    "log_likelihood": (is_finite, "a finite number"),
+}
 
 
 class CoxConvergenceError(RuntimeError):
@@ -40,8 +47,7 @@ class CoxModel:
     def cumulative_hazard(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=np.float64))
         idx = np.searchsorted(self.baseline_times, times, side="right") - 1
-        h0 = np.where(idx < 0, 0.0, self.baseline_cumhaz[np.maximum(idx, 0)])
-        return h0
+        return np.where(idx < 0, 0.0, self.baseline_cumhaz[np.maximum(idx, 0)])
 
     def survival_matrix(self, x: np.ndarray, times) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -50,43 +56,26 @@ class CoxModel:
         return np.exp(-np.outer(risk, h0))
 
     def to_dict(self) -> dict:
-        return {
-            "format": "fhtsurv-model",
-            "version": 1,
-            "kind": "cox",
-            "payload": {
-                "beta": encode_array(self.beta),
-                "baseline_times": encode_array(self.baseline_times),
-                "baseline_cumhaz": encode_array(self.baseline_cumhaz),
-                "n_iter": self.n_iter,
-                "grad_norm": self.grad_norm,
-                "log_likelihood": self.log_likelihood,
-            },
-            "recipe": self.recipe.to_dict() if self.recipe is not None else None,
-            "loss_trace": [],
-        }
+        payload = {key: encode_array(getattr(self, key)) for key in PAYLOAD_ARRAYS}
+        payload.update((key, getattr(self, key)) for key in PAYLOAD_SCALARS)
+        return model_to_dict("cox", payload, self.recipe)
 
     def save(self, path) -> None:
         write_json_atomic(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CoxModel":
-        if obj.get("format") != "fhtsurv-model" or obj.get("kind") != "cox":
-            raise ValueError("not a cox model file")
-        if obj.get("version") != 1:
-            raise ValueError(f"unsupported model file version {obj.get('version')!r}")
-        recipe = None
-        if obj.get("recipe") is not None:
-            recipe = PreprocessRecipe.from_dict(obj["recipe"])
-        # older files also carry "converged", always true as an unconverged fit raises
-        p = require(obj, "payload", "model file")
-        arrays = {k: decode_array(require(p, k, "cox payload"), k)
-                  for k in ("beta", "baseline_times", "baseline_cumhaz")}
-        if recipe is not None and arrays["beta"].shape != (len(recipe.output_names),):
-            raise ValueError(f"cox payload array 'beta' has shape {arrays['beta'].shape}, but "
+        p, recipe, _ = model_from_dict(obj, cox=True)
+        # older payloads also carry "converged", always true as an unconverged fit raises
+        fields = {key: decode_array(require(p, key, "cox payload"), key) for key in PAYLOAD_ARRAYS}
+        if recipe is not None and fields["beta"].shape != (len(recipe.output_names),):
+            raise ValueError(f"cox payload array 'beta' has shape {fields['beta'].shape}, but "
                              f"the recipe makes {len(recipe.output_names)} feature columns")
-        return cls(**arrays, recipe=recipe, **{k: require(p, k, "cox payload")
-                                               for k in ("n_iter", "grad_norm", "log_likelihood")})
+        for key, (ok, want) in PAYLOAD_SCALARS.items():
+            fields[key] = require(p, key, "cox payload")
+            if not ok(fields[key]):
+                raise ValueError(f"cox payload key '{key}' must be {want}, got {fields[key]!r}")
+        return cls(**fields, recipe=recipe)
 
 
 def _partial_lik_parts(xs, ds, start, d_count, eta):

@@ -38,14 +38,12 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
-import numbers
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .modelio import require
+from .modelio import is_finite, is_int, require
 
 MISSING_MARKERS = {"", "na", "nan", "n/a", "?", "null", "none"}
 TIME_COL, EVENT_COL = "time", "event"
@@ -325,7 +323,7 @@ def _column(i, obj: dict) -> ColumnTransform:
             raise ValueError(f"{where}: key '{key}' has {len(getattr(tr, key))} entries, but the "
                              f"{tr.kind} encoding makes {width} outputs")
     for j, std in enumerate(tr.stds):
-        if not (isinstance(std, numbers.Real) and 0.0 < std < math.inf):
+        if not (is_finite(std) and std > 0.0):
             raise ValueError(f"{where}: key 'stds' entry {j} must be a finite number > 0, "
                              f"got {std!r}")
     return tr
@@ -464,14 +462,13 @@ class NonPhConfig:
     def __post_init__(self):
         for name in ("n_raw", "n_features", "n_intervals", "n_subintervals", "n_keep"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
         for name in ("beta", "horizon", "target_censoring"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               and math.isfinite(value)):
+            if not is_finite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.n_features < self.n_intervals:
             raise ValueError("need at least one feature per time interval")

@@ -58,13 +58,6 @@ def _check_positive(name, value):
     return arr
 
 
-def _check_time(t):
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)) or not np.all(t > 0.0):
-        raise FhtDomainError("t must be finite and > 0")
-    return t
-
-
 @dataclass(frozen=True)
 class LevyParams:
     """Driftless Brownian parameters: initial barrier distance and diffusion.
@@ -87,7 +80,7 @@ class LevyParams:
 
     def survival(self, t):
         """P(T > t) = erf(x0 / sqrt(4 D t))."""
-        t = _check_time(t)
+        t = _check_positive("t", t)
         return erf(self.x0 / np.sqrt(4.0 * self.diffusion * t))
 
     def survival_and_grads(self, t):
@@ -96,7 +89,7 @@ class LevyParams:
         Both partials share (2/sqrt(pi)) u exp(-u^2); S is bit-identical to
         :meth:`survival`.
         """
-        t = _check_time(t)
+        t = _check_positive("t", t)
         u = self.x0 / np.sqrt(4.0 * self.diffusion * t)
         pref = (2.0 / _SQRT_PI) * np.exp(-u * u) * u
         return erf(u), pref / self.x0, -pref / (2.0 * self.diffusion)
@@ -108,7 +101,7 @@ class LevyParams:
         the drifted-case density); at D = 1 it reduces to the usual
         one-parameter Levy form.
         """
-        t = _check_time(t)
+        t = _check_positive("t", t)
         return (
             self.x0
             / np.sqrt(4.0 * np.pi * self.diffusion * t**3)
@@ -164,7 +157,7 @@ class InvGaussParams:
         Values are clipped to [0, 1]; exact zeros can occur by underflow at
         extreme times even though the law is strictly positive.
         """
-        return self._terms(_check_time(t))[0]
+        return self._terms(_check_positive("t", t))[0]
 
     def survival_and_grads(self, t):
         """(S, dS/dx0, dS/dmu).
@@ -173,12 +166,12 @@ class InvGaussParams:
         dS/dx0 = 2 phi(a)/sqrt(2t) + mu * W and dS/dmu = x0 * W with
         W = exp(-mu*x0) Phi(b); S is bit-identical to :meth:`survival`.
         """
-        surv, s, e, image = self._terms(_check_time(t))
+        surv, s, e, image = self._terms(_check_positive("t", t))
         return surv, 2.0 * e / (_SQRT_2PI * s) + self.drift * image, self.x0 * image
 
     def density(self, t):
         """Inverse Gaussian density x0 / sqrt(4 pi t^3) * exp(-(x0+mu t)^2 / (4t))."""
-        t = _check_time(t)
+        t = _check_positive("t", t)
         z = self.x0 + self.drift * t
         return self.x0 / np.sqrt(4.0 * np.pi * t ** 3) * np.exp(-z * z / (4.0 * t))
 

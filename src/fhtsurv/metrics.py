@@ -185,7 +185,7 @@ def _concordance_from_pairs(pairs, rec: _ByTime):
     tail[:, :-1] = np.cumsum(rec.counts[:, ::-1], axis=1)[:, ::-1]
     comparable = rec.counts[:, rec.anchors] * tail[:, np.searchsorted(rec.time, t_a, side="right")]
     # G is 0 only at an anchor the count row did not draw, whose pairs count 0
-    w = _inverse(kaplan_meier(rec.time, 1 - rec.delta, rec.counts).eval_left(t_a) ** 2)
+    w = _inverse(km_censoring(rec, rec.counts).eval_left(t_a) ** 2)
     den = (w * comparable).sum(axis=1)
     if (den == 0.0).any():
         raise MetricUndefinedError("no comparable pairs")

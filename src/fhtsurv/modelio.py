@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 import os
 import tempfile
 
@@ -25,6 +26,16 @@ def encode_array(arr: np.ndarray) -> dict:
         "dtype": str(arr.dtype),
         "data": base64.b64encode(arr.astype(arr.dtype.newbyteorder("<")).tobytes()).decode("ascii"),
     }
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer; ``True`` and ``False`` are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """Whether ``value`` is a finite number; ``True`` and ``False`` are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def require(obj: dict, key, where, kind=object):

@@ -133,7 +133,7 @@ class Network:
         if not np.all(np.isfinite(x)):
             raise ValueError("batch contains non-finite values")
         n = x.shape[0]
-        cache = {"x": x, "train": train, "layers": []}
+        cache = {"train": train, "layers": []}
         a = x
         for i in range(len(self.hidden)):
             lc = {"a_in": a}

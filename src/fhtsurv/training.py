@@ -27,8 +27,6 @@ feature columns, and returns the trained network itself.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +34,7 @@ import numpy as np
 from . import fht
 from .data import PreprocessRecipe
 from .fht import DistKind
-from .modelio import read_json, require, write_json_atomic
+from .modelio import is_finite, is_int, read_json, require, write_json_atomic
 from .network import Network, init_network
 
 ADAM_BETA1 = 0.9
@@ -47,10 +45,6 @@ EVAL_TIME_CAP = 256
 
 class TrainingDivergedError(RuntimeError):
     pass
-
-
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -71,12 +65,12 @@ class ModelConfig:
             raise ValueError(f"'distribution' must be one of {kinds}, got {self.distribution!r}")
         for key, low in (("epochs", 0), ("batch_size", 1)):
             value = getattr(self, key)
-            if not _is_int(value):
+            if not is_int(value):
                 raise ValueError(f"'{key}' must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"'{key}' must be >= {low}, got {value!r}")
         widths = self.hidden_sizes
-        if not isinstance(widths, (list, tuple)) or not all(_is_int(w) for w in widths):
+        if not isinstance(widths, (list, tuple)) or not all(is_int(w) for w in widths):
             raise ValueError(f"'hidden_sizes' must be a list of integers, got {widths!r}")
         if not all(w >= 1 for w in widths):
             raise ValueError(f"'hidden_sizes' must hold widths >= 1, got {widths!r}")
@@ -87,7 +81,7 @@ class ModelConfig:
                 f"normalization needs two rows, got {self.batch_size!r}"
             )
         rate = self.learning_rate
-        if isinstance(rate, bool) or not (isinstance(rate, numbers.Real) and 0.0 < rate < math.inf):
+        if not (is_finite(rate) and rate > 0.0):
             raise ValueError(f"'learning_rate' must be a finite number > 0, got {rate!r}")
 
 
@@ -154,6 +148,40 @@ def survival_and_grads(kind: DistKind, param_cols: np.ndarray, times: np.ndarray
     return p.survival_and_grads(times[None, :])
 
 
+def model_to_dict(kind: str, payload: dict, recipe, loss_trace=()) -> dict:
+    """A model file's object: the envelope all kinds share, around ``payload``."""
+    return {
+        "format": "fhtsurv-model",
+        "version": 1,
+        "kind": kind,
+        "payload": payload,
+        "recipe": recipe.to_dict() if recipe is not None else None,
+        "loss_trace": [float(v) for v in loss_trace],
+    }
+
+
+def model_from_dict(obj: dict, cox: bool):
+    """The payload, recipe and loss trace of a model file's object, a cox
+    model's if ``cox`` is true and a network's otherwise; a ValueError names
+    the envelope key at fault.  ``recipe`` and ``loss_trace`` may be absent."""
+    if obj.get("format") != "fhtsurv-model" or (obj.get("kind") == "cox") != cox:
+        raise ValueError(f"not a {'cox' if cox else 'network'} model file")
+    if obj.get("version") != 1:
+        raise ValueError(f"unsupported model file version {obj.get('version')!r}")
+    payload = require(obj, "payload", "model file", dict)
+    recipe = obj.get("recipe")
+    if not isinstance(recipe, (dict, type(None))):
+        raise ValueError(f"model file key 'recipe' must be an object or null, got {recipe!r}")
+    trace = obj.get("loss_trace", [])
+    if not isinstance(trace, list):
+        raise ValueError(f"model file key 'loss_trace' must be a list, got {trace!r}")
+    for i, value in enumerate(trace):
+        if not is_finite(value):
+            raise ValueError(f"model file key 'loss_trace' entry {i} must be a finite number, "
+                             f"got {value!r}")
+    return payload, None if recipe is None else PreprocessRecipe.from_dict(recipe), trace
+
+
 @dataclass
 class FittedModel:
     """Eval-mode network snapshot plus everything needed to predict; the
@@ -178,38 +206,20 @@ class FittedModel:
         return p.survival(times[None, :])
 
     def to_dict(self) -> dict:
-        return {
-            "format": "fhtsurv-model",
-            "version": 1,
-            "kind": self.kind.value,
-            "payload": self.network.to_dict(),
-            "recipe": self.recipe.to_dict() if self.recipe is not None else None,
-            "loss_trace": [float(v) for v in self.loss_trace],
-        }
+        return model_to_dict(self.kind.value, self.network.to_dict(), self.recipe,
+                             self.loss_trace)
 
     def save(self, path) -> None:
         write_json_atomic(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FittedModel":
-        if obj.get("format") != "fhtsurv-model" or obj.get("kind") == "cox":
-            raise ValueError("not a network model file")
-        if obj.get("version") != 1:
-            raise ValueError(f"unsupported model file version {obj.get('version')!r}")
-        network = Network.from_dict(require(obj, "payload", "model file", dict))
+        payload, recipe, trace = model_from_dict(obj, cox=False)
+        network = Network.from_dict(payload)
         if obj.get("kind") != network.kind.value:
-            raise ValueError(
-                f"model file says kind {obj.get('kind')!r} but its network payload "
-                f"says {network.kind.value!r}"
-            )
-        recipe = None
-        if obj.get("recipe") is not None:
-            recipe = PreprocessRecipe.from_dict(obj["recipe"])
-        return cls(
-            network=network,
-            recipe=recipe,
-            loss_trace=list(obj.get("loss_trace", [])),
-        )
+            raise ValueError(f"model file says kind {obj.get('kind')!r} but its network "
+                             f"payload says {network.kind.value!r}")
+        return cls(network=network, recipe=recipe, loss_trace=list(trace))
 
     @classmethod
     def load(cls, path) -> "FittedModel":

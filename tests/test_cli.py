@@ -266,6 +266,20 @@ class TestSimulate:
         assert rc == 1
         assert "diffusion" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, own, other", [
+        ("levy", ["--diffusion", "1.0"], ["--drift", "-0.5"]),
+        ("invgauss", ["--drift", "-0.5"], ["--diffusion", "3.0"]),
+    ])
+    def test_other_kinds_parameter_refused(self, kind, own, other, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(cli, "simulate_fpt", _must_not_run)
+        out = tmp_path / "x.json"
+        assert main(["simulate", "--distribution", kind, "--x0", "1.0", *own, *other,
+                     "--out", str(out)]) == 1
+        assert (f"{kind} simulation takes no {other[0]}; give {own[0]}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 def test_unknown_config_key_rejected(small_csv, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
@@ -634,6 +648,35 @@ def _cut_data(obj):
     entry["data"] = entry["data"][:8]
 
 
+# faults in the envelope every model file shares, with the message naming the key
+ENVELOPE_FAULTS = [
+    pytest.param(_set(("loss_trace",), 5), "model file key 'loss_trace' must be a list, got 5",
+                 id="trace-int"),
+    pytest.param(_set(("loss_trace",), "abc"),
+                 "model file key 'loss_trace' must be a list, got 'abc'", id="trace-string"),
+    pytest.param(_set(("loss_trace",), [0.5, "x"]),
+                 "model file key 'loss_trace' entry 1 must be a finite number, got 'x'",
+                 id="trace-non-number"),
+    pytest.param(_set(("loss_trace",), [True]),
+                 "model file key 'loss_trace' entry 0 must be a finite number, got True",
+                 id="trace-bool"),
+    pytest.param(_set(("loss_trace",), [float("nan")]),
+                 "model file key 'loss_trace' entry 0 must be a finite number, got nan",
+                 id="trace-nan"),
+    pytest.param(_set(("loss_trace",), [0.5, float("inf")]),
+                 "model file key 'loss_trace' entry 1 must be a finite number, got inf",
+                 id="trace-inf"),
+    pytest.param(_set(("recipe",), 5), "model file key 'recipe' must be an object or null, got 5",
+                 id="recipe-int"),
+    pytest.param(_set(("recipe",), []),
+                 r"model file key 'recipe' must be an object or null, got \[\]",
+                 id="recipe-list"),
+    pytest.param(_set(("recipe",), {}), "not a recipe", id="recipe-empty"),
+    pytest.param(_set(("payload",), 5), "model file key 'payload' must be an object, got 5",
+                 id="payload-int"),
+]
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set(("payload", "arrays", "h0.w", "dtype"), "int64"),
      "array 'h0.w' key 'dtype' must be 'float64', got 'int64'"),
@@ -646,8 +689,9 @@ def _cut_data(obj):
     (_drop(("payload", "arrays")), "network file has no key 'arrays'"),
     (_set(("payload", "hidden"), [4]),
      "network file key 'hidden': layer 0 is not an object: 4"),
+    *ENVELOPE_FAULTS,
 ], ids=["dtype-int64", "no-shape", "negative-shape", "short-data", "no-data", "no-payload",
-        "no-arrays", "hidden-not-objects"])
+        "no-arrays", "hidden-not-objects", *(p.id for p in ENVELOPE_FAULTS)])
 def test_eval_names_the_model_file_array_or_key_at_fault(edit, message, trained_model,
                                                          small_csv, tmp_path, capsys,
                                                          monkeypatch):
@@ -689,6 +733,10 @@ def _zero_std(obj):
     _first_column(obj)["stds"][0] = 0.0
 
 
+def _boolean_std(obj):
+    _first_column(obj)["stds"][0] = True
+
+
 @pytest.mark.parametrize("edit, message", [
     (_bogus_kind, r"recipe column 0 'x\d+': key 'kind' must be 'numeric' or 'categorical', "
                   "got 'ordinal'"),
@@ -696,7 +744,9 @@ def _zero_std(obj):
                   "encoding makes 1 outputs"),
     (_zero_std, r"recipe column 0 'x\d+': key 'stds' entry 0 must be a finite number > 0, "
                 "got 0.0"),
-], ids=["kind", "unequal-lengths", "zero-std"])
+    (_boolean_std, r"recipe column 0 'x\d+': key 'stds' entry 0 must be a finite number > 0, "
+                   "got True"),
+], ids=["kind", "unequal-lengths", "zero-std", "boolean-std"])
 @pytest.mark.parametrize("which", ["network", "cox"])
 def test_eval_refuses_a_recipe_column_it_cannot_apply(edit, message, which, trained_model,
                                                       cox_model, small_csv, tmp_path, capsys,
@@ -796,6 +846,47 @@ def test_eval_names_a_missing_cox_payload_key(cox_model, small_csv, tmp_path, ca
     out = tmp_path / "report.json"
     assert main(["eval", "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
     assert "cox payload has no key 'baseline_cumhaz'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    *ENVELOPE_FAULTS,
+    pytest.param(_set(("payload", "n_iter"), "x"),
+                 "cox payload key 'n_iter' must be an integer >= 0, got 'x'", id="n_iter-string"),
+    pytest.param(_set(("payload", "n_iter"), 2.5),
+                 "cox payload key 'n_iter' must be an integer >= 0, got 2.5", id="n_iter-float"),
+    pytest.param(_set(("payload", "n_iter"), -1),
+                 "cox payload key 'n_iter' must be an integer >= 0, got -1", id="n_iter-negative"),
+    pytest.param(_set(("payload", "n_iter"), True),
+                 "cox payload key 'n_iter' must be an integer >= 0, got True", id="n_iter-bool"),
+    pytest.param(_set(("payload", "grad_norm"), None),
+                 "cox payload key 'grad_norm' must be a finite number, got None",
+                 id="grad_norm-null"),
+    pytest.param(_set(("payload", "grad_norm"), float("inf")),
+                 "cox payload key 'grad_norm' must be a finite number, got inf",
+                 id="grad_norm-inf"),
+    pytest.param(_set(("payload", "log_likelihood"), None),
+                 "cox payload key 'log_likelihood' must be a finite number, got None",
+                 id="log_likelihood-null"),
+    pytest.param(_set(("payload", "log_likelihood"), "-3.5"),
+                 "cox payload key 'log_likelihood' must be a finite number, got '-3.5'",
+                 id="log_likelihood-string"),
+    pytest.param(_set(("payload", "log_likelihood"), float("nan")),
+                 "cox payload key 'log_likelihood' must be a finite number, got nan",
+                 id="log_likelihood-nan"),
+    pytest.param(_drop(("payload", "n_iter")), "cox payload has no key 'n_iter'",
+                 id="no-n_iter"),
+])
+def test_eval_names_the_cox_file_key_at_fault(edit, message, cox_model, small_csv, tmp_path,
+                                              capsys, monkeypatch):
+    obj = read_json(cox_model)
+    edit(obj)
+    model = tmp_path / "edited.json"
+    model.write_text(json.dumps(obj))
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    out = tmp_path / "report.json"
+    assert main(["eval", "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
+    assert re.search(message, capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -60,6 +60,19 @@ def test_only_network_names_a_weight_array():
     assert list(_weight_names(ast.parse((SRC / "network.py").read_text(encoding="utf-8"))))
 
 
+def _string_literals(tree):
+    """The string constants of a module, f-string parts included."""
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_only_one_module_spells_the_model_file_envelope():
+    # network and cox model files share one writer and one reader
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if "fhtsurv-model" in _string_literals(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == ["training.py"]
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in fhtsurv.__all__ if not hasattr(fhtsurv, name)]
     assert missing == []

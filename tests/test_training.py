@@ -288,6 +288,24 @@ class TestModelFile:
         with pytest.raises(ValueError, match="unsupported model file version 99"):
             FittedModel.from_dict(obj)
 
+    @pytest.mark.parametrize("edit", [
+        {"recipe": None},
+        {"loss_trace": []},
+        {"loss_trace": [1, 0.5]},
+    ], ids=["null-recipe", "empty-trace", "integer-entry"])
+    def test_envelope_keys_that_still_load(self, edit):
+        m = fit(toy_data(40, seed=1), toy_cfg(1, 32, 0.01))
+        obj = {**m.to_dict(), **edit}
+        back = FittedModel.from_dict(obj)
+        assert back.recipe is None and back.loss_trace == obj["loss_trace"]
+        assert back.to_dict() == {**obj, "loss_trace": [float(v) for v in obj["loss_trace"]]}
+
+    def test_recipe_and_loss_trace_may_be_absent(self):
+        obj = fit(toy_data(40, seed=1), toy_cfg(1, 32, 0.01)).to_dict()
+        del obj["recipe"], obj["loss_trace"]
+        back = FittedModel.from_dict(obj)
+        assert back.recipe is None and back.loss_trace == []
+
     def test_envelope_kind_must_match_payload(self):
         obj = {"format": "fhtsurv-model", "version": 1, "kind": "invgauss",
                "payload": toy_net().to_dict(), "recipe": None, "loss_trace": []}
