@@ -6,13 +6,14 @@ manifest next to the main output (``<out>.manifest.json``).  ``fhtsurv
 rerun --manifest <path>`` re-executes the recorded command and reproduces
 the outputs byte for byte.
 
+A ``generate`` config file may set ``n_raw`` and ``n_keep``, the fields of
+``data.NonPhConfig`` other than the seed; the benchmark's shape is fixed.
 Model configuration files are JSON whose keys are the fields of
 ``training.ModelConfig``, which states their defaults and checks their
-values; both happen before any data is read.  The keys ``activation``,
-``dropout``, ``eval_time_cap`` and ``optimizer`` are accepted so older
-files still load, but each takes only the one value training uses
-(``FIXED_CONFIG``): hidden layers are ReLU without dropout, at most 256
-event times enter each batch's loss, and the optimizer is Adam.
+values.  The keys ``activation`` and ``dropout`` are accepted so older files
+still load, but each takes only the one value training uses
+(``FIXED_CONFIG``): hidden layers are ReLU without dropout.  Every config
+key is checked, and an unknown one refused by name, before any data is read.
 """
 
 from __future__ import annotations
@@ -39,13 +40,12 @@ from .data import (
 )
 from .interpret import risk_grid
 from .metrics import MetricUndefinedError, concordance, evaluate
-from .modelio import read_json, require, write_json_atomic
+from .modelio import read_json, refuse_unknown, require, write_json_atomic
 from .simulate import SimConfig, empirical_survival, simulate_fpt, write_samples_csv
-from .training import EVAL_TIME_CAP, FittedModel, ModelConfig, fit
+from .training import FittedModel, ModelConfig, fit
 
 # keys kept so older config files load, each with the one value training uses
-FIXED_CONFIG = {"activation": "relu", "dropout": 0.0, "optimizer": "adam",
-                "eval_time_cap": EVAL_TIME_CAP}
+FIXED_CONFIG = {"activation": "relu", "dropout": 0.0}
 
 
 def _write_manifest(command, args_dict, outputs, started):
@@ -103,6 +103,8 @@ def cmd_generate(args):
     overrides = read_json(args.config) if args.config else {}
     if "seed" in overrides:
         raise ValueError("generate config key 'seed' is not allowed; use --seed")
+    refuse_unknown(overrides, [f.name for f in dataclasses.fields(NonPhConfig)],
+                   "generate config")
     cfg = NonPhConfig(**overrides, seed=args.seed)
     data = generate_nonph(cfg)
     write_csv(data, args.out)
@@ -263,6 +265,8 @@ def cmd_rerun(args):
     if manifest.get("format") != "fhtsurv-manifest":
         raise ValueError("not a manifest file")
     where = f"manifest {args.manifest}"
+    if manifest.get("version") != 1:
+        raise ValueError(f"{where} key 'version' must be 1, got {manifest.get('version')!r}")
     command = manifest.get("command")
     if command not in sorted(_COMMANDS):  # a list: `in` takes an unhashable value too
         raise ValueError(f"{where} key 'command' must be one of {sorted(_COMMANDS)}, "
@@ -298,7 +302,7 @@ def build_parser():
 
     g = sub.add_parser("generate", help="write a synthetic NonPH benchmark CSV")
     g.add_argument("--out", required=True)
-    g.add_argument("--config", help="JSON overriding generator fields")
+    g.add_argument("--config", help="JSON setting n_raw and/or n_keep")
     g.add_argument("--seed", type=int, default=0)
 
     t = sub.add_parser("train", help="preprocess, train, and serialize a model")

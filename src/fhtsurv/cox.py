@@ -17,10 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modelio import decode_array, encode_array, is_finite, is_int, require, write_json_atomic
+from .modelio import (
+    decode_array, encode_array, is_finite, is_int, refuse_unknown, require, write_json_atomic,
+)
 from .training import model_from_dict, model_to_dict
 
 RIDGE_EPS = 1e-9
+MAX_ITER = 100  # Newton iterations before fit_cox gives up
 # the model file's payload: its arrays, then its scalars with the check each passes
 PAYLOAD_ARRAYS = ("beta", "baseline_times", "baseline_cumhaz")
 PAYLOAD_SCALARS = {
@@ -67,6 +70,7 @@ class CoxModel:
     def from_dict(cls, obj: dict) -> "CoxModel":
         p, recipe, _ = model_from_dict(obj, cox=True)
         # older payloads also carry "converged", always true as an unconverged fit raises
+        refuse_unknown(p, (*PAYLOAD_ARRAYS, *PAYLOAD_SCALARS, "converged"), "cox payload")
         fields = {key: decode_array(require(p, key, "cox payload"), key) for key in PAYLOAD_ARRAYS}
         if recipe is not None and fields["beta"].shape != (len(recipe.output_names),):
             raise ValueError(f"cox payload array 'beta' has shape {fields['beta'].shape}, but "
@@ -105,7 +109,7 @@ def _partial_lik_parts(xs, ds, start, d_count, eta):
     return loglik, grad, info
 
 
-def fit_cox(data, max_iter=100, tol=1e-8) -> CoxModel:
+def fit_cox(data, tol=1e-8) -> CoxModel:
     """Newton-Raphson partial-likelihood fit with Breslow ties."""
     time_obs = np.asarray(data.time, dtype=np.float64)
     delta = np.asarray(data.delta)
@@ -129,7 +133,7 @@ def fit_cox(data, max_iter=100, tol=1e-8) -> CoxModel:
     n_iter = 0
     converged = float(np.max(np.abs(grad))) < tol
     ridge = RIDGE_EPS
-    while not converged and n_iter < max_iter:
+    while not converged and n_iter < MAX_ITER:
         n_iter += 1
         try:
             step = np.linalg.solve(info + ridge * np.eye(m), grad)
@@ -156,7 +160,7 @@ def fit_cox(data, max_iter=100, tol=1e-8) -> CoxModel:
         converged = float(np.max(np.abs(grad))) < tol
     if not converged:
         raise CoxConvergenceError(
-            f"no convergence after {max_iter} iterations, |grad| = {np.max(np.abs(grad)):.3g}"
+            f"no convergence after {MAX_ITER} iterations, |grad| = {np.max(np.abs(grad)):.3g}"
         )
 
     # Breslow baseline cumulative hazard increments d_j / sum_{R_j} exp(eta)

@@ -25,13 +25,16 @@ dropped with a warning, as is a column with no present cell.  Fitting and
 applying run the same encoder, so a recipe holds only the fitted values,
 and its file's keys for a column are ``ColumnTransform``'s fields.
 
-The NonPH generator draws i.i.d. standard-normal features, builds for each
-subject a piecewise-constant event density over equal time intervals whose
-masses come from a softmax over the leading features, samples one of the
-fine sub-intervals of the horizon by that density (taking its lower bound
-as the event time), censors at the horizon when the open tail is drawn,
-then applies extra random censoring up to the target ratio and subsamples
-to the requested size preserving that ratio.
+The NonPH generator has one fixed shape, the module constants
+``N_FEATURES`` to ``TARGET_CENSORING``; a ``NonPhConfig`` sets only how many
+records are drawn (``n_raw``) and kept (``n_keep``), and the seed.  It draws
+20 i.i.d. standard-normal features per record and builds a piecewise-constant
+event density over 16 equal intervals of the horizon [0, 10], whose masses
+are a softmax of the first 16 features times 16.  It samples one of the
+horizon's 1,000 sub-intervals by that density (taking its lower bound as the
+event time), censors at the horizon when the open tail is drawn, then
+censors events at random until 25% of the records are censored, and
+subsamples ``n_keep`` records preserving that ratio.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .modelio import is_finite, is_int, require
+from .modelio import is_finite, is_int, refuse_unknown, require
 
 MISSING_MARKERS = {"", "na", "nan", "n/a", "?", "null", "none"}
 TIME_COL, EVENT_COL = "time", "event"
@@ -308,9 +311,7 @@ def _column(i, obj: dict) -> ColumnTransform:
         raise ValueError(f"recipe column {i} must be an object, got {obj!r}")
     where = f"recipe column {i}" + (f" {obj['name']!r}" if "name" in obj else "")
     keys = {f.name: f.default is MISSING for f in fields(ColumnTransform)}
-    for key in obj:
-        if key not in keys:
-            raise ValueError(f"{where} has an unknown key {key!r}")
+    refuse_unknown(obj, keys, where)
     for key, required in keys.items():
         if required and key not in obj:
             raise ValueError(f"{where} has no key {key!r}")
@@ -424,12 +425,6 @@ def stratified_split_indices(delta, test_frac=0.2, seed=0):
     return np.flatnonzero(mask), test_idx
 
 
-def stratified_split(data: SurvivalData, test_frac=0.2, seed=0):
-    """Censoring-ratio-preserving train/test split."""
-    train_idx, test_idx = stratified_split_indices(data.delta, test_frac, seed)
-    return data[train_idx], data[test_idx]
-
-
 def cv_folds(data: SurvivalData, k=5, seed=0):
     """Index arrays of k folds that partition the data, stratified by event."""
     if k < 2:
@@ -447,56 +442,50 @@ def cv_folds(data: SurvivalData, k=5, seed=0):
 # synthetic NonPH benchmark
 
 
+# the benchmark's fixed shape (see the module docstring)
+N_FEATURES = 20
+N_INTERVALS = 16
+BETA = 16.0
+HORIZON = 10.0
+N_SUBINTERVALS = 1000
+TARGET_CENSORING = 0.25
+
+
 @dataclass(frozen=True)
 class NonPhConfig:
+    """How many records are drawn, how many are kept, and the seed."""
+
     n_raw: int = 10000
-    n_features: int = 20
-    n_intervals: int = 16
-    beta: float = 16.0
-    horizon: float = 10.0
-    n_subintervals: int = 1000
-    target_censoring: float = 0.25
     n_keep: int = 2400
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_raw", "n_features", "n_intervals", "n_subintervals", "n_keep"):
+        for name in ("n_raw", "n_keep"):
             value = getattr(self, name)
             if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
-        for name in ("beta", "horizon", "target_censoring"):
-            value = getattr(self, name)
-            if not is_finite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.n_features < self.n_intervals:
-            raise ValueError("need at least one feature per time interval")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be > 0")
-        if not 0.0 <= self.target_censoring < 1.0:
-            raise ValueError("target_censoring must be in [0, 1)")
         if self.n_keep > self.n_raw:
             raise ValueError("n_keep cannot exceed n_raw")
 
 
-def interval_probs(features: np.ndarray, n_intervals: int, beta: float) -> np.ndarray:
+def interval_probs(features: np.ndarray) -> np.ndarray:
     """Per-subject softmax masses over the time intervals (rows sum to 1)."""
-    z = beta * features[:, :n_intervals]
+    z = BETA * features[:, :N_INTERVALS]
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def subinterval_masses(probs: np.ndarray, cfg: NonPhConfig) -> np.ndarray:
+def subinterval_masses(probs: np.ndarray) -> np.ndarray:
     """Spread interval masses over the fine sub-intervals proportionally to
     overlap, so fractional boundaries are handled exactly."""
-    sub_edges = np.linspace(0.0, cfg.horizon, cfg.n_subintervals + 1)
-    int_edges = np.linspace(0.0, cfg.horizon, cfg.n_intervals + 1)
-    int_width = cfg.horizon / cfg.n_intervals
+    sub_edges = np.linspace(0.0, HORIZON, N_SUBINTERVALS + 1)
+    int_edges = np.linspace(0.0, HORIZON, N_INTERVALS + 1)
     lo = np.maximum(sub_edges[:-1, None], int_edges[None, :-1])
     hi = np.minimum(sub_edges[1:, None], int_edges[None, 1:])
-    overlap = np.clip(hi - lo, 0.0, None) / int_width  # (n_sub, n_int)
+    overlap = np.clip(hi - lo, 0.0, None) / (HORIZON / N_INTERVALS)  # (n_sub, n_int)
     return probs @ overlap.T
 
 
@@ -511,21 +500,19 @@ def sample_subintervals(masses: np.ndarray, rng) -> np.ndarray:
 def generate_nonph(cfg: NonPhConfig) -> SurvivalData:
     """Synthetic covariate-driven, non-proportional-hazards benchmark."""
     rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal((cfg.n_raw, cfg.n_features))
-    probs = interval_probs(x, cfg.n_intervals, cfg.beta)
-    masses = subinterval_masses(probs, cfg)
-    idx = sample_subintervals(masses, rng)
+    x = rng.standard_normal((cfg.n_raw, N_FEATURES))
+    idx = sample_subintervals(subinterval_masses(interval_probs(x)), rng)
 
-    sub_width = cfg.horizon / cfg.n_subintervals
-    censored_tail = idx >= cfg.n_subintervals
+    sub_width = HORIZON / N_SUBINTERVALS
+    censored_tail = idx >= N_SUBINTERVALS
     time_obs = idx * sub_width
     # the first sub-interval's lower bound is 0; nudge to its midpoint so
     # observed times stay strictly positive
     time_obs[idx == 0] = 0.5 * sub_width
-    time_obs = np.where(censored_tail, cfg.horizon, time_obs)
+    time_obs = np.where(censored_tail, HORIZON, time_obs)
     delta = np.where(censored_tail, 0, 1).astype(np.int64)
 
-    target_c = int(round(cfg.target_censoring * cfg.n_raw))
+    target_c = int(round(TARGET_CENSORING * cfg.n_raw))
     need = target_c - int((delta == 0).sum())
     if need < 0:
         raise ValueError("tail censoring already exceeds the target ratio")
@@ -535,7 +522,7 @@ def generate_nonph(cfg: NonPhConfig) -> SurvivalData:
         delta[flip] = 0
         time_obs[flip] = np.maximum(time_obs[flip] * rng.random(need), 1e-12)
 
-    keep_c = int(round(cfg.target_censoring * cfg.n_keep))
+    keep_c = int(round(TARGET_CENSORING * cfg.n_keep))
     keep_e = cfg.n_keep - keep_c
     cens_rows = np.flatnonzero(delta == 0)
     ev_rows = np.flatnonzero(delta == 1)
@@ -546,7 +533,7 @@ def generate_nonph(cfg: NonPhConfig) -> SurvivalData:
          rng.choice(ev_rows, size=keep_e, replace=False)]
     )
     chosen = rng.permutation(chosen)
-    names = [f"x{i + 1}" for i in range(cfg.n_features)]
+    names = [f"x{i + 1}" for i in range(N_FEATURES)]
     return SurvivalData(x=x[chosen], time=time_obs[chosen], delta=delta[chosen], feature_names=names)
 
 

@@ -49,6 +49,14 @@ def require(obj: dict, key, where, kind=object):
     return obj[key]
 
 
+def refuse_unknown(obj: dict, known, where) -> None:
+    """Raise a ValueError naming ``where`` and the first key of ``obj`` not in
+    ``known``."""
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{where} has an unknown key {key!r}")
+
+
 def decode_array(obj: dict, name) -> np.ndarray:
     """The float64 array of an ``encode_array`` entry; a ValueError names the
     array ``name`` and the key at fault, or the first index of a NaN or

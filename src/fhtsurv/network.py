@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fht import DistKind, params_class
-from .modelio import decode_array, encode_array, require
+from .modelio import decode_array, encode_array, refuse_unknown, require
 
 LINK_EPS = 1e-6
 BN_EPS = 1e-5
@@ -216,6 +216,8 @@ class Network:
             raise ValueError("not a network file")
         if obj.get("version") != 1:
             raise ValueError(f"unsupported network version {obj.get('version')!r}")
+        refuse_unknown(obj, ("format", "version", "kind", "input_dim", "hidden", "arrays"),
+                       "network file")
         hidden = require(obj, "hidden", "network file", list)
         for i, h in enumerate(hidden):
             if not isinstance(h, dict):

@@ -34,7 +34,7 @@ import numpy as np
 from . import fht
 from .data import PreprocessRecipe
 from .fht import DistKind
-from .modelio import is_finite, is_int, read_json, require, write_json_atomic
+from .modelio import is_finite, is_int, read_json, refuse_unknown, require, write_json_atomic
 from .network import Network, init_network
 
 ADAM_BETA1 = 0.9
@@ -168,6 +168,8 @@ def model_from_dict(obj: dict, cox: bool):
         raise ValueError(f"not a {'cox' if cox else 'network'} model file")
     if obj.get("version") != 1:
         raise ValueError(f"unsupported model file version {obj.get('version')!r}")
+    refuse_unknown(obj, ("format", "version", "kind", "payload", "recipe", "loss_trace"),
+                   "model file")
     payload = require(obj, "payload", "model file", dict)
     recipe = obj.get("recipe")
     if not isinstance(recipe, (dict, type(None))):
@@ -179,7 +181,18 @@ def model_from_dict(obj: dict, cox: bool):
         if not is_finite(value):
             raise ValueError(f"model file key 'loss_trace' entry {i} must be a finite number, "
                              f"got {value!r}")
-    return payload, None if recipe is None else PreprocessRecipe.from_dict(recipe), trace
+    if recipe is not None:
+        recipe = _read_key("recipe", PreprocessRecipe.from_dict, recipe)
+    return payload, recipe, trace
+
+
+def _read_key(key, read, value):
+    """``read(value)``; its ValueError is prefixed with the model-file key
+    ``value`` sits under."""
+    try:
+        return read(value)
+    except ValueError as exc:
+        raise ValueError(f"model file key '{key}': {exc}") from None
 
 
 @dataclass
@@ -215,7 +228,7 @@ class FittedModel:
     @classmethod
     def from_dict(cls, obj: dict) -> "FittedModel":
         payload, recipe, trace = model_from_dict(obj, cox=False)
-        network = Network.from_dict(payload)
+        network = _read_key("payload", Network.from_dict, payload)
         if obj.get("kind") != network.kind.value:
             raise ValueError(f"model file says kind {obj.get('kind')!r} but its network "
                              f"payload says {network.kind.value!r}")

@@ -20,7 +20,7 @@ from fhtsurv.data import (
     SurvivalData,
     cv_folds,
     generate_nonph,
-    stratified_split,
+    stratified_split_indices,
 )
 from fhtsurv.interpret import idw_time
 from fhtsurv.metrics import concordance, evaluate
@@ -207,7 +207,8 @@ def test_criterion_5_nonph_desk_scale_reproduction():
     """
     start = time.time()
     data = generate_nonph(NonPhConfig(seed=1234))
-    train, test = stratified_split(data, test_frac=0.2, seed=7)
+    train_idx, test_idx = stratified_split_indices(data.delta, test_frac=0.2, seed=7)
+    train, test = data[train_idx], data[test_idx]
     cfg = ModelConfig("levy", (16, 16), epochs=450, batch_size=256, learning_rate=0.0039)
 
     cv_scores = []

@@ -296,34 +296,44 @@ def test_optimizer_other_than_adam_rejected(small_csv, tmp_path, capsys):
     out = tmp_path / "m.json"
     rc = main(["train", "--data", small_csv, "--config", str(cfg), "--out", str(out)])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "'optimizer'" in err and "'sgd'" in err
+    assert "unknown model config keys: ['optimizer']" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_optimizer_adam_still_loads(small_csv, quick_cfg, trained_model, tmp_path):
-    cfg = tmp_path / "adam.json"
-    cfg.write_text(json.dumps(dict(read_json(quick_cfg), optimizer="adam")))
+@pytest.mark.parametrize("key,value", [("optimizer", "adam"), ("eval_time_cap", 256)])
+def test_retired_config_key_refused_at_its_former_value(small_csv, tmp_path, capsys,
+                                                        monkeypatch, key, value):
+    # each used to load at this value, the only one training has
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+    cfg = tmp_path / "retired.json"
     out = tmp_path / "m.json"
-    assert main(["train", "--data", small_csv, "--config", str(cfg),
-                 "--out", str(out), "--seed", "5"]) == 0
-    assert sha(out) == sha(trained_model)
+    for command, body in (("train", {"epochs": 1, key: value}),
+                          ("compare", {"levy": {"epochs": 1, key: value}})):
+        cfg.write_text(json.dumps(body))
+        rc = main([command, "--data", small_csv, "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert f"unknown model config keys: ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
 
 
-@pytest.mark.parametrize("key,value", [("activation", "tanh"), ("dropout", 0.3),
-                                       ("eval_time_cap", 128)])
-def test_fixed_config_key_other_value_rejected(small_csv, tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key,value,message", [
+    ("activation", "tanh", "model config key 'activation' must be 'relu', got 'tanh'"),
+    ("dropout", 0.3, "model config key 'dropout' must be 0.0, got 0.3"),
+    ("eval_time_cap", 128, "unknown model config keys: ['eval_time_cap']"),
+], ids=["activation-tanh", "dropout-0.3", "eval_time_cap-128"])
+def test_fixed_config_key_other_value_rejected(small_csv, tmp_path, capsys, key, value,
+                                               message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"hidden_sizes": [8], "epochs": 1, key: value}))
     out = tmp_path / "m.json"
     rc = main(["train", "--data", small_csv, "--config", str(cfg), "--out", str(out)])
     assert rc == 1
-    assert f"model config key '{key}' must be" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
     cfg.write_text(json.dumps({"levy": {"hidden_sizes": [8], "epochs": 1, key: value}}))
     rc = main(["compare", "--data", small_csv, "--config", str(cfg), "--out", str(out)])
     assert rc == 1
-    assert f"model config key '{key}' must be" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -374,21 +384,34 @@ def test_compare_checks_both_sections_before_training(small_csv, tmp_path, capsy
         assert not out.exists()
 
 
+# the generator's shape is fixed: these keys are refused at any value, also
+# at the one each used to default to
+RETIRED_GENERATE_KEYS = {"n_features": 20, "n_intervals": 16, "beta": 16.0, "horizon": 10.0,
+                         "n_subintervals": 1000, "target_censoring": 0.25}
+
+
 @pytest.mark.parametrize("overrides, message", [
-    ({"beta": float("nan")}, "beta must be a finite number, got nan"),
-    ({"beta": float("inf")}, "beta must be a finite number, got inf"),
-    ({"beta": True}, "beta must be a finite number, got True"),
-    ({"horizon": float("inf")}, "horizon must be a finite number, got inf"),
+    ({"beta": float("nan")}, "generate config has an unknown key 'beta'"),
+    ({"beta": float("inf")}, "generate config has an unknown key 'beta'"),
+    ({"beta": True}, "generate config has an unknown key 'beta'"),
+    ({"horizon": float("inf")}, "generate config has an unknown key 'horizon'"),
     ({"n_keep": 2.5}, "n_keep must be an integer, got 2.5"),
     ({"n_raw": 1000.0}, "n_raw must be an integer, got 1000.0"),
-    ({"n_intervals": "16"}, "n_intervals must be an integer, got '16'"),
-    ({"n_features": True}, "n_features must be an integer, got True"),
-    ({"n_subintervals": 0}, "n_subintervals must be >= 1, got 0"),
-    ({"target_censoring": "0.25"}, "target_censoring must be a finite number, got '0.25'"),
+    ({"n_intervals": "16"}, "generate config has an unknown key 'n_intervals'"),
+    ({"n_features": True}, "generate config has an unknown key 'n_features'"),
+    ({"n_subintervals": 0}, "generate config has an unknown key 'n_subintervals'"),
+    ({"target_censoring": "0.25"}, "generate config has an unknown key 'target_censoring'"),
+    *(({key: value}, f"generate config has an unknown key '{key}'")
+      for key, value in RETIRED_GENERATE_KEYS.items()),
+    ({"n_raw": 600, "bta": 16.0}, "generate config has an unknown key 'bta'"),
+    ({"n_keep": 0}, "n_keep must be >= 1, got 0"),
 ], ids=["beta-nan", "beta-infinite", "beta-bool", "horizon-infinite", "n_keep-fraction",
         "n_raw-float", "n_intervals-text", "n_features-bool", "n_subintervals-zero",
-        "censoring-text"])
-def test_generate_names_the_config_field_it_rejects(overrides, message, tmp_path, capsys):
+        "censoring-text", *(f"{key}-former-default" for key in RETIRED_GENERATE_KEYS),
+        "misspelt-key", "n_keep-zero"])
+def test_generate_names_the_config_field_it_rejects(overrides, message, tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setattr(cli, "generate_nonph", _must_not_run)
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps(overrides))
     out = tmp_path / "nonph.csv"
@@ -523,7 +546,7 @@ def test_compare_names_the_file_row_of_a_bad_test_cell(tmp_path, capsys, monkeyp
 def test_fixed_config_keys_at_their_value_still_load(small_csv, quick_cfg, trained_model,
                                                      tmp_path):
     cfg = tmp_path / "fixed.json"
-    fixed = {"activation": "relu", "dropout": 0.0, "eval_time_cap": 256}
+    fixed = {"activation": "relu", "dropout": 0.0}
     cfg.write_text(json.dumps(dict(read_json(quick_cfg), **fixed)))
     out = tmp_path / "m.json"
     assert main(["train", "--data", small_csv, "--config", str(cfg),
@@ -578,7 +601,8 @@ def test_eval_refuses_another_recipe_version(trained_model, small_csv, tmp_path,
     monkeypatch.setattr(cli, "load_csv", _must_not_run)
     out = tmp_path / "report.json"
     assert main(["eval", "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
-    assert "unsupported recipe version 99" in capsys.readouterr().err
+    assert ("model file key 'recipe': unsupported recipe version 99"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -671,9 +695,14 @@ ENVELOPE_FAULTS = [
     pytest.param(_set(("recipe",), []),
                  r"model file key 'recipe' must be an object or null, got \[\]",
                  id="recipe-list"),
-    pytest.param(_set(("recipe",), {}), "not a recipe", id="recipe-empty"),
+    pytest.param(_set(("recipe",), {}), "model file key 'recipe': not a recipe",
+                 id="recipe-empty"),
+    pytest.param(_set(("recipe", "version"), 2),
+                 "model file key 'recipe': unsupported recipe version 2", id="recipe-version"),
     pytest.param(_set(("payload",), 5), "model file key 'payload' must be an object, got 5",
                  id="payload-int"),
+    pytest.param(_set(("loss_trce",), [1.0]), "model file has an unknown key 'loss_trce'",
+                 id="envelope-unknown-key"),
 ]
 
 
@@ -686,12 +715,18 @@ ENVELOPE_FAULTS = [
     (_cut_data, "array 'h0.b' key 'data' is not the base64 of 8 float64 values"),
     (_drop(("payload", "arrays", "out.b", "data")), "array 'out.b' has no key 'data'"),
     (_drop(("payload",)), "model file has no key 'payload'"),
-    (_drop(("payload", "arrays")), "network file has no key 'arrays'"),
+    (_drop(("payload", "arrays")), "model file key 'payload': network file has no key 'arrays'"),
     (_set(("payload", "hidden"), [4]),
-     "network file key 'hidden': layer 0 is not an object: 4"),
+     "model file key 'payload': network file key 'hidden': layer 0 is not an object: 4"),
+    (_set(("payload", "format"), "x"), "model file key 'payload': not a network file"),
+    (_set(("payload", "version"), 2),
+     "model file key 'payload': unsupported network version 2"),
+    (_set(("payload", "extra"), 1),
+     "model file key 'payload': network file has an unknown key 'extra'"),
     *ENVELOPE_FAULTS,
 ], ids=["dtype-int64", "no-shape", "negative-shape", "short-data", "no-data", "no-payload",
-        "no-arrays", "hidden-not-objects", *(p.id for p in ENVELOPE_FAULTS)])
+        "no-arrays", "hidden-not-objects", "payload-format", "payload-version",
+        "payload-unknown-key", *(p.id for p in ENVELOPE_FAULTS)])
 def test_eval_names_the_model_file_array_or_key_at_fault(edit, message, trained_model,
                                                          small_csv, tmp_path, capsys,
                                                          monkeypatch):
@@ -876,6 +911,8 @@ def test_eval_names_a_missing_cox_payload_key(cox_model, small_csv, tmp_path, ca
                  id="log_likelihood-nan"),
     pytest.param(_drop(("payload", "n_iter")), "cox payload has no key 'n_iter'",
                  id="no-n_iter"),
+    pytest.param(_set(("payload", "extra"), 1), "cox payload has an unknown key 'extra'",
+                 id="payload-unknown-key"),
 ])
 def test_eval_names_the_cox_file_key_at_fault(edit, message, cox_model, small_csv, tmp_path,
                                               capsys, monkeypatch):
@@ -911,7 +948,11 @@ def test_eval_reads_a_cox_file_that_carries_converged(cox_model, small_csv, tmp_
     (_set(("command",), "bogus"), "key 'command' must be one of ['compare', 'eval', "
                                   "'generate', 'riskmap', 'simulate', 'train'], got 'bogus'"),
     (_drop(("args", "bootstrap")), "key 'args' lacks the eval options ['bootstrap']"),
-], ids=["args-not-an-object", "no-command", "unknown-command", "missing-option"])
+    (_set(("version",), 2), "key 'version' must be 1, got 2"),
+    (_set(("version",), "junk"), "key 'version' must be 1, got 'junk'"),
+    (_drop(("version",)), "key 'version' must be 1, got None"),
+], ids=["args-not-an-object", "no-command", "unknown-command", "missing-option",
+        "version-2", "version-text", "no-version"])
 def test_rerun_checks_the_manifest_before_running(edit, message, trained_model, small_csv,
                                                   tmp_path, capsys, monkeypatch):
     out = tmp_path / "report.json"
@@ -963,8 +1004,7 @@ class TestReadme:
         text = "\n".join(self.readme_lines())
         start = text.index("### Model config")
         block = re.search(r"```json\n(.*?)```", text[start:], re.S).group(1)
-        defaults = {**dataclasses.asdict(ModelConfig()), **cli.FIXED_CONFIG}
-        assert json.loads(block) == json.loads(json.dumps(defaults))
+        assert json.loads(block) == json.loads(json.dumps(dataclasses.asdict(ModelConfig())))
 
     def test_library_sketch_binds(self):
         # every call of an imported fhtsurv name matches its current signature

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fhtsurv import cox
 from fhtsurv.cox import CoxConvergenceError, CoxModel, _partial_lik_parts, fit_cox
 from fhtsurv.data import SurvivalData
 
@@ -72,14 +73,15 @@ class TestFit:
         model = fit_cox(make_data(x, t, np.ones(n, dtype=int)))
         assert model.beta[0] > 0.5
 
-    def test_nonconvergence_raises_with_diagnostics(self):
+    def test_nonconvergence_raises_with_diagnostics(self, monkeypatch):
         rng = np.random.default_rng(0)
         n = 80
         x = rng.normal(size=(n, 2))
         t = np.exp(0.8 * x[:, 0]) * rng.exponential(1, n) + 0.01
         d = make_data(x, t, np.ones(n, dtype=int))
+        monkeypatch.setattr(cox, "MAX_ITER", 1)
         with pytest.raises(CoxConvergenceError, match="no convergence after 1"):
-            fit_cox(d, max_iter=1, tol=1e-12)
+            fit_cox(d, tol=1e-12)
 
 
 class TestSurvival:

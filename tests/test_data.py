@@ -16,7 +16,11 @@ from scipy import stats as sps
 
 from fhtsurv import data
 from fhtsurv.data import (
+    HORIZON,
     MISSING_MARKERS,
+    N_FEATURES,
+    N_INTERVALS,
+    N_SUBINTERVALS,
     LoadError,
     NonPhConfig,
     PreprocessError,
@@ -29,7 +33,6 @@ from fhtsurv.data import (
     interval_probs,
     load_csv,
     sample_subintervals,
-    stratified_split,
     stratified_split_indices,
     subinterval_masses,
     write_csv,
@@ -372,7 +375,7 @@ class TestSplits:
     def test_spec_arithmetic(self):
         delta = np.array([0] * 40 + [1] * 60)
         d = SurvivalData(np.zeros((100, 1)), np.arange(1.0, 101.0), delta, ["f"])
-        train, test = stratified_split(d, test_frac=0.2, seed=0)
+        test = d[stratified_split_indices(d.delta, test_frac=0.2, seed=0)[1]]
         assert len(test) == 20
         assert int((test.delta == 0).sum()) == 8
 
@@ -407,19 +410,19 @@ class TestSplits:
 class TestNonPh:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        p = interval_probs(rng.normal(size=(50, 20)), 16, 16.0)
+        p = interval_probs(rng.normal(size=(50, 20)))
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_zero_beta_uniform(self):
+        # equal features give uniform masses, as a zero beta would
         rng = np.random.default_rng(1)
-        p = interval_probs(rng.normal(size=(20, 20)), 16, 0.0)
-        assert np.allclose(p, 1.0 / 16.0, atol=1e-12)
+        features = np.repeat(rng.normal(size=(20, 1)), N_FEATURES, axis=1)
+        p = interval_probs(features)
+        assert np.allclose(p, 1.0 / N_INTERVALS, atol=1e-12)
 
     def test_subinterval_masses_conserve_probability(self):
         rng = np.random.default_rng(2)
-        cfg = NonPhConfig()
-        p = interval_probs(rng.normal(size=(10, 20)), cfg.n_intervals, cfg.beta)
-        masses = subinterval_masses(p, cfg)
+        masses = subinterval_masses(interval_probs(rng.normal(size=(10, 20))))
         assert np.allclose(masses.sum(axis=1), 1.0, atol=1e-12)
 
     def test_generated_shape_and_censoring_count(self):
@@ -443,21 +446,19 @@ class TestNonPh:
     def test_interval_frequencies_match_masses(self):
         # one fixed feature row, many draws: chi-square against the
         # generator's own sub-interval masses aggregated per coarse interval
-        cfg = NonPhConfig(seed=0)
         rng = np.random.default_rng(11)
         row = rng.standard_normal((1, 20))
-        probs = interval_probs(row, cfg.n_intervals, cfg.beta)
-        masses = subinterval_masses(probs, cfg)
+        masses = subinterval_masses(interval_probs(row))
         n_draws = 100000
         tiled = np.tile(masses, (1000, 1))
         idx = np.concatenate([sample_subintervals(tiled, rng) for _ in range(n_draws // 1000)])
         # aggregate by coarse interval of the sub-interval lower bound
-        sub_w = cfg.horizon / cfg.n_subintervals
-        int_w = cfg.horizon / cfg.n_intervals
-        coarse = np.minimum((idx * sub_w / int_w).astype(int), cfg.n_intervals - 1)
-        observed = np.bincount(coarse, minlength=cfg.n_intervals)
-        lows = (np.arange(cfg.n_subintervals) * sub_w / int_w).astype(int)
-        expected_p = np.bincount(lows, weights=masses[0], minlength=cfg.n_intervals)
+        sub_w = HORIZON / N_SUBINTERVALS
+        int_w = HORIZON / N_INTERVALS
+        coarse = np.minimum((idx * sub_w / int_w).astype(int), N_INTERVALS - 1)
+        observed = np.bincount(coarse, minlength=N_INTERVALS)
+        lows = (np.arange(N_SUBINTERVALS) * sub_w / int_w).astype(int)
+        expected_p = np.bincount(lows, weights=masses[0], minlength=N_INTERVALS)
         keep = expected_p * n_draws >= 5
         chi2 = sps.chisquare(observed[keep], expected_p[keep] / expected_p[keep].sum() * observed[keep].sum())
         assert chi2.pvalue > 0.01
@@ -476,8 +477,6 @@ class TestNonPh:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             NonPhConfig(n_keep=20000)
-        with pytest.raises(ValueError):
-            NonPhConfig(target_censoring=1.5)
 
 
 @settings(max_examples=30, deadline=None)

@@ -297,10 +297,11 @@ class TestRiskGrid:
     def test_nonph_parameter_cloud_spreads(self):
         # the synthetic benchmark should not collapse onto a line in
         # parameter space: leading principal component explains < 99%
-        from fhtsurv.data import NonPhConfig, generate_nonph, stratified_split
+        from fhtsurv.data import NonPhConfig, generate_nonph, stratified_split_indices
 
         data = generate_nonph(NonPhConfig(seed=21, n_raw=2000, n_keep=800))
-        train, test = stratified_split(data, 0.2, seed=0)
+        train_idx, test_idx = stratified_split_indices(data.delta, 0.2, seed=0)
+        train, test = data[train_idx], data[test_idx]
         model = fit(train, ModelConfig("levy", (16, 16), 60, 256, 0.0039), seed=2)
         params = model.params_for(test.x)
         coords = np.column_stack([params[:, 0], np.log(params[:, 1])])
