@@ -46,6 +46,7 @@ from .training import FittedModel, ModelConfig, fit
 
 # keys kept so older config files load, each with the one value training uses
 FIXED_CONFIG = {"activation": "relu", "dropout": 0.0}
+SECOND_PARAM = {kind: fht.param_names(kind)[1] for kind in fht.KINDS}
 
 
 def _write_manifest(command, args_dict, outputs, started):
@@ -152,16 +153,17 @@ def cmd_compare(args):
     _check_bootstrap(args)
     if args.folds and args.folds < 2:
         raise ValueError(f"--folds must be 0 (no cross-validation) or >= 2, got {args.folds}")
-    seq = np.random.SeedSequence(args.seed).spawn(4)
-    split_seed, levy_seed, ig_seed, boot_seed = (int(s.generate_state(1)[0]) for s in seq)
+    seq = np.random.SeedSequence(args.seed).spawn(len(fht.KINDS) + 2)
+    split_seed, *kind_seeds, boot_seed = (int(s.generate_state(1)[0]) for s in seq)
 
     full_cfg = read_json(args.config) if args.config else {}
-    unknown = set(full_cfg) - {"levy", "invgauss"}
+    unknown = set(full_cfg) - set(fht.KINDS)
     if unknown:
-        raise ValueError(f"compare config sections must be 'levy'/'invgauss', got {sorted(unknown)}")
-    # both sections are checked before any data is read or model trained
+        raise ValueError(f"compare config sections must be "
+                         f"{'/'.join(map(repr, fht.KINDS))}, got {sorted(unknown)}")
+    # every section is checked before any data is read or model trained
     cfgs = {}
-    for kind in ("levy", "invgauss"):
+    for kind in fht.KINDS:
         section = full_cfg.get(kind, {})
         if not isinstance(section, dict):
             raise ValueError(f"compare config section '{kind}' must be a JSON object, "
@@ -181,12 +183,12 @@ def cmd_compare(args):
     train = apply_preprocess(recipe, raw.subset(tr_rows))
     test = apply_preprocess(recipe, raw.subset(te_rows))
 
-    for kind_name, kind_seed in (("levy", levy_seed), ("invgauss", ig_seed)):
-        model = fit(train, cfgs[kind_name], kind_seed, recipe=recipe)
+    for kind, kind_seed in zip(fht.KINDS, kind_seeds):
+        model = fit(train, cfgs[kind], kind_seed, recipe=recipe)
         entry = evaluate(model.survival_matrix, test, n_resamples=args.bootstrap, seed=boot_seed)
         if args.folds:
-            entry["cv_c_index"] = _cv_scores(train, cfgs[kind_name], args.folds, kind_seed)
-        report["models"][kind_name] = entry
+            entry["cv_c_index"] = _cv_scores(train, cfgs[kind], args.folds, kind_seed)
+        report["models"][kind] = entry
 
     cox = fit_cox(train, tol=1e-6)
     report["models"]["cox"] = evaluate(cox.survival_matrix, test,
@@ -212,8 +214,8 @@ def cmd_riskmap(args):
 
 def cmd_simulate(args):
     kind = fht.DistKind(args.distribution)
-    name = fht.param_names(kind)[1]
-    for other in {fht.param_names(k)[1] for k in fht.DistKind} - {name}:
+    name = SECOND_PARAM[kind.value]
+    for other in set(SECOND_PARAM.values()) - {name}:
         if getattr(args, other) is not None:
             raise ValueError(f"{kind.value} simulation takes no --{other}; give --{name}")
     second = getattr(args, name)
@@ -246,7 +248,7 @@ def cmd_simulate(args):
                 "t": float(t),
                 "empirical": float(e),
                 "closed_form": float(c),
-                "z": float((e - c) / s) if s > 0 else 0.0,
+                "z": float((e - c) / s),
             }
             for t, e, c, s in zip(t_grid, emp, closed, se)
         ],
@@ -308,7 +310,7 @@ def build_parser():
     t = sub.add_parser("train", help="preprocess, train, and serialize a model")
     t.add_argument("--data", required=True)
     t.add_argument("--config", help="model config JSON")
-    t.add_argument("--distribution", choices=["levy", "invgauss"])
+    t.add_argument("--distribution", choices=fht.KINDS)
     t.add_argument("--out", required=True)
     t.add_argument("--seed", type=int, default=0)
 
@@ -335,10 +337,10 @@ def build_parser():
     r.add_argument("--resolution", type=int, default=200)
 
     s = sub.add_parser("simulate", help="Monte Carlo first-passage check against closed forms")
-    s.add_argument("--distribution", choices=["levy", "invgauss"], required=True)
+    s.add_argument("--distribution", choices=fht.KINDS, required=True)
     s.add_argument("--x0", type=float, required=True)
-    s.add_argument("--diffusion", type=float)
-    s.add_argument("--drift", type=float)
+    for name in SECOND_PARAM.values():
+        s.add_argument(f"--{name}", type=float)
     s.add_argument("--paths", type=int, default=100000)
     s.add_argument("--dt", type=float, default=1e-4)
     s.add_argument("--tmax", type=float, default=5.0)

@@ -83,7 +83,8 @@ class CoxModel:
 
 
 def _partial_lik_parts(xs, ds, start, d_count, eta):
-    """Log partial likelihood, gradient, and negative Hessian.
+    """Log partial likelihood, gradient, negative Hessian, and the Breslow
+    denominators, each event time's risk-set sum of exp(eta).
 
     ``xs/ds/eta`` are sorted by time ascending; ``start`` marks the first
     index of each distinct event time so suffix sums give the risk sets.
@@ -106,7 +107,7 @@ def _partial_lik_parts(xs, ds, start, d_count, eta):
     w = np.zeros(eta.size)
     w[start] = d_count / s0_j
     info = xs.T @ (xs * (r * np.cumsum(w))[:, None]) - (d_count[:, None] * mu).T @ mu
-    return loglik, grad, info
+    return loglik, grad, info, s0_j * np.exp(shift)
 
 
 def fit_cox(data, tol=1e-8) -> CoxModel:
@@ -116,7 +117,7 @@ def fit_cox(data, tol=1e-8) -> CoxModel:
     x = np.asarray(data.x, dtype=np.float64)
     if not np.any(delta == 1):
         raise ValueError("cox fit needs at least one event")
-    n, m = x.shape
+    m = x.shape[1]
     order = np.argsort(time_obs, kind="stable")
     ts, ds, xs = time_obs[order], delta[order], x[order]
 
@@ -129,11 +130,14 @@ def fit_cox(data, tol=1e-8) -> CoxModel:
     event_times = uniq[has_ev]
 
     beta = np.zeros(m)
-    loglik, grad, info = _partial_lik_parts(xs, ds, start, d_count, xs @ beta)
+    loglik, grad, info, risk_sums = _partial_lik_parts(xs, ds, start, d_count, xs @ beta)
     n_iter = 0
-    converged = float(np.max(np.abs(grad))) < tol
     ridge = RIDGE_EPS
-    while not converged and n_iter < MAX_ITER:
+    # converged once max|grad| < tol; a NaN gradient never converges
+    while not (grad_norm := float(np.max(np.abs(grad)))) < tol:
+        if n_iter == MAX_ITER:
+            raise CoxConvergenceError(f"no convergence after {MAX_ITER} iterations, "
+                                      f"|grad| = {grad_norm:.3g}")
         n_iter += 1
         try:
             step = np.linalg.solve(info + ridge * np.eye(m), grad)
@@ -148,32 +152,21 @@ def fit_cox(data, tol=1e-8) -> CoxModel:
         scale = 1.0
         for _ in range(40):
             cand = beta + scale * step
-            ll_new, grad_new, info_new = _partial_lik_parts(xs, ds, start, d_count, xs @ cand)
-            if np.isfinite(ll_new) and ll_new >= loglik - 1e-12:
+            parts = _partial_lik_parts(xs, ds, start, d_count, xs @ cand)
+            if np.isfinite(parts[0]) and parts[0] >= loglik - 1e-12:
                 break
             scale *= 0.5
         else:
             raise CoxConvergenceError(
                 f"line search failed at iteration {n_iter} (loglik {loglik:.6g})"
             )
-        beta, loglik, grad, info = cand, ll_new, grad_new, info_new
-        converged = float(np.max(np.abs(grad))) < tol
-    if not converged:
-        raise CoxConvergenceError(
-            f"no convergence after {MAX_ITER} iterations, |grad| = {np.max(np.abs(grad)):.3g}"
-        )
+        beta, (loglik, grad, info, risk_sums) = cand, parts
 
-    # Breslow baseline cumulative hazard increments d_j / sum_{R_j} exp(eta)
-    eta = xs @ beta
-    shift = eta.max()
-    r = np.exp(eta - shift)
-    s0 = np.cumsum(r[::-1])[::-1]
-    increments = d_count / (s0[start] * np.exp(shift))
     return CoxModel(
         beta=beta,
         baseline_times=event_times,
-        baseline_cumhaz=np.cumsum(increments),
+        baseline_cumhaz=np.cumsum(d_count / risk_sums),  # the Breslow estimator
         n_iter=n_iter,
-        grad_norm=float(np.max(np.abs(grad))),
+        grad_norm=grad_norm,
         log_likelihood=loglik,
     )

@@ -542,7 +542,7 @@ def write_csv(data: SurvivalData, path) -> None:
     names = data.feature_names or [f"x{i + 1}" for i in range(data.x.shape[1])]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(names) + ["time", "event"])
+        writer.writerow([*names, TIME_COL, EVENT_COL])
         for i in range(len(data)):
             writer.writerow(
                 [repr(float(v)) for v in data.x[i]]

@@ -51,6 +51,9 @@ class DistKind(str, Enum):
     INVERSE_GAUSSIAN = "invgauss"
 
 
+KINDS = tuple(kind.value for kind in DistKind)
+
+
 def _check_positive(name, value):
     arr = np.asarray(value, dtype=np.float64)
     if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):

@@ -187,8 +187,10 @@ def _concordance_from_pairs(pairs, rec: _ByTime):
     # G is 0 only at an anchor the count row did not draw, whose pairs count 0
     w = _inverse(km_censoring(rec, rec.counts).eval_left(t_a) ** 2)
     den = (w * comparable).sum(axis=1)
-    if (den == 0.0).any():
-        raise MetricUndefinedError("no comparable pairs")
+    empty = np.flatnonzero(den == 0.0)
+    if empty.size:  # row 0 counts the data as given, any further row a resample
+        where = f"bootstrap resample {empty[0]} of {den.size - 1} has " if empty[0] else ""
+        raise MetricUndefinedError(f"{where}no comparable pairs")
     num = (w * rec.counts[:, rec.anchors] * pairs).sum(axis=1)
     return num / den, comparable.sum(axis=1).astype(np.int64)
 

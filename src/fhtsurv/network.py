@@ -160,7 +160,7 @@ class Network:
         raw = a @ self.weights["out.w"] + self.weights["out.b"]
         cache["a_last"] = a
         cache["raw"] = raw
-        params = link_forward(self.kind, raw.copy())
+        params = link_forward(self.kind, raw)
         return params, cache
 
     def backward(self, cache, d_params: np.ndarray):

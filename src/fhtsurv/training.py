@@ -33,7 +33,6 @@ import numpy as np
 
 from . import fht
 from .data import PreprocessRecipe
-from .fht import DistKind
 from .modelio import is_finite, is_int, read_json, refuse_unknown, require, write_json_atomic
 from .network import Network, init_network
 
@@ -60,9 +59,9 @@ class ModelConfig:
     learning_rate: float = 0.0039
 
     def __post_init__(self):
-        kinds = [kind.value for kind in DistKind]
-        if self.distribution not in kinds:
-            raise ValueError(f"'distribution' must be one of {kinds}, got {self.distribution!r}")
+        if self.distribution not in fht.KINDS:
+            raise ValueError(f"'distribution' must be one of {list(fht.KINDS)}, "
+                             f"got {self.distribution!r}")
         for key, low in (("epochs", 0), ("batch_size", 1)):
             value = getattr(self, key)
             if not is_int(value):
@@ -142,7 +141,7 @@ def _subsample_times(times_sorted, cap, rng):
     return times_sorted[k * q + np.minimum(k, r) + rng.integers(q + (k < r))]
 
 
-def survival_and_grads(kind: DistKind, param_cols: np.ndarray, times: np.ndarray):
+def survival_and_grads(kind: fht.DistKind, param_cols: np.ndarray, times: np.ndarray):
     """Survival matrix and its two parameter partials, all (n, |times|)."""
     p = fht.make_params(kind, param_cols[:, 0:1], param_cols[:, 1:2])
     return p.survival_and_grads(times[None, :])
@@ -205,7 +204,7 @@ class FittedModel:
     loss_trace: list = field(default_factory=list)
 
     @property
-    def kind(self) -> DistKind:
+    def kind(self) -> fht.DistKind:
         return self.network.kind
 
     def params_for(self, x: np.ndarray) -> np.ndarray:

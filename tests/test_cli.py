@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import hashlib
@@ -981,6 +982,65 @@ def test_compare_names_the_fold_without_comparable_pairs(tmp_path, capsys):
     assert re.search(r"cross-validation fold \d+ of --folds 50 \(\d validation rows\): "
                      "no comparable pairs", capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("times, events, message", [
+    # one comparable pair, (1, 2), which the second resample does not draw
+    ([1.0, 0.5, 2.0], [1, 0, 0], "error: bootstrap resample 2 of 5 has no comparable pairs"),
+    # the only event is the last time, so no pair is comparable
+    ([2.0, 0.5, 1.0], [1, 0, 0], "error: no comparable pairs"),
+], ids=["resample", "data"])
+def test_eval_names_the_bootstrap_resample_without_comparable_pairs(times, events, message,
+                                                                    cox_model, tmp_path, capsys):
+    # three records with the features of small_csv, which the cox model's recipe reads
+    data = generate_nonph(NonPhConfig(seed=3, n_raw=600, n_keep=240))
+    path = tmp_path / "three.csv"
+    write_csv(SurvivalData(x=data.x[:3], time=times, delta=events,
+                           feature_names=data.feature_names), str(path))
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--model", cox_model, "--data", str(path), "--out", str(out),
+                 "--bootstrap", "5"]) == 1
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
+
+
+# each subcommand's options in order: option strings, whether required, default
+PARSER_TABLE = {
+    "generate": [("--out", True, None), ("--config", False, None), ("--seed", False, 0)],
+    "train": [("--data", True, None), ("--config", False, None),
+              ("--distribution", False, None), ("--out", True, None), ("--seed", False, 0)],
+    "eval": [("--model", True, None), ("--data", True, None), ("--out", True, None),
+             ("--bootstrap", False, 100), ("--seed", False, 0)],
+    "compare": [("--data", True, None), ("--config", False, None), ("--out", True, None),
+                ("--bootstrap", False, 100), ("--folds", False, 0), ("--seed", False, 0)],
+    "riskmap": [("--model", True, None), ("--data", True, None),
+                ("--overlay-data", False, None), ("--out", True, None),
+                ("--resolution", False, 200)],
+    "simulate": [("--distribution", True, None), ("--x0", True, None),
+                 ("--diffusion", False, None), ("--drift", False, None),
+                 ("--paths", False, 100000), ("--dt", False, 1e-4), ("--tmax", False, 5.0),
+                 ("--bridge/--no-bridge", False, True), ("--jobs", False, 1),
+                 ("--out", True, None), ("--samples-out", False, None), ("--seed", False, 0)],
+    "rerun": [("--manifest", True, None)],
+}
+# the options that take one of a list of values, and the values
+PARSER_CHOICES = {("train", "--distribution"): ["levy", "invgauss"],
+                  ("simulate", "--distribution"): ["levy", "invgauss"]}
+
+
+def test_parser_options_match_the_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found, choices = {}, {}
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.dest == "help":
+                continue
+            option = "/".join(action.option_strings)
+            found.setdefault(command, []).append((option, action.required, action.default))
+            if action.choices is not None:
+                choices[command, option] = list(action.choices)
+    assert found == PARSER_TABLE
+    assert choices == PARSER_CHOICES
 
 
 class TestReadme:

@@ -332,7 +332,7 @@ class TestAgainstBruteForce:
         start, d_count = start_all[d_count > 0], d_count[d_count > 0]
         assert d_count.max() > 1  # tied event times
         beta = rng.normal(0, 0.5, m)
-        _, _, info = _partial_lik_parts(xs, ds, start, d_count, xs @ beta)
+        _, _, info, _ = _partial_lik_parts(xs, ds, start, d_count, xs @ beta)
         h = 1e-5
         for k in range(m):
             step = h * np.eye(m)[k]

@@ -4,7 +4,7 @@ import re
 import sys
 
 import fhtsurv
-from fhtsurv.fht import DistKind
+from fhtsurv.fht import DistKind, param_names
 
 SRC = pathlib.Path(fhtsurv.__file__).parent
 
@@ -19,15 +19,35 @@ def _member_references(tree):
                 yield node.lineno
 
 
+# each kind's value and second-parameter name, also as a command-line option
+_KIND_WORDS = {word for kind in DistKind for word in (kind.value, param_names(kind)[1])}
+_KIND_WORDS |= {f"--{word}" for word in _KIND_WORDS}
+
+
+def _kind_constants(tree):
+    """Line numbers of constants in ``_KIND_WORDS``, f-string parts included,
+    but for the default of ``ModelConfig.distribution``."""
+    default = {id(stmt.value) for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == "ModelConfig"
+               for stmt in node.body
+               if isinstance(stmt, ast.AnnAssign) and stmt.target.id == "distribution"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and node.value in _KIND_WORDS
+                and id(node) not in default):
+            yield node.lineno
+
+
+def _kind_spellings(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted([*_member_references(tree), *_kind_constants(tree)])
+
+
 def test_only_fht_names_a_distribution_kind():
     # every per-kind fact lives on the parameter structs in fht.py
-    found = {
-        path.name: list(_member_references(ast.parse(path.read_text(encoding="utf-8"))))
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "fht.py"
-    }
+    found = {path.name: _kind_spellings(path) for path in sorted(SRC.glob("*.py"))
+             if path.name != "fht.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
-    assert list(_member_references(ast.parse((SRC / "fht.py").read_text(encoding="utf-8"))))
+    assert _kind_spellings(SRC / "fht.py")
 
 
 # a weight array's name: h<i> or out, then the array, as in "h0.gamma" or f"h{i}.w"
