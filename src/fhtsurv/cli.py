@@ -40,13 +40,16 @@ from .data import (
 )
 from .interpret import risk_grid
 from .metrics import MetricUndefinedError, concordance, evaluate
-from .modelio import read_json, refuse_unknown, require, write_json_atomic
+from .modelio import is_finite, is_int, read_json, refuse_unknown, require, write_json_atomic
 from .simulate import SimConfig, empirical_survival, simulate_fpt, write_samples_csv
 from .training import FittedModel, ModelConfig, fit
 
 # keys kept so older config files load, each with the one value training uses
 FIXED_CONFIG = {"activation": "relu", "dropout": 0.0}
 SECOND_PARAM = {kind: fht.param_names(kind)[1] for kind in fht.KINDS}
+# the keys _write_manifest writes
+MANIFEST_KEYS = ("format", "version", "command", "args", "config_snapshot", "outputs",
+                 "package_version", "wall_clock_s")
 
 
 def _write_manifest(command, args_dict, outputs, started):
@@ -261,12 +264,36 @@ def cmd_simulate(args):
     return outputs
 
 
+def _check_recorded(option, value, where):
+    """Refuse a manifest's recorded ``value`` of ``option`` unless the option
+    could have parsed to it: one of its choices, true or false for a
+    ``--x/--no-x`` flag, an integer (not a bool) or a finite number for an
+    ``int`` or ``float`` type, a string otherwise, and null only where the
+    option is optional and its default is null."""
+    if option.choices is not None:
+        ok, want = value in option.choices, f"one of {list(option.choices)}"
+    elif isinstance(option, argparse.BooleanOptionalAction):
+        ok, want = isinstance(value, bool), "true or false"
+    elif option.type is int:
+        ok, want = is_int(value), "an integer"
+    elif option.type is float:
+        ok, want = is_finite(value), "a finite number"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if option.default is None and not option.required:
+        ok, want = ok or value is None, f"{want} or null"
+    if not ok:
+        raise ValueError(f"{where} key 'args' option '{option.dest}' must be {want}, "
+                         f"got {value!r}")
+
+
 def cmd_rerun(args):
     started = time.time()
     manifest = read_json(args.manifest)
     if manifest.get("format") != "fhtsurv-manifest":
         raise ValueError("not a manifest file")
     where = f"manifest {args.manifest}"
+    refuse_unknown(manifest, MANIFEST_KEYS, where)
     if manifest.get("version") != 1:
         raise ValueError(f"{where} key 'version' must be 1, got {manifest.get('version')!r}")
     command = manifest.get("command")
@@ -276,9 +303,13 @@ def cmd_rerun(args):
     recorded = require(manifest, "args", where, dict)
     # the options of the command, by the names main records them under
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    missing = {a.dest for a in sub.choices[command]._actions} - {"help"} - set(recorded)
+    options = {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
+    refuse_unknown(recorded, options, f"{where} key 'args'")
+    missing = set(options) - set(recorded)
     if missing:
         raise ValueError(f"{where} key 'args' lacks the {command} options {sorted(missing)}")
+    for option in options.values():
+        _check_recorded(option, recorded[option.dest], where)
     config = recorded.get("config")
     if config and read_json(config) != manifest.get("config_snapshot"):
         raise ValueError(f"config file {config} has changed since the manifest was written")
@@ -342,10 +373,11 @@ def build_parser():
     for name in SECOND_PARAM.values():
         s.add_argument(f"--{name}", type=float)
     s.add_argument("--paths", type=int, default=100000)
-    s.add_argument("--dt", type=float, default=1e-4)
-    s.add_argument("--tmax", type=float, default=5.0)
-    s.add_argument("--bridge", action=argparse.BooleanOptionalAction, default=True)
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--dt", type=float, default=SimConfig.dt)
+    s.add_argument("--tmax", type=float, default=SimConfig.t_max)
+    s.add_argument("--bridge", action=argparse.BooleanOptionalAction,
+                   default=SimConfig.bridge_correction)
+    s.add_argument("--jobs", type=int, default=SimConfig.n_jobs)
     s.add_argument("--out", required=True)
     s.add_argument("--samples-out", dest="samples_out")
     s.add_argument("--seed", type=int, default=0)

@@ -191,10 +191,11 @@ def load_csv(path) -> RawDataset:
     in file order, and its column.
 
     The ``time`` and ``event`` columns are mandatory; every other column is
-    a feature.  Rows are read and transposed in blocks of ``_READ_ROWS``,
-    and each column is then parsed once into a float64 array.
+    a feature.  A leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8"
+    exports write, is skipped.  Rows are read and transposed in blocks of
+    ``_READ_ROWS``, and each column is then parsed once into a float64 array.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

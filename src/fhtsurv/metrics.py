@@ -1,30 +1,23 @@
 """Censoring-aware evaluation: Kaplan-Meier, time-dependent concordance,
 Brier curves, integrated Brier score, and stratified bootstrap summaries.
 
-Column blocks.  ``concordance`` and ``evaluate`` take the model as a
-function and ask it for survival one block of event-time columns at a time,
-as ``surv_fn(data.x, U[block])`` with ``U`` the sorted unique event times of
-``data`` (both the network models and the Cox baseline expose
-``survival_matrix`` with this signature).  A block holds at most
-``_BLOCK_ELEMS`` survival values, so a 480-record test split with 301 event
-times is one block.
-
-Row counts.  A bootstrap resample is the number of times it drew each
-record (``bootstrap``), so no resample's rows are ever copied.
-``kaplan_meier`` takes such counts, one curve per row of a count matrix.
-``evaluate`` stacks the all-ones row of the point estimate on top of each
-metric's resample counts; each block then adds every count row's concordant
+One pass.  ``concordance`` and ``evaluate`` score the model in one pass over
+a matrix of row counts, each row a weighting of the records: row 0 counts
+each record once, the data as given, and any further row is a bootstrap
+resample, the number of times it drew each record (``bootstrap``), so no
+resample's rows are ever copied.  The pass fits one censoring curve per
+count row (``km_censoring``) and asks the model for survival one block of
+event-time columns at a time, as ``surv_fn(data.x, U[block])`` with ``U``
+the sorted unique event times of ``data`` (both the network models and the
+Cox baseline expose ``survival_matrix`` with this signature).  A block holds
+at most ``_BLOCK_ELEMS`` survival values, so a 480-record test split with
+301 event times is one block.  Each block adds every count row's concordant
 pairs at the block's anchors and its Brier values at the block's times, as
-products of the count matrix with per-record pair and term matrices.  Each
-resample's Brier curve is read on its own event-time grid, the times at
-which it drew an event.  No (n x |U|) or (n x events) array exists: the
-working memory is a few (n x block) arrays plus O(resamples x n) sums,
-linear in n.  ``fhtsurv eval --bootstrap 100`` on 10,000 records
-(7,500 events at 1,000 distinct times) takes 1.1-3.4 s and peaks at 131 MB
-RSS on a 2-vCPU container whose speed varied about 2x between runs, against
-58-107 s and 874 MB when each resample copied its rows and rebuilt its
-masks and censoring curve.  At 20,000 and 40,000 records the peak is
-211 MB and 386 MB.
+products of the count matrix with per-record pair and term matrices, both
+weighted by that one censoring curve.  Each resample's Brier curve is read
+on its own event-time grid, the times at which it drew an event.  No
+(n x |U|) or (n x events) array exists: the working memory is a few
+(n x block) arrays plus O(resamples x n) sums, linear in n.
 
 IPCW conventions (the weighting itself is standard, the exponents are a
 documented choice): concordance pairs anchored at event time ``T_i`` carry
@@ -123,7 +116,6 @@ class _ByTime(NamedTuple):
 
     order: np.ndarray  # record at each position
     time: np.ndarray
-    delta: np.ndarray
     anchors: np.ndarray  # positions of the event records
     counts: np.ndarray  # (rows x n) count rows, columns in time order
     event_times: np.ndarray  # U, the sorted unique event times
@@ -132,25 +124,12 @@ class _ByTime(NamedTuple):
 
 def _by_time(data, counts) -> _ByTime:
     order = np.argsort(data.time, kind="stable")
-    time, delta = data.time[order], data.delta[order]
-    anchors = np.flatnonzero(delta == 1)
+    time = data.time[order]
+    anchors = np.flatnonzero(data.delta[order] == 1)
     if anchors.size == 0:
         raise MetricUndefinedError("no events, concordance undefined")
     event_times, first = np.unique(time[anchors], return_index=True)
-    return _ByTime(order, time, delta, anchors, counts[:, order], event_times, first)
-
-
-def _blocks(surv_fn, data, rec: _ByTime):
-    """Ask the model for survival on ``rec.event_times`` one column block at
-    a time.  Yields each block's columns, the slice of ``rec.anchors`` whose
-    times lie in it, and ``surv_fn(data.x, rec.event_times[columns])``."""
-    n_times = rec.event_times.size
-    ends = np.append(rec.first, rec.anchors.size)
-    width = _block_width(len(data))
-    for lo in range(0, n_times, width):
-        hi = min(lo + width, n_times)
-        surv = np.asarray(surv_fn(data.x, rec.event_times[lo:hi]), dtype=np.float64)
-        yield slice(lo, hi), slice(ends[lo], ends[hi]), surv
+    return _ByTime(order, time, anchors, counts[:, order], event_times, first)
 
 
 def _concordant_pairs(surv, times, rec: _ByTime, anchors) -> np.ndarray:
@@ -177,15 +156,16 @@ def _concordant_pairs(surv, times, rec: _ByTime, anchors) -> np.ndarray:
     return out
 
 
-def _concordance_from_pairs(pairs, rec: _ByTime):
+def _concordance_from_pairs(pairs, rec: _ByTime, g: KmCurve):
     """Per count row: IPCW concordance and comparable pairs, from
-    ``_concordant_pairs`` at every anchor."""
+    ``_concordant_pairs`` at every anchor and the censoring curve ``g`` of
+    each count row."""
     t_a = rec.time[rec.anchors]
     tail = np.zeros(rec.counts.shape[:-1] + (rec.time.size + 1,))
     tail[:, :-1] = np.cumsum(rec.counts[:, ::-1], axis=1)[:, ::-1]
     comparable = rec.counts[:, rec.anchors] * tail[:, np.searchsorted(rec.time, t_a, side="right")]
     # G is 0 only at an anchor the count row did not draw, whose pairs count 0
-    w = _inverse(km_censoring(rec, rec.counts).eval_left(t_a) ** 2)
+    w = _inverse(g.eval_left(t_a) ** 2)
     den = (w * comparable).sum(axis=1)
     empty = np.flatnonzero(den == 0.0)
     if empty.size:  # row 0 counts the data as given, any further row a resample
@@ -193,23 +173,6 @@ def _concordance_from_pairs(pairs, rec: _ByTime):
         raise MetricUndefinedError(f"{where}no comparable pairs")
     num = (w * rec.counts[:, rec.anchors] * pairs).sum(axis=1)
     return num / den, comparable.sum(axis=1).astype(np.int64)
-
-
-def concordance(surv_fn, data):
-    """Time-dependent IPCW concordance of the model ``surv_fn`` on ``data``.
-
-    Returns ``(value, n_comparable)``.  A pair (i, j) is comparable when
-    ``T_i < T_j`` and subject i had the event; it is concordant when i's
-    predicted survival at ``T_i`` is below j's.  Tied predictions count one
-    half.  The model is asked for survival on the event times of ``data``
-    in column blocks, as in ``evaluate``.
-    """
-    rec = _by_time(data, np.ones((1, len(data))))
-    pairs = np.empty((1, rec.anchors.size))
-    for cols, here, surv in _blocks(surv_fn, data, rec):
-        pairs[:, here] = _concordant_pairs(surv, rec.event_times[cols], rec, rec.anchors[here])
-    value, n_comp = _concordance_from_pairs(pairs, rec)
-    return float(value[0]), int(n_comp[0])
 
 
 def _event_weights(data, counts, g) -> np.ndarray:
@@ -241,6 +204,46 @@ def ibs(times, values) -> float:
     knots = np.concatenate([[0.0], times])
     vals = np.concatenate([values[:1], values])
     return float(np.trapezoid(vals, knots) / times[-1])
+
+
+def _scores(surv_fn, data, counts):
+    """The one pass behind every estimate: per row of the (rows x n)
+    ``counts``, the concordance, comparable pairs, Brier curve on the
+    sorted unique event times ``U`` of ``data``, and integrated Brier score.
+    Returns ``(concordance, comparable, U, brier, ibs)``, each but ``U``
+    with one entry or row per count row.  Data without events are rejected
+    before the model runs."""
+    rec = _by_time(data, counts)
+    times = rec.event_times
+    g = km_censoring(data, counts)
+    event_w = _event_weights(data, counts, g)
+    ends = np.append(rec.first, rec.anchors.size)
+    width = _block_width(len(data))
+    pairs = np.empty((counts.shape[0], rec.anchors.size))
+    brier = np.empty((counts.shape[0], times.size))
+    for lo in range(0, times.size, width):
+        cols = slice(lo, min(lo + width, times.size))
+        here = slice(ends[cols.start], ends[cols.stop])
+        surv = np.asarray(surv_fn(data.x, times[cols]), dtype=np.float64)
+        pairs[:, here] = _concordant_pairs(surv, times[cols], rec, rec.anchors[here])
+        brier[:, cols] = _brier_values(surv, times[cols], data, counts, event_w, g)
+    c_vals, n_comp = _concordance_from_pairs(pairs, rec, g)
+    # each count row's Brier curve lies on its own grid, the times it drew an event at
+    drawn = np.add.reduceat(rec.counts[:, rec.anchors], rec.first, axis=1) > 0
+    ibs_vals = np.array([ibs(times[on], values[on]) for on, values in zip(drawn, brier)])
+    return c_vals, n_comp, times, brier, ibs_vals
+
+
+def concordance(surv_fn, data):
+    """Time-dependent IPCW concordance of the model ``surv_fn`` on ``data``.
+
+    Returns ``(value, n_comparable)``.  A pair (i, j) is comparable when
+    ``T_i < T_j`` and subject i had the event; it is concordant when i's
+    predicted survival at ``T_i`` is below j's.  Tied predictions count one
+    half.  This is ``evaluate``'s pass on the data as given alone.
+    """
+    c_vals, n_comp, *_ = _scores(surv_fn, data, np.ones((1, len(data))))
+    return float(c_vals[0]), int(n_comp[0])
 
 
 def bootstrap(data, n_resamples=100, seed=0) -> np.ndarray:
@@ -275,29 +278,18 @@ def evaluate(surv_fn, data, n_resamples=100, seed=0) -> dict:
     integrated Brier score over [0, last event time], and bootstrap spread
     for both headline metrics, returned as the JSON object ``eval`` writes.
 
-    The model runs once per column block of the sorted unique event times
-    ``U``, as ``surv_fn(data.x, U[block])``; the point estimate and every
-    resample read each block once, through their row counts.  ``bootstrap``
-    rejects ``n_resamples < 2``, and data without events are rejected, before
-    the model runs.
+    Both spreads read one set of ``n_resamples`` resamples, drawn from the
+    first child of ``SeedSequence(seed)``.  The model runs once per column
+    block of the sorted unique event times ``U``, as
+    ``surv_fn(data.x, U[block])``; the point estimate and every resample
+    read each block once, through their row counts.  ``bootstrap`` rejects
+    ``n_resamples < 2``, and data without events are rejected, before the
+    model runs.
     """
-    seq = np.random.SeedSequence(seed).spawn(2)
-    # row 0 of each count matrix is the data as given, the point estimate
-    c_counts, i_counts = (np.vstack([np.ones(len(data)), bootstrap(data, n_resamples, s)])
-                          for s in seq)
-    rec = _by_time(data, c_counts)
-    times = rec.event_times
-    g = km_censoring(data, i_counts)
-    event_w = _event_weights(data, i_counts, g)
-    pairs = np.empty((c_counts.shape[0], rec.anchors.size))
-    brier = np.empty((i_counts.shape[0], times.size))
-    for cols, here, surv in _blocks(surv_fn, data, rec):
-        pairs[:, here] = _concordant_pairs(surv, times[cols], rec, rec.anchors[here])
-        brier[:, cols] = _brier_values(surv, times[cols], data, i_counts, event_w, g)
-    c_vals, n_comp = _concordance_from_pairs(pairs, rec)
-    # each resample's Brier curve lies on its own grid, the times it drew an event at
-    drawn = np.add.reduceat(i_counts[:, rec.order[rec.anchors]], rec.first, axis=1) > 0
-    ibs_vals = np.array([ibs(times[on], values[on]) for on, values in zip(drawn, brier)])
+    (stream,) = np.random.SeedSequence(seed).spawn(1)
+    # row 0 is the data as given, the point estimate
+    counts = np.vstack([np.ones(len(data)), bootstrap(data, n_resamples, stream)])
+    c_vals, n_comp, times, brier, ibs_vals = _scores(surv_fn, data, counts)
     return {
         "c_index": float(c_vals[0]),
         "c_index_bootstrap": _spread(c_vals[1:]),

@@ -60,7 +60,7 @@ _BRIDGE_LOG_BOUND = 40.0
 class SimConfig:
     n_paths: int
     dt: float = 1e-4
-    t_max: float = 10.0
+    t_max: float = 5.0
     seed: int = 0
     bridge_correction: bool = True
     n_jobs: int = 1

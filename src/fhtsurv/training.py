@@ -245,6 +245,9 @@ def fit(data, cfg: ModelConfig, seed=0, *, recipe=None) -> FittedModel:
     if data.x.shape[1] == 0:
         raise ValueError("training data has no feature column")
     n = len(data)
+    if cfg.hidden_sizes and n < 2:
+        raise ValueError(f"a network with hidden layers needs at least 2 training rows, "
+                         f"since batch normalization needs two; got {n}")
     u_full = unique_event_times(data.time, data.delta)
     if u_full.size == 0:
         raise ValueError("training data has no uncensored subject")

@@ -582,7 +582,8 @@ def apply_preprocess(recipe: PreprocessRecipe, raw: RawDataset) -> SurvivalData:
 # the former evaluation, verbatim: each bootstrap resample copied its rows
 # and gathered its own (n x events) concordance and Brier matrices.  Only
 # the report's former ``n_excluded_pairs`` is left out, a key the report no
-# longer has.
+# longer has, and both spreads now read the same resamples, those the
+# concordance spread always read.
 
 
 @dataclass(frozen=True)
@@ -770,9 +771,9 @@ def evaluate(surv_fn, data, n_resamples=100, seed=0) -> dict:
         s = np.take(surv[sel], _columns(times, g), axis=1)
         return ibs(brier_curve(s, g, d))
 
-    seq = np.random.SeedSequence(seed).spawn(2)
-    c_boot = bootstrap(c_metric, data, n_resamples=n_resamples, seed=seq[0])
-    i_boot = bootstrap(ibs_metric, data, n_resamples=n_resamples, seed=seq[1])
+    stream = np.random.SeedSequence(seed).spawn(1)[0]
+    c_boot = bootstrap(c_metric, data, n_resamples=n_resamples, seed=stream)
+    i_boot = bootstrap(ibs_metric, data, n_resamples=n_resamples, seed=stream)
     return {
         "c_index": c_val,
         "c_index_bootstrap": c_boot,

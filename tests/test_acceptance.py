@@ -201,9 +201,8 @@ def test_criterion_5_nonph_desk_scale_reproduction():
     0.840 and test concordance at least 0.05 above the Cox baseline.
 
     Known red: with the benchmark generated exactly as documented, neither
-    clause is attainable by the prescribed architecture at this sample size
-    (nor by reference MLP/boosted-tree learners); see the build notes.  The
-    tolerances below are stated, not tuned.
+    clause is attainable by the prescribed architecture at this sample size.
+    The tolerances below are stated, not tuned.
     """
     start = time.time()
     data = generate_nonph(NonPhConfig(seed=1234))

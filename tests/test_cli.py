@@ -952,8 +952,16 @@ def test_eval_reads_a_cox_file_that_carries_converged(cox_model, small_csv, tmp_
     (_set(("version",), 2), "key 'version' must be 1, got 2"),
     (_set(("version",), "junk"), "key 'version' must be 1, got 'junk'"),
     (_drop(("version",)), "key 'version' must be 1, got None"),
+    (_set(("extra",), 1), "has an unknown key 'extra'"),
+    (_set(("args", "extra"), 1), "key 'args' has an unknown key 'extra'"),
+    (_set(("args", "seed"), True), "key 'args' option 'seed' must be an integer, got True"),
+    (_set(("args", "seed"), "1"), "key 'args' option 'seed' must be an integer, got '1'"),
+    (_set(("args", "bootstrap"), None),
+     "key 'args' option 'bootstrap' must be an integer, got None"),
+    (_set(("args", "model"), None), "key 'args' option 'model' must be a string, got None"),
 ], ids=["args-not-an-object", "no-command", "unknown-command", "missing-option",
-        "version-2", "version-text", "no-version"])
+        "version-2", "version-text", "no-version", "unknown-key", "unknown-option",
+        "bool-seed", "text-seed", "null-int", "null-required"])
 def test_rerun_checks_the_manifest_before_running(edit, message, trained_model, small_csv,
                                                   tmp_path, capsys, monkeypatch):
     out = tmp_path / "report.json"
@@ -967,6 +975,30 @@ def test_rerun_checks_the_manifest_before_running(edit, message, trained_model, 
     assert main(["rerun", "--manifest", str(manifest)]) == 1
     assert f"manifest {manifest} {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("distribution", "gamma", "must be one of ['levy', 'invgauss'], got 'gamma'"),
+    ("bridge", 1, "must be true or false, got 1"),
+    ("bridge", None, "must be true or false, got None"),
+    ("x0", "1.0", "must be a finite number, got '1.0'"),
+    ("x0", None, "must be a finite number, got None"),
+    ("drift", True, "must be a finite number or null, got True"),
+    ("samples_out", 3, "must be a string or null, got 3"),
+], ids=["unlisted-choice", "number-flag", "null-flag", "text-float", "null-required-float",
+        "bool-optional-float", "number-optional-path"])
+def test_rerun_checks_each_recorded_option(key, value, message, tmp_path, capsys,
+                                           monkeypatch):
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--distribution", "levy", "--x0", "1.0", "--diffusion", "1.0",
+                 "--paths", "50", "--dt", "0.01", "--tmax", "0.5", "--out", str(out)]) == 0
+    manifest = tmp_path / "sim.json.manifest.json"
+    obj = read_json(str(manifest))
+    obj["args"][key] = value
+    manifest.write_text(json.dumps(obj))
+    monkeypatch.setattr(cli, "simulate_fpt", _must_not_run)
+    assert main(["rerun", "--manifest", str(manifest)]) == 1
+    assert f"manifest {manifest} key 'args' option '{key}' {message}" in capsys.readouterr().err
 
 
 def test_compare_names_the_fold_without_comparable_pairs(tmp_path, capsys):

@@ -55,6 +55,23 @@ class TestLoadCsv:
         assert list(raw.time) == [1.5, 2.5]
         assert list(raw.delta) == [1, 0]
 
+    @pytest.mark.parametrize("header", ["time,event,a", "a,time,event"])
+    def test_byte_order_mark_skipped(self, tmp_path, header):
+        # spreadsheet "CSV UTF-8" exports start the file with a byte-order mark
+        cells = {"time": ["1.5", "2.5", "4"], "event": ["1", "0", "1"], "a": ["x", "y", "x"]}
+        names = header.split(",")
+        text = "".join(",".join(row) + "\n" for row in [names, *zip(*(cells[c] for c in names))])
+        plain = load_csv(write(tmp_path, text))
+        marked_path = tmp_path / "marked.csv"
+        marked_path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        marked = load_csv(str(marked_path))
+        assert marked.feature_names == plain.feature_names == ["a"]
+        assert np.array_equal(marked.time, plain.time)
+        assert np.array_equal(marked.delta, plain.delta)
+        want = apply_preprocess(fit_preprocess(plain), plain).x
+        for fitted_on, applied_to in ((plain, marked), (marked, plain)):
+            assert np.array_equal(apply_preprocess(fit_preprocess(fitted_on), applied_to).x, want)
+
     def test_missing_mandatory_column(self, tmp_path):
         p = write(tmp_path, "age,time\n50,1.5\n")
         with pytest.raises(LoadError, match="event"):

@@ -50,9 +50,10 @@ def cindex(values, d):
 def cindex_counted(surv, times, d, counts):
     """Concordance and comparable pairs of the matrix ``surv`` on the sorted
     ``times`` (holding every event time), each record counted ``counts`` times."""
-    rec = metrics._by_time(d, np.asarray(counts, dtype=float)[None, :])
+    row = np.asarray(counts, dtype=float)[None, :]
+    rec = metrics._by_time(d, row)
     pairs = metrics._concordant_pairs(surv, times, rec, rec.anchors)
-    value, n_comp = metrics._concordance_from_pairs(pairs, rec)
+    value, n_comp = metrics._concordance_from_pairs(pairs, rec, km_censoring(d, row))
     return float(value[0]), int(n_comp[0])
 
 
@@ -430,10 +431,11 @@ class TestEvaluate:
             t = unique_event_times(dd.time, dd.delta)
             return oracles.ibs(oracles.brier_curve(fn(dd.x, t), t, dd))
 
+        # both spreads read the resamples of the first child stream of the seed
         rep = evaluate(fn, d, n_resamples=15, seed=9)
-        seq = np.random.SeedSequence(9).spawn(2)
-        for got, want in ((rep["c_index_bootstrap"], oracles.bootstrap(c_ref, d, 15, seq[0])),
-                          (rep["ibs_bootstrap"], oracles.bootstrap(ibs_ref, d, 15, seq[1]))):
+        stream = np.random.SeedSequence(9).spawn(1)[0]
+        for got, want in ((rep["c_index_bootstrap"], oracles.bootstrap(c_ref, d, 15, stream)),
+                          (rep["ibs_bootstrap"], oracles.bootstrap(ibs_ref, d, 15, stream))):
             assert abs(got["mean"] - want["mean"]) <= 1e-12
             assert abs(got["std"] - want["std"]) <= 1e-12
 
@@ -472,6 +474,32 @@ class TestEvaluate:
             assert got[key] == want[key]
         assert [t for t, _ in got["brier_curve"]] == [t for t, _ in want["brier_curve"]]
         assert np.max(np.abs(np.subtract(report_floats(got), report_floats(want)))) <= 1e-12
+
+    def test_one_set_of_resamples_and_one_censoring_fit(self, monkeypatch):
+        # concordance and the Brier curve read the same resamples, weighted by
+        # the same censoring curves
+        rng = np.random.default_rng(5)
+        n = 30
+        d = make_data(rng.uniform(0.3, 8, n), rng.integers(0, 2, n))
+        d.delta[0] = 1
+        calls = []
+
+        def counted(name):
+            fn = getattr(metrics, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("bootstrap", "km_censoring"):
+            monkeypatch.setattr(metrics, name, counted(name))
+        evaluate(surv_from_values(rng.random(n)), d, n_resamples=5, seed=0)
+        assert sorted(calls) == ["bootstrap", "km_censoring"]
+        calls.clear()
+        concordance(surv_from_values(rng.random(n)), d)
+        assert calls == ["km_censoring"]
 
     def test_resample_count_checked_before_the_model_runs(self):
         d = make_data([1.0, 2.0, 3.0], [1, 0, 1])

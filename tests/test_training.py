@@ -252,6 +252,15 @@ class TestModelConfig:
                                  seed=np.random.SeedSequence(0).spawn(3)[0])
         assert not np.array_equal(m.network.weights["out.w"], untrained.weights["out.w"])
 
+    def test_hidden_layers_need_two_rows(self):
+        # a lone row would be skipped as a singleton batch in every epoch
+        d = toy_data(40, seed=1)
+        d = d[np.flatnonzero(d.delta == 1)[:1]]
+        with pytest.raises(ValueError, match="at least 2 training rows.*got 1"):
+            fit(d, ModelConfig(epochs=3, batch_size=4))
+        m = fit(d, ModelConfig(hidden_sizes=(), epochs=3, batch_size=4, learning_rate=0.01))
+        assert all(loss > 0.0 for loss in m.loss_trace)
+
 
 class TestPredict:
     def test_limit_at_small_time(self):
