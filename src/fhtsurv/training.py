@@ -11,10 +11,11 @@ The implementation divides by ``|U| * n`` so learning rates transfer
 across dataset sizes; the optimum is unchanged.
 
 Minibatch semantics: the inner sum runs over the batch while ``U`` stays
-the full training-set event-time set, capped at ``EVAL_TIME_CAP`` (256)
-times by drawing one time per contiguous stratum of the sorted set each
-batch, which bounds the O(|U| * batch) cost without shrinking the time
-range.
+the full training-set event-time set, capped at ``LOSS_TIMES`` (32) times:
+each batch draws one time from each of ``LOSS_TIMES`` contiguous strata of
+the sorted set, which bounds the O(|U| * batch) cost without shrinking the
+time range.  The cap is a training constant only; evaluation uses every
+event time.
 
 Gradients flow from the loss through the closed-form survival functions
 (analytic parameter partials) into the network via its reverse pass.
@@ -39,7 +40,7 @@ from .network import Network, init_network
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-EVAL_TIME_CAP = 256
+LOSS_TIMES = 32
 
 
 class TrainingDivergedError(RuntimeError):
@@ -270,7 +271,7 @@ def fit(data, cfg: ModelConfig, seed=0, *, recipe=None) -> FittedModel:
             sel = perm[start : start + cfg.batch_size]
             if sel.size < 2 and net.hidden:
                 continue  # batch-norm variance undefined for a singleton batch
-            u_batch = _subsample_times(u_full, EVAL_TIME_CAP, times_rng)
+            u_batch = _subsample_times(u_full, LOSS_TIMES, times_rng)
             param_cols, cache = net.forward(data.x[sel], train=True)
             if not np.all(np.isfinite(param_cols)):
                 raise TrainingDivergedError(

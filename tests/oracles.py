@@ -68,6 +68,21 @@ def ig_density_ref(x0, mu, t):
     return x0 / math.sqrt(4.0 * math.pi * t**3) * math.exp(-((x0 + mu * t) ** 2) / (4.0 * t))
 
 
+def sample_levy(x0, d, rng):
+    """Exact Levy hitting times: T = x0^2 / (2 D Z^2) with Z standard normal,
+    since P(T > t) = P(|Z| < x0 / sqrt(2 D t)) = erf(x0 / sqrt(4 D t)).
+    ``x0`` and ``d`` broadcast; one draw per element."""
+    z = rng.standard_normal(np.broadcast(x0, d).shape)
+    return np.square(x0) / (2.0 * np.asarray(d) * z * z)
+
+
+def sample_invgauss(x0, mu, rng):
+    """Exact hitting times of drift ``mu < 0`` and D = 1 (variance 2 per unit
+    time), as in ``fht``: inverse Gaussian with mean x0/|mu| and shape
+    x0^2/2.  ``x0`` and ``mu`` broadcast; one draw per element."""
+    return rng.wald(np.asarray(x0) / np.abs(mu), np.square(x0) / 2.0)
+
+
 def quad(f, lo, hi, **kw):
     value, _ = integrate.quad(f, lo, hi, **kw)
     return value

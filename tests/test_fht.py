@@ -180,6 +180,19 @@ class TestGradients:
         assert abs(g0 - f0) / max(abs(f0), 1e-8) < 1e-5
         assert abs(g1 - f1) / max(abs(f1), 1e-8) < 1e-5
 
+    def test_levy_partials_cancel_along_constant_x0_squared_over_d(self):
+        # S depends on x0^2/D only, so x0 dS/dx0 + 2D dS/dD = 0; each term is
+        # the shared prefactor (2/sqrt(pi)) u exp(-u^2) up to rounding
+        x0 = np.geomspace(0.05, 20.0, 13)[:, None, None]
+        d = np.geomspace(0.01, 50.0, 11)[None, :, None]
+        t = np.geomspace(1e-3, 1e3, 17)[None, None, :]
+        _, g0, g1 = LevyParams(x0, d).survival_and_grads(t)
+        pref = x0 * g0
+        # a subnormal value has lost its relative precision
+        normal = np.minimum(np.minimum(g0, -g1), pref) >= np.finfo(float).tiny
+        assert np.count_nonzero(normal) > pref.size // 2
+        assert np.all(np.abs(pref + 2.0 * d * g1)[normal] <= 4.0 * np.spacing(pref[normal]))
+
     @pytest.mark.parametrize("x0,mu,t", [(1.0, -1.0, 1.0), (2.0, -0.5, 0.7), (0.6, -2.0, 0.3)])
     def test_ig_matches_finite_differences(self, x0, mu, t):
         _, g0, g1 = InvGaussParams(x0, mu).survival_and_grads(t)
@@ -232,3 +245,46 @@ class TestDispatch:
         for c in (0.25, 3.0, 40.0):
             other = LevyParams(math.sqrt(c), c).survival(ts)
             assert np.max(np.abs(other - base)) < 1e-15
+
+
+class TestExactSamplers:
+    """The oracle samplers' draws against the closed-form survival: a
+    chi-square test over the law's equal-mass bins, on fixed seeds."""
+
+    N = 20_000
+    BINS = 20
+
+    @classmethod
+    def chi_square_p(cls, draws, survival):
+        """p-value of the draws' counts in the law's ``BINS`` equal-mass bins,
+        cut where the closed-form survival crosses k / BINS."""
+        from scipy import optimize, stats
+
+        edges = [optimize.brentq(lambda t: float(survival(t)) - q, 1e-12, 1e12, xtol=1e-14,
+                                 rtol=1e-14)
+                 for q in np.arange(cls.BINS - 1, 0, -1) / cls.BINS]
+        observed = np.bincount(np.searchsorted(edges, draws), minlength=cls.BINS)
+        return stats.chisquare(observed).pvalue
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("x0,d", [(1.0, 1.0), (2.0, 0.5), (0.3, 4.0)])
+    def test_levy(self, x0, d, seed):
+        draws = oracles.sample_levy(np.full(self.N, x0), d, np.random.default_rng(seed))
+        assert self.chi_square_p(draws, LevyParams(x0, d).survival) > 1e-3
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("x0,mu", [(1.0, -0.5), (2.0, -2.0), (0.4, -0.1)])
+    def test_invgauss(self, x0, mu, seed):
+        draws = oracles.sample_invgauss(np.full(self.N, x0), mu, np.random.default_rng(seed))
+        assert self.chi_square_p(draws, InvGaussParams(x0, mu).survival) > 1e-3
+
+    def test_a_wrong_law_is_rejected(self):
+        # the test has power: Levy draws at a 10% larger diffusion fail it,
+        # and so do inverse-Gaussian draws at D = 2 (shape x0^2/4, not x0^2/2)
+        rng = np.random.default_rng(0)
+        levy = oracles.sample_levy(np.full(self.N, 1.0), 1.1, rng)
+        assert self.chi_square_p(levy, LevyParams(1.0, 1.0).survival) < 1e-6
+        ig = oracles.sample_invgauss(np.full(self.N, 1.0), -0.5, rng)
+        ig_at_d2 = rng.wald(np.full(self.N, 2.0), 0.25)
+        assert self.chi_square_p(ig, InvGaussParams(1.0, -0.5).survival) > 1e-3
+        assert self.chi_square_p(ig_at_d2, InvGaussParams(1.0, -0.5).survival) < 1e-6

@@ -8,6 +8,7 @@ from fhtsurv.data import SurvivalData
 from fhtsurv.metrics import kaplan_meier
 from fhtsurv.network import init_network
 from fhtsurv.training import (
+    LOSS_TIMES,
     FittedModel,
     ModelConfig,
     TrainingDivergedError,
@@ -133,6 +134,46 @@ class TestSubsampleTimes:
         # strata of array_split(range(10), 4): [0,1,2] [3,4,5] [6,7] [8,9]
         for p, (lo, hi) in zip(picks, [(0, 2), (3, 5), (6, 7), (8, 9)]):
             assert lo <= p <= hi
+
+
+class TestLossTimes:
+    """``fit`` evaluates each batch's loss at min(|U|, LOSS_TIMES) times."""
+
+    @staticmethod
+    def kernel_times(monkeypatch, d, cfg):
+        import fhtsurv.training as tr_mod
+
+        seen = []
+        original = tr_mod.survival_and_grads
+
+        def recording(kind, cols, times):
+            seen.append(times.copy())
+            return original(kind, cols, times)
+
+        monkeypatch.setattr(tr_mod, "survival_and_grads", recording)
+        fit(d, cfg, seed=4)
+        return seen
+
+    def test_one_time_per_stratum_above_the_cap(self, monkeypatch):
+        d = toy_data(3 * LOSS_TIMES + 7, seed=5)
+        u = unique_event_times(d.time, d.delta)
+        assert u.size > LOSS_TIMES
+        seen = self.kernel_times(monkeypatch, d, toy_cfg(2, 128, 0.01))
+        assert len(seen) == 2 * -(-len(d) // 128)
+        strata = np.array_split(u, LOSS_TIMES)
+        for times in seen:
+            assert times.size == LOSS_TIMES
+            assert all(t in stratum for t, stratum in zip(times, strata))
+        # a fresh draw each batch
+        assert len({times.tobytes() for times in seen}) == len(seen)
+
+    def test_every_event_time_below_the_cap(self, monkeypatch):
+        d = toy_data(LOSS_TIMES, seed=1)
+        u = unique_event_times(d.time, d.delta)
+        assert u.size < LOSS_TIMES
+        seen = self.kernel_times(monkeypatch, d, toy_cfg(3, LOSS_TIMES // 2, 0.01))
+        assert len(seen) == 3 * 2
+        assert all(np.array_equal(times, u) for times in seen)
 
 
 class TestFit:
