@@ -95,7 +95,7 @@ class LevyParams:
         t = _check_positive("t", t)
         u = self.x0 / np.sqrt(4.0 * self.diffusion * t)
         pref = (2.0 / _SQRT_PI) * np.exp(-u * u) * u
-        return erf(u), pref / self.x0, -pref / (2.0 * self.diffusion)
+        return erf(u), pref / self.x0, pref / (-2.0 * self.diffusion)
 
     def density(self, t):
         """Hitting-time density x0 / sqrt(4 pi D t^3) * exp(-x0^2 / (4 D t)).

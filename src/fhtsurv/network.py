@@ -25,7 +25,11 @@ matrices, and a missing, extra or misshapen array is refused by name.
 Everything is plain numpy with explicit reverse-mode gradients; there is no
 autodiff.  Training-mode forward passes update batch-norm running
 statistics (momentum 0.9, variance epsilon 1e-5, biased batch variance);
-eval-mode passes are pure functions of the weights and input.
+eval-mode passes are pure functions of the weights and input.  A training
+batch of n rows forms its statistics once, with the arithmetic of
+``np.mean`` and ``np.var``: ``m = z.sum(0) / n``, ``dev = z - m`` and
+``v = (dev * dev).sum(0) / n``; the reverse pass takes its two batch means
+as ``.sum(0) / n`` likewise.
 """
 
 from __future__ import annotations
@@ -141,10 +145,11 @@ class Network:
             if train:
                 if n < 2:
                     raise ValueError("batch size must be >= 2 to train with batch norm")
-                m = z.mean(axis=0)
-                v = z.var(axis=0)
+                m = z.sum(axis=0) / n
+                dev = z - m
+                v = (dev * dev).sum(axis=0) / n
                 inv_std = 1.0 / np.sqrt(v + BN_EPS)
-                zhat = (z - m) * inv_std
+                zhat = dev * inv_std
                 rm, rv = self.weights[f"h{i}.run_mean"], self.weights[f"h{i}.run_var"]
                 rm *= BN_MOMENTUM
                 rm += (1.0 - BN_MOMENTUM) * m
@@ -185,10 +190,11 @@ class Network:
             grads[f"h{i}.beta"] = d_y.sum(axis=0)
             d_zhat = d_y * self.weights[f"h{i}.gamma"]
             if train:
+                n = d_zhat.shape[0]
                 d_z = inv_std * (
                     d_zhat
-                    - d_zhat.mean(axis=0)
-                    - zhat * (d_zhat * zhat).mean(axis=0)
+                    - d_zhat.sum(axis=0) / n
+                    - zhat * ((d_zhat * zhat).sum(axis=0) / n)
                 )
             else:
                 d_z = d_zhat * inv_std

@@ -5,7 +5,8 @@ functions needed by the hitting-time formulas live here.  ``erf``, ``erfc``
 and ``erfcx(x) = exp(x^2) erfc(x)`` all come from W. J. Cody's rational
 Chebyshev approximations (*Rational Chebyshev approximations for the error
 function*, Math. Comp. 23 (1969) 631-637; the CALERF routine), each of its
-three ranges evaluated only on its own elements:
+three ranges evaluated only on its own elements, and a range with no
+element not at all:
 
 * ``|x| <= 0.46875``: a rational function of ``x^2`` gives ``erf`` directly;
 * ``0.46875 < |x| <= 4``: a rational function of ``|x|`` gives ``erfcx``;
@@ -53,8 +54,9 @@ _Q = (1.0, 2.56852019228982242e0, 1.87295284992346725e0,
 def _horner(coeffs, x):
     """The polynomial with ``coeffs`` (highest power first) at ``x``, with the
     operations of ``np.polyval`` in its order but updated in place."""
-    out = np.full_like(x, coeffs[0])
-    for c in coeffs[1:]:
+    out = coeffs[0] * x
+    out += coeffs[1]
+    for c in coeffs[2:]:
         out *= x
         out += c
     return out
@@ -70,13 +72,17 @@ def _calerf(x):
     mid = ~small & (y <= 4.0)
     tail = ~(small | mid)
     xs = x[small]
-    z = xs * xs
-    r[small] = xs * _horner(_A, z) / _horner(_B, z)
+    if xs.size:
+        z = xs * xs
+        r[small] = xs * _horner(_A, z) / _horner(_B, z)
     ym = y[mid]
-    r[mid] = _horner(_C, ym) / _horner(_D, ym)
-    w = 1.0 / y[tail]
-    z = w * w
-    r[tail] = (_INV_SQRT_PI - z * _horner(_P, z) / _horner(_Q, z)) * w
+    if ym.size:
+        r[mid] = _horner(_C, ym) / _horner(_D, ym)
+    yt = y[tail]
+    if yt.size:
+        w = 1.0 / yt
+        z = w * w
+        r[tail] = (_INV_SQRT_PI - z * _horner(_P, z) / _horner(_Q, z)) * w
     return y, small, r
 
 

@@ -20,6 +20,12 @@ event time.
 Gradients flow from the loss through the closed-form survival functions
 (analytic parameter partials) into the network via its reverse pass.
 
+Adam keeps one first- and one second-moment buffer for all trainable
+arrays.  During ``fit`` the network's trainable arrays are views of one flat
+parameter buffer, so each step concatenates the gradients once and updates
+every weight with the same elementwise operations the per-array form makes;
+the fitted network keeps those views.
+
 ``ModelConfig`` is the model config: its fields are the config file's keys,
 and its checks are the only ones made on their values.  ``fit`` initializes
 a network of the config's kind and hidden widths, as wide as the data has
@@ -90,19 +96,25 @@ def unique_event_times(time_obs, delta) -> np.ndarray:
 
 
 def brier_terms(surv, times, time_obs, delta):
-    """Normalized loss and dLoss/dS for a precomputed survival matrix (n, |times|)."""
+    """Normalized loss and dLoss/dS for a precomputed survival matrix (n, |times|).
+
+    One comparison serves both masks: subject i has ended at ``t`` when
+    ``T_i <= t`` and is at risk otherwise.  The masked terms ``hit`` and
+    ``miss`` serve both the loss and the gradient.
+    """
     surv = np.asarray(surv, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     time_obs = np.asarray(time_obs, dtype=np.float64)
     delta = np.asarray(delta)
     if times.size == 0:
         raise ValueError("the event-time set is empty")
-    if np.any(surv < 0.0) or np.any(surv > 1.0):
+    if surv.min() < 0.0 or surv.max() > 1.0:
         raise ValueError("survival values must lie in [0, 1]")
-    event_before = (time_obs[:, None] <= times[None, :]) & (delta[:, None] == 1)
-    at_risk = time_obs[:, None] > times[None, :]
-    loss = float(np.sum(event_before * surv**2) + np.sum(at_risk * (1.0 - surv) ** 2))
-    d_surv = 2.0 * (event_before * surv - at_risk * (1.0 - surv))
+    ended = time_obs[:, None] <= times
+    hit = (ended & (delta[:, None] == 1)) * surv
+    miss = ~ended * (1.0 - surv)
+    loss = float(np.sum(hit * hit) + np.sum(miss * miss))
+    d_surv = 2.0 * (hit - miss)
     scale = surv.shape[0] * times.size
     loss /= scale
     d_surv /= scale
@@ -110,22 +122,26 @@ def brier_terms(surv, times, time_obs, delta):
 
 
 class _Adam:
-    def __init__(self, arrays, lr):
+    """Adam on one flat parameter buffer, updated in place from one flat
+    gradient per step."""
+
+    def __init__(self, params, lr):
+        self.params = params
         self.lr = lr
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, arrays, grads):
+    def step(self, grad):
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            a -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        m, v = self.m, self.v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        self.params -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _subsample_times(times_sorted, cap, rng):
@@ -259,8 +275,13 @@ def fit(data, cfg: ModelConfig, seed=0, *, recipe=None) -> FittedModel:
     times_rng = np.random.default_rng(times_seq)
 
     names = net.trainable_names()
-    arrays = [net.weights[nm] for nm in names]
-    opt = _Adam(arrays, cfg.learning_rate)
+    flat = np.concatenate([net.weights[nm] for nm in names], axis=None)
+    start = 0
+    for nm in names:
+        w = net.weights[nm]
+        net.weights[nm] = flat[start : start + w.size].reshape(w.shape)
+        start += w.size
+    opt = _Adam(flat, cfg.learning_rate)
 
     trace = []
     for epoch in range(cfg.epochs):
@@ -287,7 +308,7 @@ def fit(data, cfg: ModelConfig, seed=0, *, recipe=None) -> FittedModel:
                 [(d_surv * g0).sum(axis=1), (d_surv * g1).sum(axis=1)], axis=1
             )
             grads = net.backward(cache, d_cols)
-            opt.step(arrays, [grads[nm] for nm in names])
+            opt.step(np.concatenate([grads[nm] for nm in names], axis=None))
             epoch_loss += loss * sel.size
             epoch_count += sel.size
         trace.append(epoch_loss / max(epoch_count, 1))

@@ -13,6 +13,9 @@ rebuilt every bootstrap resample from its rows, is kept verbatim as the
 reference for the count-weighted, column-blocked one.  The former
 point-query risk map, which formed every query point's own offsets to every
 source, is kept as the bit-for-bit reference for the grid evaluation.
+Last come the former training-step pieces, verbatim: the per-array Adam
+loop, the batch-norm passes through ``np.mean``/``np.var`` and the two-mask
+Brier terms, the references for the flat-buffer and single-mask forms.
 """
 
 import csv
@@ -31,6 +34,8 @@ from fhtsurv.data import (
     SurvivalData,
 )
 from fhtsurv.metrics import MetricUndefinedError
+from fhtsurv.network import BN_EPS, BN_MOMENTUM, Network, link_backward, link_forward
+from fhtsurv.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def erf_ref(x):
@@ -798,3 +803,119 @@ def evaluate(surv_fn, data, n_resamples=100, seed=0) -> dict:
         "n_comparable_pairs": n_comp,
         "n_bootstrap": n_resamples,
     }
+
+
+# ----------------------------------------------------------------------
+# the former training step, verbatim: Adam kept one moment pair per array,
+# batch norm formed its statistics through np.mean and np.var, and the
+# Brier terms compared the times twice, once per mask.
+
+
+class AdamPerArray:
+    def __init__(self, arrays, lr):
+        self.lr = lr
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.t = 0
+
+    def step(self, arrays, grads):
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
+        for a, g, m, v in zip(arrays, grads, self.m, self.v):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            a -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
+class MeanVarNetwork(Network):
+    """The network with its former forward and backward passes."""
+
+    def forward(self, x: np.ndarray, train: bool = False):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ValueError(f"expected batch of shape (n, {self.input_dim})")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("batch contains non-finite values")
+        n = x.shape[0]
+        cache = {"train": train, "layers": []}
+        a = x
+        for i in range(len(self.hidden)):
+            lc = {"a_in": a}
+            z = a @ self.weights[f"h{i}.w"] + self.weights[f"h{i}.b"]
+            if train:
+                if n < 2:
+                    raise ValueError("batch size must be >= 2 to train with batch norm")
+                m = z.mean(axis=0)
+                v = z.var(axis=0)
+                inv_std = 1.0 / np.sqrt(v + BN_EPS)
+                zhat = (z - m) * inv_std
+                rm, rv = self.weights[f"h{i}.run_mean"], self.weights[f"h{i}.run_var"]
+                rm *= BN_MOMENTUM
+                rm += (1.0 - BN_MOMENTUM) * m
+                rv *= BN_MOMENTUM
+                rv += (1.0 - BN_MOMENTUM) * v
+            else:
+                inv_std = 1.0 / np.sqrt(self.weights[f"h{i}.run_var"] + BN_EPS)
+                zhat = (z - self.weights[f"h{i}.run_mean"]) * inv_std
+            y = self.weights[f"h{i}.gamma"] * zhat + self.weights[f"h{i}.beta"]
+            lc.update(zhat=zhat, inv_std=inv_std, act_in=y)
+            a = np.maximum(y, 0.0)
+            cache["layers"].append(lc)
+        raw = a @ self.weights["out.w"] + self.weights["out.b"]
+        cache["a_last"] = a
+        cache["raw"] = raw
+        params = link_forward(self.kind, raw)
+        return params, cache
+
+    def backward(self, cache, d_params: np.ndarray):
+        d_params = np.asarray(d_params, dtype=np.float64)
+        if d_params.shape != cache["raw"].shape:
+            raise ValueError("gradient shape does not match the cached forward pass")
+        train = cache["train"]
+        grads = {}
+        d_raw = link_backward(self.kind, cache["raw"], d_params)
+        grads["out.w"] = cache["a_last"].T @ d_raw
+        grads["out.b"] = d_raw.sum(axis=0)
+        d_a = d_raw @ self.weights["out.w"].T
+        for i in range(len(self.hidden) - 1, -1, -1):
+            lc = cache["layers"][i]
+            d_y = d_a * (lc["act_in"] > 0.0)
+            zhat, inv_std = lc["zhat"], lc["inv_std"]
+            grads[f"h{i}.gamma"] = (d_y * zhat).sum(axis=0)
+            grads[f"h{i}.beta"] = d_y.sum(axis=0)
+            d_zhat = d_y * self.weights[f"h{i}.gamma"]
+            if train:
+                d_z = inv_std * (
+                    d_zhat
+                    - d_zhat.mean(axis=0)
+                    - zhat * (d_zhat * zhat).mean(axis=0)
+                )
+            else:
+                d_z = d_zhat * inv_std
+            grads[f"h{i}.w"] = lc["a_in"].T @ d_z
+            grads[f"h{i}.b"] = d_z.sum(axis=0)
+            d_a = d_z @ self.weights[f"h{i}.w"].T
+        return grads
+
+
+def brier_terms_two_masks(surv, times, time_obs, delta):
+    """Normalized loss and dLoss/dS for a precomputed survival matrix (n, |times|)."""
+    surv = np.asarray(surv, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    time_obs = np.asarray(time_obs, dtype=np.float64)
+    delta = np.asarray(delta)
+    if times.size == 0:
+        raise ValueError("the event-time set is empty")
+    if np.any(surv < 0.0) or np.any(surv > 1.0):
+        raise ValueError("survival values must lie in [0, 1]")
+    event_before = (time_obs[:, None] <= times[None, :]) & (delta[:, None] == 1)
+    at_risk = time_obs[:, None] > times[None, :]
+    loss = float(np.sum(event_before * surv**2) + np.sum(at_risk * (1.0 - surv) ** 2))
+    d_surv = 2.0 * (event_before * surv - at_risk * (1.0 - surv))
+    scale = surv.shape[0] * times.size
+    loss /= scale
+    d_surv /= scale
+    return loss, d_surv

@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from fhtsurv.fht import DistKind
@@ -184,6 +185,31 @@ class TestBackward:
                 if scale > 1e-6:
                     worst = max(worst, abs(fd - grads[name][ix]) / scale)
         assert worst < 1e-4
+
+
+class TestBatchNormArithmetic:
+    @pytest.mark.parametrize("kind", list(DistKind))
+    @pytest.mark.parametrize("n", [2, 7, 64, 256])
+    def test_train_passes_equal_the_mean_var_formulas(self, kind, n):
+        rng = np.random.default_rng(n)
+        net = init_network(kind, 3, (16, 16), seed=n)
+        ref = oracles.MeanVarNetwork(kind, {k: w.copy() for k, w in net.weights.items()})
+        for _ in range(3):  # running statistics move from their initial values
+            x = rng.normal(size=(n, 3)) * 2.0 + 0.5
+            params, cache = net.forward(x, train=True)
+            ref_params, ref_cache = ref.forward(x, train=True)
+            assert np.array_equal(params, ref_params)
+            for lc, ref_lc in zip(cache["layers"], ref_cache["layers"]):
+                for key in ("zhat", "inv_std", "act_in"):
+                    assert np.array_equal(lc[key], ref_lc[key]), key
+            for k in net.weights:
+                assert np.array_equal(net.weights[k], ref.weights[k]), k
+            d_params = rng.normal(size=params.shape)
+            grads = net.backward(cache, d_params)
+            ref_grads = ref.backward(ref_cache, d_params)
+            assert grads.keys() == ref_grads.keys()
+            for k in grads:
+                assert np.array_equal(grads[k], ref_grads[k]), k
 
 
 class TestSerialization:

@@ -109,3 +109,24 @@ def test_horner_identical_to_polyval():
                       (special._D, mid), (special._P, tail), (special._Q, tail)]:
         z = np.append(z, [0.0, np.nan])
         assert np.array_equal(special._horner(coeffs, z), np.polyval(coeffs, z), equal_nan=True)
+
+
+@pytest.mark.parametrize("fn", [erf, erfc, erfcx, norm_cdf])
+def test_a_range_with_no_element_changes_no_value(fn):
+    # Cody's ranges in erf's argument; norm_cdf's argument is -sqrt(2) times it
+    scale = -np.sqrt(2.0) if fn is norm_cdf else 1.0
+    small = np.array([-0.4, -1e-300, -0.0, 0.0, 1e-8, 0.3, 0.46875])
+    mid = np.array([-3.9, -1.0, -0.5, 0.47, 2.0, 4.0])
+    tail = np.array([-6.0, -4.5, 4.1, 9.0, 30.0, np.inf])
+    parts = [small, mid, tail, np.concatenate([small, tail]), np.concatenate([mid, tail]),
+             np.concatenate([small, mid]), np.empty(0)]
+    mixed = scale * np.concatenate(parts)
+    whole = fn(mixed)
+    start = 0
+    for part in parts:
+        got = fn(scale * part)
+        want = whole[start : start + part.size]
+        start += part.size
+        assert got.dtype == np.float64 and got.shape == part.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

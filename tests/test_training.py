@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from fhtsurv.training import (
     FittedModel,
     ModelConfig,
     TrainingDivergedError,
+    _Adam,
     _subsample_times,
     brier_terms,
     fit,
@@ -92,6 +94,56 @@ class TestBrierLoss:
                 lm, _ = brier_terms(sp, times, tobs, delta)
                 fd = (lp - lm) / (2 * h)
                 assert abs(fd - grad[i, j]) < 1e-6
+
+
+    def test_equals_the_two_mask_formula_bit_for_bit(self):
+        # records at a loss time, censored before and after loss times, and
+        # survival values at exactly 0 and 1
+        rng = np.random.default_rng(4)
+        times = np.array([0.5, 1.0, 2.0, 4.0])
+        tobs = np.concatenate([[1.0, 2.0, 0.3, 1.5, 5.0, 4.0, 0.5], rng.uniform(0.1, 5.0, 57)])
+        delta = np.concatenate([[1, 1, 0, 0, 0, 0, 1], rng.integers(0, 2, 57)])
+        surv = rng.random((tobs.size, times.size))
+        surv[0, :2] = (0.0, 1.0)
+        loss, grad = brier_terms(surv, times, tobs, delta)
+        ref_loss, ref_grad = oracles.brier_terms_two_masks(surv, times, tobs, delta)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("value", [-5e-324, -0.5, 1.0 + 2.0**-52, 2.0])
+    def test_refuses_survival_outside_the_unit_interval(self, value):
+        surv = np.full((3, 2), 0.5)
+        surv[1, 1] = value
+        for terms in (brier_terms, oracles.brier_terms_two_masks):
+            with pytest.raises(ValueError, match=r"survival values must lie in \[0, 1\]"):
+                terms(surv, np.array([1.0, 2.0]), np.array([0.5, 1.5, 3.0]), np.array([1, 0, 1]))
+
+
+class TestAdam:
+    SHAPES = [(3, 5), (5,), (5, 4), (1,), (4, 2), (2,)]
+
+    def test_flat_buffer_step_equals_the_per_array_loop(self):
+        rng = np.random.default_rng(8)
+        arrays = [rng.normal(size=shape) for shape in self.SHAPES]
+        ref = oracles.AdamPerArray(arrays, 0.01)
+        flat = np.concatenate([a.copy() for a in arrays], axis=None)
+        opt = _Adam(flat, 0.01)
+        for _ in range(7):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=a.shape) for a in arrays]
+            ref.step(arrays, grads)
+            opt.step(np.concatenate(grads, axis=None))
+            for got, want in [(flat, arrays), (opt.m, ref.m), (opt.v, ref.v)]:
+                assert np.array_equal(got, np.concatenate(want, axis=None))
+
+    def test_fitted_weights_view_one_buffer_and_reload_bit_exactly(self, tmp_path):
+        m = fit(toy_data(), toy_cfg(epochs=3, batch_size=32, learning_rate=0.01), seed=2)
+        trainable = [m.network.weights[nm] for nm in m.network.trainable_names()]
+        assert all(w.base is not None and w.base is trainable[0].base for w in trainable)
+        m.save(tmp_path / "m.json")
+        loaded = FittedModel.load(tmp_path / "m.json")
+        assert loaded.to_dict() == m.to_dict()
+        for k, w in m.network.weights.items():
+            assert np.array_equal(loaded.network.weights[k], w), k
 
 
 def toy_data(n=120, seed=0, censor_frac=0.2):
