@@ -5,8 +5,7 @@ functions needed by the hitting-time formulas live here.  ``erf``, ``erfc``
 and ``erfcx(x) = exp(x^2) erfc(x)`` all come from W. J. Cody's rational
 Chebyshev approximations (*Rational Chebyshev approximations for the error
 function*, Math. Comp. 23 (1969) 631-637; the CALERF routine), each of its
-three ranges evaluated only on its own elements, and a range with no
-element not at all:
+three ranges evaluated only on its own elements:
 
 * ``|x| <= 0.46875``: a rational function of ``x^2`` gives ``erf`` directly;
 * ``0.46875 < |x| <= 4``: a rational function of ``|x|`` gives ``erfcx``;
@@ -72,17 +71,13 @@ def _calerf(x):
     mid = ~small & (y <= 4.0)
     tail = ~(small | mid)
     xs = x[small]
-    if xs.size:
-        z = xs * xs
-        r[small] = xs * _horner(_A, z) / _horner(_B, z)
+    z = xs * xs
+    r[small] = xs * _horner(_A, z) / _horner(_B, z)
     ym = y[mid]
-    if ym.size:
-        r[mid] = _horner(_C, ym) / _horner(_D, ym)
-    yt = y[tail]
-    if yt.size:
-        w = 1.0 / yt
-        z = w * w
-        r[tail] = (_INV_SQRT_PI - z * _horner(_P, z) / _horner(_Q, z)) * w
+    r[mid] = _horner(_C, ym) / _horner(_D, ym)
+    w = 1.0 / y[tail]
+    z = w * w
+    r[tail] = (_INV_SQRT_PI - z * _horner(_P, z) / _horner(_Q, z)) * w
     return y, small, r
 
 
