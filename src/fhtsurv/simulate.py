@@ -1,29 +1,49 @@
 """Monte Carlo first-passage simulator used as an empirical oracle.
 
 The latent process ``dX = mu dt + sqrt(2 D) dW`` starts at ``x0 > 0`` and is
-absorbed at zero.  Hit times are multiples of ``dt``: a path is absorbed in
-the first ``dt`` step whose end is at or below zero or, with the
-Brownian-bridge correction, in the first ``dt`` step in which the continuous
-path crosses zero.  Given step ends ``a, b > 0`` that has probability
-``exp(-a b / (D dt))``, which is exact for arithmetic Brownian motion, so
-bridge-corrected hit times have the law of ``ceil(tau / dt) dt`` for the
-continuous first-passage time ``tau``.  ``(x0, mu, D)`` are the
-``coefficients()`` of the parameter struct passed to ``simulate_fpt``.
+absorbed at zero.  Hit times are multiples of ``dt``.  With the
+Brownian-bridge correction a path is absorbed in the ``dt`` step in which the
+continuous path first reaches zero, so hit times have the law of
+``ceil(tau / dt) dt`` for the continuous first-passage time ``tau``; without
+it, at the first point of the ``dt`` grid at or below zero.  ``(x0, mu, D)``
+are the ``coefficients()`` of the parameter struct passed to
+``simulate_fpt``.
 
-Paths are not stepped per ``dt``.  They move on a coarse grid of
-``2**_COARSE_LOG2`` ``dt`` steps by exact Gaussian transitions, and a coarse
-step from ``a`` to ``b`` over time ``h`` is refined only where its own
-crossing probability ``exp(-a b / (D h))`` is at least ``exp(-40)``
-(``a b < 40 D h``, which includes ``b <= 0``), up to the path's first coarse
-point at or below zero.  Refinement fills in the ``dt`` points by dyadic
-Brownian-bridge midpoints (a sub-interval of length ``h`` gets mean
-``(left + right) / 2`` and variance ``D h / 2``) and applies the per-``dt``
-test above; the hit is the first crossing in the earliest crossed coarse
-step.  A ``dt`` point at or below zero implies a crossing of the continuous
-path, so the steps left coarse hide a hit with probability below
-``exp(-40)`` in either mode (P. Glasserman, *Monte Carlo Methods in
-Financial Engineering*, 2004, section 3.1; A. Beskos and G. O. Roberts,
-*Exact simulation of diffusions*, Ann. Appl. Probab. 15, 2005).
+Paths are not stepped per ``dt``.  They move on a coarse grid by exact
+Gaussian transitions, and only coarse steps from ``a`` to ``b`` over time
+``h`` whose crossing probability ``exp(-a b / (D h))`` is at least
+``exp(-40)`` (``a b < 40 D h``, which includes ``b <= 0``) are examined, up
+to the path's first coarse point at or below zero.  The steps left out hide
+a hit with probability below ``exp(-40)`` in either mode.
+
+With the bridge correction a coarse step spans ``2**_BRIDGE_LOG2`` ``dt``
+steps and both questions about it are answered exactly (P. Glasserman,
+*Monte Carlo Methods in Financial Engineering*, 2004, section 3.1;
+A. Beskos and G. O. Roberts, *Exact simulation of diffusions*, Ann. Appl.
+Probab. 15, 2005).  Given its ends, the path inside a step is a Brownian
+bridge, whatever the drift, so it crosses zero with probability
+``exp(-a b / (D h))`` for ``b > 0``: the test is ``a b <= D h E`` with
+``E ~ Exp(1)``, which an end ``b <= 0`` always passes.  By the reflection
+principle the first-passage density from ``a`` is ``a (4 pi D s**3)**-1/2
+exp(-a**2 / (4 D s))``, and dividing its product with the free density from
+zero to ``b`` by the bridge density gives the law of the hit time ``s`` of a
+crossing step::
+
+    p(s) ~ s**-3/2 (h - s)**-1/2 exp(-a**2 / (4 D s) - b**2 / (4 D (h - s)))
+
+With ``x = s / (h - s)`` this is ``x**-3/2 exp(-a**2 / (4 D h x) - b**2 x /
+(4 D h))``, the inverse Gaussian law ``Wald(a / |b|, a**2 / (2 D h))``, which
+tends to ``a**2 / (2 D h) / Z**2`` for standard normal ``Z`` as ``b -> 0``.
+So ``s = h x / (1 + x)`` is drawn directly, and the hit is the ``dt`` step
+``ceil(s / dt)``.  A step then costs the same whatever its length.
+
+Without the correction the hit is the first ``dt`` point at or below zero,
+whose law given the step's ends has no closed form, so a coarse step spans
+``2**_COARSE_LOG2`` ``dt`` steps and each examined one is refined: its
+``dt`` points are filled in by dyadic Brownian-bridge midpoints (a
+sub-interval of length ``h`` gets mean ``(left + right) / 2`` and variance
+``D h / 2``).  In either mode the hit lies in the earliest crossed coarse
+step.
 
 Paths are split into fixed-size blocks, each driven by its own spawned RNG
 substream.  ``simulate_fpt`` runs the blocks of one setting on
@@ -45,14 +65,19 @@ import numpy as np
 _BLOCK_PATHS = 8192
 # coarse steps per vectorized chunk
 _CHUNK_STEPS = 256
-# a coarse step spans 2**_COARSE_LOG2 dt steps
+# A coarse step spans 2**_COARSE_LOG2 dt steps without the bridge correction,
+# where each refined one costs a normal per dt point, and 2**_BRIDGE_LOG2 with
+# it, where a step costs the same whatever its length (ROADMAP's Baseline has
+# the timings that chose 2**11).
 _COARSE_LOG2 = 5
 _FINE_STEPS = 1 << _COARSE_LOG2
+_BRIDGE_LOG2 = 11
+_BRIDGE_STEPS = 1 << _BRIDGE_LOG2
 # Coarse steps refined per batch; bounds the fine-path arrays to a few MB.
 _REFINE_STEPS = 8192
 # A step from a to b over time h crosses zero with probability
 # exp(-a b / (D h)), below exp(-40) ~ 4e-18 where a*b >= 40*D*h; only steps
-# under that bound are refined or given an exponential deviate.
+# under that bound are refined or bridge-tested.
 _BRIDGE_LOG_BOUND = 40.0
 
 
@@ -76,12 +101,12 @@ class SimConfig:
             raise ValueError("n_jobs must be >= 1")
 
 
-def _first_fine_crossings(rng, left, right, diff, dt, bridge):
+def _first_fine_crossings(rng, left, right, diff, dt):
     """Refine coarse steps from ``left`` to ``right`` (> 0) onto the dt grid.
 
-    The interior dt points are drawn as dyadic Brownian-bridge midpoints, and
-    the per-dt crossing test is then applied to the fine path.  Returns, per
-    coarse step, the 1-based index of its first crossed dt step, 0 if none.
+    The interior dt points are drawn as dyadic Brownian-bridge midpoints.
+    Returns, per coarse step, the 1-based index of its first dt point at or
+    below zero, 0 if none.
     """
     first = np.zeros(left.size, dtype=np.int64)
     scale = diff * dt
@@ -102,15 +127,37 @@ def _first_fine_crossings(rng, left, right, diff, dt, bridge):
             noise *= np.float32(np.sqrt(scale * h / 2.0))
             mid += noise
             h //= 2
-        if bridge:
-            ab = fine[:-1] * fine[1:]
-            mask = ab < _BRIDGE_LOG_BOUND * scale
-            crossed = np.zeros_like(mask)
-            # "<=" so that a step ending at or below zero always crosses
-            crossed[mask] = ab[mask] <= scale * rng.standard_exponential(np.count_nonzero(mask))
-        else:
-            crossed = fine[1:] <= 0.0
+        crossed = fine[1:] <= 0.0
         first[lo:hi] = np.where(crossed.any(axis=0), crossed.argmax(axis=0) + 1, 0)
+    return first
+
+
+def _bridge_crossings(rng, left, right, scale, n_fine):
+    """Bridge-test steps from ``left`` (> 0) to ``right`` over a time ``h`` of
+    ``n_fine`` dt steps, ``scale = D h``, and place each crossing.
+
+    Returns, per step, the 1-based index of the dt step in which the
+    continuous path first reaches zero, 0 if it does not.  The hit time is
+    ``h x / (1 + x)`` with ``x ~ Wald(left / |right|, left**2 / (2 scale))``,
+    drawn by Michael, Schucany and Haas's transformation with one rejection,
+    written without cancellation and in terms of ``1 / x`` and ``|right| /
+    left``, so that ``right == 0`` gives the limiting law ``x = left**2 /
+    (2 scale) / Z**2`` with no special case.
+    """
+    first = np.zeros(left.size, dtype=np.int64)
+    # "<=" so that a step ending at or below zero always crosses
+    crossed = left * right <= scale * rng.standard_exponential(left.size)
+    a = left[crossed]
+    inv_mean = np.abs(right[crossed]) / a
+    lam4 = 2.0 * a * a / scale
+    z = np.abs(rng.standard_normal(a.size))
+    inv_x = z + np.sqrt(z * z + lam4 * inv_mean)
+    inv_x *= inv_x
+    inv_x /= lam4
+    # keep x with probability mean / (mean + x), else take mean**2 / x
+    flip = rng.random(a.size) * (inv_x + inv_mean) > inv_x
+    inv_x[flip] = inv_mean[flip] ** 2 / inv_x[flip]
+    first[crossed] = np.clip(np.ceil(n_fine / (1.0 + inv_x)), 1, n_fine)
     return first
 
 
@@ -118,14 +165,15 @@ def _run_block(args):
     """Simulate one block of paths; returns hit times with inf for survivors."""
     n_block, x0, mu, diff, dt, n_steps, bridge, seed_seq = args
     rng = np.random.Generator(np.random.Philox(seed_seq))
-    span = _FINE_STEPS * dt
+    n_fine = _BRIDGE_STEPS if bridge else _FINE_STEPS
+    span = n_fine * dt
     sigma = np.sqrt(2.0 * diff * span)
     # drift of the coarse walk in standard-normal units
     ramp = (mu * span / sigma * np.arange(1, _CHUNK_STEPS + 1)).astype(np.float32)
     thresh = _BRIDGE_LOG_BOUND * diff * span
-    # a coarse step needs refining only if one of its ends lies below this
+    # a coarse step is a candidate only if one of its ends lies below this
     level = np.sqrt(thresh)
-    n_coarse = -(-n_steps // _FINE_STEPS)
+    n_coarse = -(-n_steps // n_fine)
 
     hit = np.full(n_block, np.inf)
     alive_idx = np.arange(n_block)
@@ -152,16 +200,19 @@ def _run_block(args):
             ends[:] = walk[sub]
             ends *= sigma
             ends += pos[sub, None]
-            refine = pts[:, :-1] * ends < thresh
+            cand = pts[:, :-1] * ends < thresh
             # a row has crossed by its first end at or below zero
-            refine[:, 1:] &= ~np.logical_or.accumulate(ends[:, :-1] <= 0.0, axis=1)
-            row, col = np.nonzero(refine)
-            first = _first_fine_crossings(rng, pts[row, col], ends[row, col], diff, dt, bridge)
+            cand[:, 1:] &= ~np.logical_or.accumulate(ends[:, :-1] <= 0.0, axis=1)
+            row, col = np.nonzero(cand)
+            if bridge:
+                first = _bridge_crossings(rng, pts[row, col], ends[row, col], diff * span, n_fine)
+            else:
+                first = _first_fine_crossings(rng, pts[row, col], ends[row, col], diff, dt)
             crossed = first > 0
             row, col, first = row[crossed], col[crossed], first[crossed]
             # the earliest crossed coarse step of each row
             rows, at = np.unique(row, return_index=True)
-            fine_step = (step + col[at]) * _FINE_STEPS + first[at]
+            fine_step = (step + col[at]) * n_fine + first[at]
             dead = sub[rows]
             inside = fine_step <= n_steps
             hit[alive_idx[dead[inside]]] = fine_step[inside] * dt

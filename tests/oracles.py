@@ -377,6 +377,45 @@ def fine_fpt_reference(args):
     return hit
 
 
+def dyadic_first_crossings(rng, left, right, diff, dt, n_fine, bridge):
+    """The simulator's former in-step kernel: refine coarse steps onto the dt grid.
+
+    Each coarse step from ``left`` to ``right`` (> 0) over ``n_fine`` dt
+    steps (a power of two) gets its interior dt points as dyadic
+    Brownian-bridge midpoints: a sub-interval of ``h`` dt steps gets mean
+    ``(left + right) / 2`` and variance ``D h dt / 2``.  A dt step from ``a``
+    to ``b`` then crosses if ``b <= 0`` or, with ``bridge``, if ``a b <= D dt
+    E`` for ``E ~ Exp(1)``.  Returns, per coarse step, the 1-based index of
+    its first crossed dt step, 0 if none.  Kept as the reference law of the
+    simulator's exact in-step hit sampler.
+    """
+    first = np.zeros(left.size, dtype=np.int64)
+    scale = diff * dt
+    for lo in range(0, left.size, 8192):
+        hi = min(lo + 8192, left.size)
+        fine = np.empty((n_fine + 1, hi - lo))
+        fine[0] = left[lo:hi]
+        fine[-1] = right[lo:hi]
+        h = n_fine
+        while h > 1:
+            mid = fine[h // 2 :: h]
+            np.add(fine[:-1:h], fine[h::h], out=mid)
+            mid *= 0.5
+            noise = rng.standard_normal(mid.shape, dtype=np.float32)
+            noise *= np.float32(np.sqrt(scale * h / 2.0))
+            mid += noise
+            h //= 2
+        if bridge:
+            ab = fine[:-1] * fine[1:]
+            mask = ab < 40.0 * scale
+            crossed = np.zeros_like(mask)
+            crossed[mask] = ab[mask] <= scale * rng.standard_exponential(np.count_nonzero(mask))
+        else:
+            crossed = fine[1:] <= 0.0
+        first[lo:hi] = np.where(crossed.any(axis=0), crossed.argmax(axis=0) + 1, 0)
+    return first
+
+
 # ----------------------------------------------------------------------
 # the former loader and preprocessing, verbatim
 

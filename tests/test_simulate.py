@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from fhtsurv import fht
+from fhtsurv import simulate as sim
 from fhtsurv.simulate import (
     SimConfig,
     _block_tasks,
+    _bridge_crossings,
+    _first_fine_crossings,
     empirical_survival,
     simulate_fpt,
     write_samples_csv,
@@ -148,24 +151,84 @@ class TestAgainstFineStepSampler:
         assert binned_chi_square_p(ours, ref) > 0.01
 
 
+class TestBridgeStep:
+    """The exact in-step sampler of bridge mode, for fixed step ends."""
+
+    D, DT = 1.0, 1e-4
+    N_FINE = sim._BRIDGE_STEPS
+    SCALE = D * DT * N_FINE  # D h
+
+    def crossings(self, a, b, n, seed):
+        return _bridge_crossings(np.random.default_rng(seed), np.full(n, a), np.full(n, b),
+                                 self.SCALE, self.N_FINE)
+
+    @pytest.mark.parametrize("a, b", [(0.2, 0.1), (0.05, 0.6), (0.5, 0.02)])
+    def test_crossing_frequency(self, a, b):
+        n = 200000
+        freq = np.mean(self.crossings(a, b, n, 61) > 0)
+        p = np.exp(-a * b / self.SCALE)
+        assert abs(freq - p) < 3 * np.sqrt(p * (1 - p) / n)
+
+    @pytest.mark.parametrize("b", [0.1, 0.0, -0.15])
+    def test_hit_step_law_matches_dyadic_refinement(self, b):
+        n, a = 20000, 0.2
+        ours = self.crossings(a, b, n, 62)
+        assert ours.min() >= (1 if b <= 0.0 else 0) and ours.max() <= self.N_FINE
+        ref = oracles.dyadic_first_crossings(np.random.default_rng(63), np.full(n, a),
+                                             np.full(n, b), self.D, self.DT, self.N_FINE, True)
+        as_times = [np.where(x > 0, x, np.inf) for x in (ours, ref)]
+        assert binned_chi_square_p(*as_times) > 0.01
+
+    def test_end_at_zero_has_the_limiting_law(self):
+        # b = 0: x = lam / Z**2, so P(hit step <= j) = erfc(sqrt(lam (n - j) / (2 j)))
+        n, a = 100000, 0.2
+        lam = a * a / (2.0 * self.SCALE)
+        hit = self.crossings(a, 0.0, n, 64)
+        edges = np.arange(64, self.N_FINE + 1, 64)
+        cdf = special.erfc(np.sqrt(lam * (self.N_FINE - edges) / (2.0 * edges)))
+        observed = np.bincount(np.searchsorted(edges, hit, side="left"), minlength=edges.size)
+        expected = n * np.diff(cdf, prepend=0.0)
+        assert observed.sum() == n
+        assert stats.chisquare(observed, expected).pvalue > 0.01
+
+    def test_no_bridge_refinement_is_the_reference(self):
+        rng = np.random.default_rng(65)
+        left, right = rng.uniform(0.0, 0.05, 3000), rng.uniform(-0.05, 0.05, 3000)
+        ours = _first_fine_crossings(np.random.default_rng(66), left, right, self.D, self.DT)
+        ref = oracles.dyadic_first_crossings(np.random.default_rng(66), left, right, self.D,
+                                             self.DT, sim._FINE_STEPS, False)
+        assert np.array_equal(ours, ref)
+
+
+# bridge-mode coarse steps: the former 32 dt and the module's own
+COARSE_STEPS = [32, sim._BRIDGE_STEPS]
+
+
 class TestGridEdges:
-    def test_steps_not_a_multiple_of_the_coarse_step(self):
-        # 37 dt steps: the last coarse step runs past t_max
-        dt = 0.01
-        cfg = SimConfig(n_paths=40000, dt=dt, t_max=0.37, seed=31)
+    @pytest.mark.parametrize("n_fine", COARSE_STEPS)
+    def test_steps_not_a_multiple_of_the_coarse_step(self, n_fine, monkeypatch):
+        # two coarse steps and a partial one that runs past t_max
+        monkeypatch.setattr(sim, "_BRIDGE_STEPS", n_fine)
+        dt = 0.32 / n_fine
+        n_steps = 2 * n_fine + 5 * n_fine // 32
+        cfg = SimConfig(n_paths=40000, dt=dt, t_max=n_steps * dt, seed=31)
         p = fht.LevyParams(1.0, 1.0)
         hits = simulate_fpt(p, cfg)
         finite = hits[np.isfinite(hits)]
         assert finite.size > 0
         assert np.array_equal(finite, np.round(finite / dt) * dt)
-        assert finite.max() <= 37 * dt
-        z = z_scores(p, cfg, np.array([10, 20, 30, 37]) * dt)
+        assert finite.max() <= n_steps * dt
+        z = z_scores(p, cfg, np.array([n_fine // 2, n_fine, 2 * n_fine, n_steps]) * dt)
         assert np.max(np.abs(z)) < 3.0
 
-    def test_hits_inside_the_first_coarse_step(self):
-        dt = 1e-4
-        cfg = SimConfig(n_paths=40000, dt=dt, t_max=64 * dt, seed=32)
-        z = z_scores(fht.LevyParams(0.05, 1.0), cfg, np.array([4, 16, 48]) * dt)
+    @pytest.mark.parametrize("n_fine", COARSE_STEPS)
+    def test_hits_inside_the_first_coarse_step(self, n_fine, monkeypatch):
+        # the knee x0**2 / (4 D) lies a fifth of the way into the first step
+        monkeypatch.setattr(sim, "_BRIDGE_STEPS", n_fine)
+        dt = 0.0032 / n_fine
+        cfg = SimConfig(n_paths=40000, dt=dt, t_max=2 * n_fine * dt, seed=32)
+        z = z_scores(fht.LevyParams(0.05, 1.0), cfg,
+                     np.array([n_fine // 8, n_fine // 2, 3 * n_fine // 2]) * dt)
         assert np.max(np.abs(z)) < 3.0
 
 
