@@ -3,8 +3,8 @@
 Every command validates its inputs, derives all randomness from a single
 ``--seed``, writes its outputs deterministically, and drops a JSON run
 manifest next to the main output (``<out>.manifest.json``).  ``fhtsurv
-rerun --manifest <path>`` re-executes the recorded command and reproduces
-the outputs byte for byte.
+rerun --manifest <path>`` checks the manifest, then takes the direct command's
+path, manifest included, and reproduces the outputs byte for byte.
 
 A ``generate`` config file may set ``n_raw`` and ``n_keep``, the fields of
 ``data.NonPhConfig`` other than the seed; the benchmark's shape is fixed.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -287,12 +288,12 @@ def _check_recorded(option, value, where):
                          f"got {value!r}")
 
 
-def cmd_rerun(args):
-    started = time.time()
-    manifest = read_json(args.manifest)
+def _read_manifest(path):
+    """The command and options a manifest records, each checked as parsed."""
+    manifest = read_json(path)
     if manifest.get("format") != "fhtsurv-manifest":
         raise ValueError("not a manifest file")
-    where = f"manifest {args.manifest}"
+    where = f"manifest {path}"
     refuse_unknown(manifest, MANIFEST_KEYS, where)
     if manifest.get("version") != 1:
         raise ValueError(f"{where} key 'version' must be 1, got {manifest.get('version')!r}")
@@ -313,9 +314,7 @@ def cmd_rerun(args):
     config = recorded.get("config")
     if config and read_json(config) != manifest.get("config_snapshot"):
         raise ValueError(f"config file {config} has changed since the manifest was written")
-    outputs = _COMMANDS[command](argparse.Namespace(**recorded))
-    _write_manifest(command, recorded, outputs, started)
-    return outputs
+    return command, recorded
 
 
 _COMMANDS = {
@@ -328,6 +327,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="fhtsurv", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
@@ -388,16 +388,14 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args_dict = vars(build_parser().parse_args(argv))
+    command = args_dict.pop("command")
     started = time.time()
     try:
-        if args.command == "rerun":
-            cmd_rerun(args)
-            return 0
-        outputs = _COMMANDS[args.command](args)
-        args_dict = {k: v for k, v in vars(args).items() if k != "command"}
-        _write_manifest(args.command, args_dict, outputs, started)
+        if command == "rerun":
+            command, args_dict = _read_manifest(args_dict["manifest"])
+        outputs = _COMMANDS[command](argparse.Namespace(**args_dict))
+        _write_manifest(command, args_dict, outputs, started)
     except Exception as exc:  # noqa: BLE001 - single CLI error boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

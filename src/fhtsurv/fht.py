@@ -183,13 +183,15 @@ class InvGaussParams:
         return self.x0, self.drift, 1.0
 
 
+_PARAMS_CLASSES = {cls.kind: cls for cls in (LevyParams, InvGaussParams)}
+
+
 def params_class(kind):
     """The parameter struct of a distribution kind."""
     try:
-        kind = DistKind(kind)
+        return _PARAMS_CLASSES[DistKind(kind)]
     except ValueError:
         raise FhtDomainError(f"unknown distribution kind: {kind!r}") from None
-    return LevyParams if kind == DistKind.LEVY else InvGaussParams
 
 
 def make_params(kind, x0, second):

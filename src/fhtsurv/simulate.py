@@ -264,5 +264,4 @@ def write_samples_csv(hit_times, path):
     """Single-column dump; survivors are written as the string 'inf'."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("hit_time\n")
-        for v in hit_times:
-            fh.write(("inf" if np.isinf(v) else repr(float(v))) + "\n")
+        fh.writelines(f"{v!r}\n" for v in hit_times.tolist())

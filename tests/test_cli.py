@@ -116,6 +116,25 @@ class TestGenerate:
         assert read_json(str(out) + ".manifest.json")["wall_clock_s"] == 5.0
 
 
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    out = tmp_path / "nonph.csv"
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"n_raw": 400, "n_keep": 160}))
+    argv = ["generate", "--out", str(out), "--config", str(cfg), "--seed", "2"]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 0
+    assert main(["rerun", "--manifest", str(out) + ".manifest.json"]) == 0
+    assert built == []
+
+
 class TestTrainEval:
     def test_train_writes_model_with_recipe(self, trained_model):
         obj = read_json(trained_model)

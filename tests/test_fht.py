@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,18 @@ class TestDispatch:
         assert isinstance(q, InvGaussParams)
         assert fht.param_names("invgauss") == ("x0", "drift")
         assert q.coefficients() == (1.0, -0.5, 1.0)
+
+    @pytest.mark.parametrize("kind", list(DistKind))
+    def test_params_class_is_the_struct_of_that_kind(self, kind):
+        struct = fht.params_class(kind)
+        assert struct in (LevyParams, InvGaussParams)
+        assert struct.kind is kind
+        assert fht.params_class(kind.value) is struct
+
+    @pytest.mark.parametrize("kind", ["weibull", "LEVY", None])
+    def test_params_class_names_an_unknown_kind(self, kind):
+        with pytest.raises(FhtDomainError, match=re.escape(f"unknown distribution kind: {kind!r}")):
+            fht.params_class(kind)
 
     def test_unknown_kind_rejected(self):
         for call in (

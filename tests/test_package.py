@@ -93,6 +93,25 @@ def test_only_one_module_spells_the_model_file_envelope():
     assert found == ["training.py"]
 
 
+def _runs_or_records(node):
+    """Whether ``node`` reads ``_write_manifest`` or indexes ``_COMMANDS``."""
+    if isinstance(node, ast.Name):
+        return node.id == "_write_manifest" and isinstance(node.ctx, ast.Load)
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "_COMMANDS")
+
+
+def test_only_main_runs_and_records_a_command():
+    # a rerun is checked, then takes the direct command's path through main
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main)}
+    found = [node for node in ast.walk(tree) if _runs_or_records(node)]
+    assert [node.lineno for node in found if id(node) not in in_main] == []
+    assert sorted(type(node).__name__ for node in found) == ["Name", "Subscript"]
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in fhtsurv.__all__ if not hasattr(fhtsurv, name)]
     assert missing == []
