@@ -144,10 +144,6 @@ class RawDataset:
     columns: dict
     rows: np.ndarray
 
-    @property
-    def feature_names(self):
-        return list(self.columns)
-
     def __len__(self):
         return self.time.size
 
@@ -431,12 +427,9 @@ def cv_folds(data: SurvivalData, k=5, seed=0):
     if k < 2:
         raise ValueError("k must be >= 2")
     rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
-    for group in (np.flatnonzero(data.delta == 0), np.flatnonzero(data.delta == 1)):
-        perm = rng.permutation(group)
-        for i, idx in enumerate(perm):
-            folds[i % k].append(idx)
-    return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
+    # fold f takes records f, f + k, f + 2k, ... of each stratum's permutation
+    perms = [rng.permutation(np.flatnonzero(data.delta == e)) for e in (0, 1)]
+    return [np.sort(np.concatenate([p[f::k] for p in perms])) for f in range(k)]
 
 
 # ----------------------------------------------------------------------
@@ -544,8 +537,9 @@ def write_csv(data: SurvivalData, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*names, TIME_COL, EVENT_COL])
-        for i in range(len(data)):
-            writer.writerow(
-                [repr(float(v)) for v in data.x[i]]
-                + [repr(float(data.time[i])), str(int(data.delta[i]))]
-            )
+        # a row's floats at a time: the freed floats of a whole-matrix
+        # .tolist() stay in the process's heap after the file is written
+        writer.writerows(
+            [*map(repr, xs.tolist()), repr(t), repr(d)]
+            for xs, t, d in zip(data.x, data.time.tolist(), data.delta.tolist())
+        )

@@ -114,12 +114,6 @@ class AxisSpec:
         return np.log(values) if self.scale == "log" else values
 
 
-def _num(v) -> str:
-    """Shortest text that round-trips a float, also for numpy scalars
-    (whose own repr is ``np.float64(...)`` under numpy 2)."""
-    return repr(float(v))
-
-
 @dataclass
 class RiskMap:
     """Interpolated event-time grid plus the subject overlay used to build it."""
@@ -133,22 +127,28 @@ class RiskMap:
     overlay_delta: np.ndarray
 
     def write_csv(self, grid_path, overlay_path) -> None:
-        xg, yg = self.x_axis.grid(), self.y_axis.grid()
+        # .tolist() gives Python floats, whose repr is the shortest text that
+        # round-trips; float() does the same for an axis's lo and hi, which
+        # may be numpy scalars.  The grid is listed a row at a time, as in
+        # data.write_csv.
+        xg = self.x_axis.grid().tolist()
         with open(grid_path, "w", encoding="utf-8") as fh:
             for ax, nm in ((self.x_axis, "x_axis"), (self.y_axis, "y_axis")):
                 fh.write(
                     f"# {nm}: name={ax.name} scale={ax.scale} "
-                    f"min={_num(ax.lo)} max={_num(ax.hi)} resolution={ax.resolution}\n"
+                    f"min={float(ax.lo)!r} max={float(ax.hi)!r} resolution={ax.resolution}\n"
                 )
             fh.write(f"# n_sources: {self.n_sources}\n")
             fh.write(f"{self.x_axis.name},{self.y_axis.name},time\n")
-            for iy, yv in enumerate(yg):
-                for ix, xv in enumerate(xg):
-                    fh.write(f"{_num(xv)},{_num(yv)},{_num(self.grid[iy, ix])}\n")
+            for yv, row in zip(self.y_axis.grid().tolist(), self.grid):
+                fh.writelines(f"{xv!r},{yv!r},{v!r}\n" for xv, v in zip(xg, row.tolist()))
         with open(overlay_path, "w", encoding="utf-8") as fh:
             fh.write(f"{self.x_axis.name},{self.y_axis.name},time,event\n")
-            for (px, py), t, d in zip(self.overlay_params, self.overlay_times, self.overlay_delta):
-                fh.write(f"{_num(px)},{_num(py)},{_num(t)},{int(d)}\n")
+            fh.writelines(
+                f"{px!r},{py!r},{t!r},{d!r}\n"
+                for (px, py), t, d in zip(self.overlay_params.tolist(), self.overlay_times.tolist(),
+                                          self.overlay_delta.tolist())
+            )
 
 
 def default_axes(kind: DistKind, params: np.ndarray, resolution=200):

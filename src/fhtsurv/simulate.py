@@ -47,19 +47,21 @@ step.
 
 Paths are split into fixed-size blocks, each driven by its own spawned RNG
 substream.  ``simulate_fpt`` runs the blocks of one setting on
-``SimConfig.n_jobs`` worker processes, and its result is bit-identical for a
-given seed whatever that number.  Within a block the coarse walk is advanced
-in vectorized chunks of steps; absorbed paths are compacted away between
-chunks.  Gaussian increments use float32 (positions stay float64), whose
-rounding is orders of magnitude below Monte Carlo noise.
+``SimConfig.n_jobs`` worker threads, and its result is bit-identical for a
+given seed whatever that number.  Threads suffice because a block's work is
+numpy's RNG fills and array passes, which release the interpreter lock, so
+no process is forked and nothing is pickled.  Within a block the coarse walk
+is advanced in vectorized chunks of steps; absorbed paths are compacted away
+between chunks.  Gaussian increments use float32 (positions stay float64),
+whose rounding is orders of magnitude below Monte Carlo noise.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
-import multiprocessing
 import numpy as np
 
 _BLOCK_PATHS = 8192
@@ -161,9 +163,9 @@ def _bridge_crossings(rng, left, right, scale, n_fine):
     return first
 
 
-def _run_block(args):
-    """Simulate one block of paths; returns hit times with inf for survivors."""
-    n_block, x0, mu, diff, dt, n_steps, bridge, seed_seq = args
+def _run_block(n_block, seed_seq, x0, mu, diff, dt, n_steps, bridge):
+    """Simulate ``n_block`` paths on the RNG substream ``seed_seq``; returns
+    hit times with inf for survivors."""
     rng = np.random.Generator(np.random.Philox(seed_seq))
     n_fine = _BRIDGE_STEPS if bridge else _FINE_STEPS
     span = n_fine * dt
@@ -223,32 +225,23 @@ def _run_block(args):
     return hit
 
 
-def _block_tasks(params, cfg):
-    x0, mu, diff = map(float, params.coefficients())
-    n_steps = int(np.ceil(cfg.t_max / cfg.dt - 1e-9))
-    root = np.random.SeedSequence(cfg.seed)
-    n_blocks = (cfg.n_paths + _BLOCK_PATHS - 1) // _BLOCK_PATHS
-    tasks = []
-    remaining = cfg.n_paths
-    for child in root.spawn(n_blocks):
-        nb = min(_BLOCK_PATHS, remaining)
-        remaining -= nb
-        tasks.append((nb, x0, mu, diff, cfg.dt, n_steps, cfg.bridge_correction, child))
-    return tasks
-
-
 def simulate_fpt(params, cfg: SimConfig) -> np.ndarray:
     """float64 first-passage times, ``inf`` where a path outlives ``cfg.t_max``,
     of the diffusion whose parameter struct (``LevyParams`` or
-    ``InvGaussParams``) is given, on ``cfg.n_jobs`` worker processes, but no
-    more than there are blocks, when there is more than one block."""
-    tasks = _block_tasks(params, cfg)
-    if cfg.n_jobs > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=min(cfg.n_jobs, len(tasks)), mp_context=ctx) as pool:
-            parts = list(pool.map(_run_block, tasks))
+    ``InvGaussParams``) is given, on ``cfg.n_jobs`` worker threads, but no
+    more than there are blocks."""
+    x0, mu, diff = map(float, params.coefficients())
+    n_steps = int(np.ceil(cfg.t_max / cfg.dt - 1e-9))
+    sizes = [min(_BLOCK_PATHS, cfg.n_paths - lo) for lo in range(0, cfg.n_paths, _BLOCK_PATHS)]
+    seeds = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
+    run = partial(_run_block, x0=x0, mu=mu, diff=diff, dt=cfg.dt, n_steps=n_steps,
+                  bridge=cfg.bridge_correction)
+    workers = min(cfg.n_jobs, len(sizes))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, sizes, seeds))
     else:
-        parts = [_run_block(t) for t in tasks]
+        parts = list(map(run, sizes, seeds))
     return np.concatenate(parts)
 
 

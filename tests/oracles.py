@@ -305,18 +305,16 @@ def breslow_cumhaz_ref(beta, x, times, deltas):
     return np.array(event_times), np.array(cumhaz)
 
 
-def fine_fpt_reference(args):
+def fine_fpt_reference(n_block, seed_seq, x0, mu, diff, dt, n_steps, bridge):
     """The simulator's former block kernel: one Gaussian step per ``dt``.
 
-    Takes the same task tuple as ``fhtsurv.simulate._run_block``, ``(n_block,
-    x0, mu, diff, dt, n_steps, bridge, seed_seq)``, and returns hit times
-    (``inf`` for survivors).  Each path is advanced on the ``dt`` grid and
-    absorbed at the first grid point at or below zero or, with ``bridge``, at
-    the first step whose Brownian-bridge crossing test ``exp(-a b / (D dt))``
-    fires.  Kept as the reference law that the coarse-step sampler must
-    reproduce.
+    Takes the same arguments as ``fhtsurv.simulate._run_block`` and returns
+    hit times (``inf`` for survivors).  Each path is advanced on the ``dt``
+    grid and absorbed at the first grid point at or below zero or, with
+    ``bridge``, at the first step whose Brownian-bridge crossing test
+    ``exp(-a b / (D dt))`` fires.  Kept as the reference law that the
+    coarse-step sampler must reproduce.
     """
-    n_block, x0, mu, diff, dt, n_steps, bridge, seed_seq = args
     chunk_steps = 256
     rng = np.random.Generator(np.random.Philox(seed_seq))
     sigma = np.sqrt(2.0 * diff * dt)

@@ -51,7 +51,7 @@ class TestLoadCsv:
         p = write(tmp_path, "age,time,event\n50,1.5,1\n60,2.5,0\n")
         raw = load_csv(p)
         assert len(raw) == 2
-        assert raw.feature_names == ["age"]
+        assert list(raw.columns) == ["age"]
         assert list(raw.time) == [1.5, 2.5]
         assert list(raw.delta) == [1, 0]
 
@@ -65,7 +65,7 @@ class TestLoadCsv:
         marked_path = tmp_path / "marked.csv"
         marked_path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
         marked = load_csv(str(marked_path))
-        assert marked.feature_names == plain.feature_names == ["a"]
+        assert list(marked.columns) == list(plain.columns) == ["a"]
         assert np.array_equal(marked.time, plain.time)
         assert np.array_equal(marked.delta, plain.delta)
         want = apply_preprocess(fit_preprocess(plain), plain).x
@@ -411,6 +411,20 @@ class TestSplits:
         sizes = sorted(f.size for f in folds)
         assert sizes[-1] - sizes[0] <= 2
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_folds_deal_each_stratum_in_turn(self, k):
+        # reference: record i of a stratum's permutation goes to fold i mod k
+        rng = np.random.default_rng(4)
+        d = SurvivalData(np.zeros((57, 1)), rng.uniform(0.5, 9, 57), rng.integers(0, 2, 57), ["f"])
+        draw = np.random.default_rng(11)
+        ref = [[] for _ in range(k)]
+        for group in (np.flatnonzero(d.delta == 0), np.flatnonzero(d.delta == 1)):
+            for i, idx in enumerate(draw.permutation(group)):
+                ref[i % k].append(int(idx))
+        folds = cv_folds(d, k=k, seed=11)
+        assert all(f.dtype == np.int64 for f in folds)
+        assert [f.tolist() for f in folds] == [sorted(f) for f in ref]
+
     def test_fold_censoring_ratio_within_rounding(self):
         delta = np.array([0] * 30 + [1] * 70)
         d = SurvivalData(np.zeros((100, 1)), np.arange(1.0, 101.0), delta, ["f"])
@@ -488,7 +502,7 @@ class TestNonPh:
         assert len(raw) == 200
         assert np.array_equal(raw.delta, d.delta)
         assert np.allclose(raw.time, d.time)
-        back = np.column_stack([raw.columns[c].values for c in raw.feature_names])
+        back = np.column_stack([raw.columns[c].values for c in raw.columns])
         assert np.array_equal(back, d.x)
 
     def test_config_validation(self):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -6,7 +8,6 @@ from fhtsurv import fht
 from fhtsurv import simulate as sim
 from fhtsurv.simulate import (
     SimConfig,
-    _block_tasks,
     _bridge_crossings,
     _first_fine_crossings,
     empirical_survival,
@@ -82,15 +83,25 @@ class TestSimulate:
         b = simulate_fpt(fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=2))
         assert np.array_equal(a, b)
 
+    def test_workers_start_no_process(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("a worker process was started")
+
+        base = dict(n_paths=2 * sim._BLOCK_PATHS, dt=1e-1, t_max=1.0, seed=7,
+                    bridge_correction=True)
+        a = simulate_fpt(fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=1))
+        monkeypatch.setattr(os, "fork", no_fork)
+        b = simulate_fpt(fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=2))
+        assert np.array_equal(a, b)
+
     def test_no_more_workers_than_blocks(self, monkeypatch):
-        # a stand-in pool that records its size and maps serially, so no
-        # process is started
+        # a stand-in pool that records its size and maps serially
         import fhtsurv.simulate as sim_mod
 
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -99,10 +110,10 @@ class TestSimulate:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
-        monkeypatch.setattr(sim_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(sim_mod, "ThreadPoolExecutor", SerialPool)
         base = dict(n_paths=2 * sim_mod._BLOCK_PATHS, dt=1e-1, t_max=1.0, seed=7,
                     bridge_correction=True)
         a = simulate_fpt(fht.LevyParams(1.0, 1.0), SimConfig(**base, n_jobs=4))
@@ -142,12 +153,14 @@ class TestAgainstFineStepSampler:
         (fht.DistKind.LEVY, fht.LevyParams(1.0, 1.0)),
         (fht.DistKind.INVERSE_GAUSSIAN, fht.InvGaussParams(1.0, -0.5)),
     ])
-    def test_same_law_as_fine_steps(self, kind, params, bridge):
+    def test_same_law_as_fine_steps(self, kind, params, bridge, monkeypatch):
         assert params.kind is kind
         cfg = SimConfig(100000, 1e-2, 5.0, 21, bridge)
         ref_cfg = SimConfig(100000, 1e-2, 5.0, 22, bridge)
-        ref = np.concatenate([oracles.fine_fpt_reference(t) for t in _block_tasks(params, ref_cfg)])
         ours = simulate_fpt(params, cfg)
+        # the reference kernel run on the simulator's own blocks and substreams
+        monkeypatch.setattr(sim, "_run_block", oracles.fine_fpt_reference)
+        ref = simulate_fpt(params, ref_cfg)
         assert binned_chi_square_p(ours, ref) > 0.01
 
 
