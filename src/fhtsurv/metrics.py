@@ -11,7 +11,8 @@ event-time columns at a time, as ``surv_fn(data.x, U[block])`` with ``U``
 the sorted unique event times of ``data`` (both the network models and the
 Cox baseline expose ``survival_matrix`` with this signature).  A block holds
 at most ``_BLOCK_ELEMS`` survival values, so a 480-record test split with
-301 event times is one block.  Each block adds every count row's concordant
+301 event times is one block; ``FittedModel.survival_matrix`` forms each
+block in row tiles of at most 2^15 values.  Each block adds every count row's concordant
 pairs at the block's anchors and its Brier values at the block's times, as
 products of the count matrix with per-record pair and term matrices, both
 weighted by that one censoring curve.  Each resample's Brier curve is read

@@ -47,6 +47,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOSS_TIMES = 32
+_TILE_ELEMS = 1 << 15  # survival values per row tile of ``survival_matrix``
 
 
 class TrainingDivergedError(RuntimeError):
@@ -229,10 +230,20 @@ class FittedModel:
         return params
 
     def survival_matrix(self, x: np.ndarray, times) -> np.ndarray:
+        """(rows of ``x``) x ``times`` survival.  The network runs once; the
+        matrix is filled in row tiles of at most ``_TILE_ELEMS`` values (at
+        least one row), so the survival kernel's temporaries are tile-sized."""
         times = np.atleast_1d(np.asarray(times, dtype=np.float64))
         cols = self.params_for(x)
-        p = fht.make_params(self.kind, cols[:, 0:1], cols[:, 1:2])
-        return p.survival(times[None, :])
+        n = cols.shape[0]
+        rows = max(1, _TILE_ELEMS // max(times.size, 1))
+        out = np.empty((n, times.size))
+        # one tile even without rows, so that the times are still checked
+        for start in range(0, max(n, 1), rows):
+            tile = cols[start : start + rows]
+            p = fht.make_params(self.kind, tile[:, 0:1], tile[:, 1:2])
+            out[start : start + rows] = p.survival(times[None, :])
+        return out
 
     def to_dict(self) -> dict:
         return model_to_dict(self.kind.value, self.network.to_dict(), self.recipe,

@@ -16,6 +16,9 @@ source, is kept as the bit-for-bit reference for the grid evaluation.
 Last come the former training-step pieces, verbatim: the per-array Adam
 loop, the batch-norm passes through ``np.mean``/``np.var`` and the two-mask
 Brier terms, the references for the flat-buffer and single-mask forms.
+The former NonPH sampler, which formed every record's sub-interval masses,
+their cumulative sums and the comparison with its uniform at once, ends the
+file verbatim as the reference for the row-blocked one.
 """
 
 import csv
@@ -27,11 +30,17 @@ import numpy as np
 from scipy import integrate, optimize, special
 
 from fhtsurv.data import (
+    HORIZON,
+    N_FEATURES,
+    N_INTERVALS,
+    N_SUBINTERVALS,
+    TARGET_CENSORING,
     ColumnTransform,
     LoadError,
     PreprocessError,
     PreprocessRecipe,
     SurvivalData,
+    interval_probs,
 )
 from fhtsurv.metrics import MetricUndefinedError
 from fhtsurv.network import BN_EPS, BN_MOMENTUM, Network, link_backward, link_forward
@@ -956,3 +965,62 @@ def brier_terms_two_masks(surv, times, time_obs, delta):
     loss /= scale
     d_surv /= scale
     return loss, d_surv
+
+
+def subinterval_masses(probs: np.ndarray) -> np.ndarray:
+    """Spread interval masses over the fine sub-intervals proportionally to
+    overlap, so fractional boundaries are handled exactly."""
+    sub_edges = np.linspace(0.0, HORIZON, N_SUBINTERVALS + 1)
+    int_edges = np.linspace(0.0, HORIZON, N_INTERVALS + 1)
+    lo = np.maximum(sub_edges[:-1, None], int_edges[None, :-1])
+    hi = np.minimum(sub_edges[1:, None], int_edges[None, 1:])
+    overlap = np.clip(hi - lo, 0.0, None) / (HORIZON / N_INTERVALS)  # (n_sub, n_int)
+    return probs @ overlap.T
+
+
+def sample_subintervals(masses: np.ndarray, rng) -> np.ndarray:
+    """Draw one sub-interval index per row; the row total may fall short of 1,
+    in which case index n_sub means the open tail beyond the horizon."""
+    cum = np.cumsum(masses, axis=1)
+    u = rng.random(masses.shape[0])
+    return (cum < u[:, None]).sum(axis=1)
+
+
+def generate_nonph(cfg) -> SurvivalData:
+    """Synthetic covariate-driven, non-proportional-hazards benchmark."""
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.standard_normal((cfg.n_raw, N_FEATURES))
+    idx = sample_subintervals(subinterval_masses(interval_probs(x)), rng)
+
+    sub_width = HORIZON / N_SUBINTERVALS
+    censored_tail = idx >= N_SUBINTERVALS
+    time_obs = idx * sub_width
+    # the first sub-interval's lower bound is 0; nudge to its midpoint so
+    # observed times stay strictly positive
+    time_obs[idx == 0] = 0.5 * sub_width
+    time_obs = np.where(censored_tail, HORIZON, time_obs)
+    delta = np.where(censored_tail, 0, 1).astype(np.int64)
+
+    target_c = int(round(TARGET_CENSORING * cfg.n_raw))
+    need = target_c - int((delta == 0).sum())
+    if need < 0:
+        raise ValueError("tail censoring already exceeds the target ratio")
+    if need > 0:
+        events = np.flatnonzero(delta == 1)
+        flip = rng.choice(events, size=need, replace=False)
+        delta[flip] = 0
+        time_obs[flip] = np.maximum(time_obs[flip] * rng.random(need), 1e-12)
+
+    keep_c = int(round(TARGET_CENSORING * cfg.n_keep))
+    keep_e = cfg.n_keep - keep_c
+    cens_rows = np.flatnonzero(delta == 0)
+    ev_rows = np.flatnonzero(delta == 1)
+    if cens_rows.size < keep_c or ev_rows.size < keep_e:
+        raise ValueError("not enough rows in a stratum to subsample")
+    chosen = np.concatenate(
+        [rng.choice(cens_rows, size=keep_c, replace=False),
+         rng.choice(ev_rows, size=keep_e, replace=False)]
+    )
+    chosen = rng.permutation(chosen)
+    names = [f"x{i + 1}" for i in range(N_FEATURES)]
+    return SurvivalData(x=x[chosen], time=time_obs[chosen], delta=delta[chosen], feature_names=names)

@@ -7,6 +7,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -77,6 +79,28 @@ class TestGenerate:
         assert manifest["config_snapshot"] == {"n_raw": 400, "n_keep": 160}
         assert manifest["args"]["seed"] == 1
         assert "wall_clock_s" in manifest and "package_version" in manifest
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+    def test_default_run_peak_rss(self, tmp_path):
+        # the whole-matrix sampler took a fresh process to about 206 MB of
+        # peak RSS, the row-blocked one to about 46 MB (about 31 MB of it
+        # is importing the package).  The peak is read from VmHWM, which
+        # exec resets: ru_maxrss keeps the forking test process's peak.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = ("import sys\n"
+                "from fhtsurv.cli import main\n"
+                "assert main(sys.argv[1:]) == 0\n"
+                "print(open('/proc/self/status').read())")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "generate", "--out", str(tmp_path / "nonph.csv")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_kb = int(re.search(r"^VmHWM:\s*(\d+) kB$", proc.stdout, re.M).group(1))
+        assert peak_kb < 100_000
 
     def test_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "nonph.csv"

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import oracles
 import pytest
@@ -369,6 +371,34 @@ class TestPredict:
         cols, _ = m.network.forward(x)
         manual = fht.LevyParams(cols[:, 0:1], cols[:, 1:2]).survival(ts[None, :])
         assert np.max(np.abs(manual - m.survival_matrix(x, ts))) < 1e-12
+
+    @pytest.mark.parametrize("kind", [fht.DistKind.LEVY, fht.DistKind.INVERSE_GAUSSIAN])
+    @pytest.mark.parametrize("n,m,tiles", [
+        (250, 300, 3),  # 109 rows a tile, the last one short
+        (1, 50, 1),
+        (3, 40_000, 3),  # more times than a tile holds: one row a tile
+    ])
+    def test_tiled_matrix_equals_whole(self, kind, n, m, tiles, monkeypatch):
+        model = fit(toy_data(60, seed=5), toy_cfg(1, 32, 0.01, kind), seed=3)
+        x = toy_data(n, seed=6).x
+        times = np.geomspace(0.01, 20.0, m)
+        cols = model.params_for(x)
+        whole = fht.make_params(kind, cols[:, 0:1], cols[:, 1:2]).survival(times[None, :])
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].shape[0])
+            return fht.make_params(*args)
+
+        monkeypatch.setattr("fhtsurv.training.fht", types.SimpleNamespace(make_params=counted))
+        assert np.array_equal(model.survival_matrix(x, times), whole)
+        assert len(calls) == tiles and sum(calls) == n
+
+    def test_no_rows_still_checks_times(self):
+        m = fit(toy_data(60, seed=2), toy_cfg(2, 32, 0.01), seed=3)
+        assert m.survival_matrix(np.zeros((0, 4)), [1.0, 2.0]).shape == (0, 2)
+        with pytest.raises(fht.FhtDomainError, match="t must be finite"):
+            m.survival_matrix(np.zeros((0, 4)), [-1.0])
 
     def test_monotone_over_grid(self):
         d = toy_data(60, seed=4)
