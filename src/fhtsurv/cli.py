@@ -39,7 +39,7 @@ from .data import (
     stratified_split_indices,
     write_csv,
 )
-from .interpret import risk_grid
+from .interpret import AxisSpec, risk_grid
 from .metrics import MetricUndefinedError, concordance, evaluate
 from .modelio import is_finite, is_int, read_json, refuse_unknown, require, write_json_atomic
 from .simulate import SimConfig, empirical_survival, simulate_fpt, write_samples_csv
@@ -365,7 +365,7 @@ def build_parser():
     r.add_argument("--data", required=True, help="training data (interpolation sources)")
     r.add_argument("--overlay-data", dest="overlay_data", help="records for the overlay CSV")
     r.add_argument("--out", required=True)
-    r.add_argument("--resolution", type=int, default=200)
+    r.add_argument("--resolution", type=int, default=AxisSpec.resolution)
 
     s = sub.add_parser("simulate", help="Monte Carlo first-passage check against closed forms")
     s.add_argument("--distribution", choices=fht.KINDS, required=True)

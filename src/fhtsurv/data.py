@@ -5,13 +5,23 @@ an ``event`` column (0 = censored, 1 = observed), and any number of
 feature columns, each name used once.  Cells equal to one of the missing
 markers ("", "NA", "NaN", "N/A", "?", "null", "None", case-insensitive,
 surrounding whitespace ignored) are missing.  ``load_csv`` parses every
-column once, with ``float()``, into a float64 array: a feature cell that
-parses to NaN counts as missing.  A cell of +-inf in a column of numbers is
-an error naming its row and column; in a column with text cells it is a
-label, and an error only where the column is used as numeric.  The cells'
-text is kept, and read only for columns used as categorical.  Whether a
-column is numeric is decided on the rows a recipe is fitted on: numeric
-when every present cell there is a number.
+column once into a float64 array, each cell as ``float()`` parses it: a
+feature cell that parses to NaN counts as missing.  A cell of +-inf in a
+column of numbers is an error naming its row and column; in a column with
+text cells it is a label, and an error only where the column is used as
+numeric.  Whether a column is numeric is decided on the rows a recipe is
+fitted on: numeric when every present cell there is a number.
+
+Two readers give the same dataset.  A file of numbers only, with no blank
+line and no character of ``_CSV_MODULE_ONLY``, whose cells pass every check,
+is parsed whole by ``np.loadtxt``.  It converts a cell with the same routine
+as ``float()``, after stripping what ``str.strip()`` strips, which is also
+how the other reader parses a cell that ``float()`` refuses.  Every other
+file, and every file with an error, is read by the ``csv`` module, so
+missing, quoted and text cells and every error message come from that
+reader alone.  Either way each cell's text is kept, as the cell itself or as
+the data line it was read from; a column's cells are split out of its lines
+only when the column is used as categorical or named in an error.
 
 Preprocessing is fitted on training rows only.  Each column is first
 encoded, then each encoded output is standardized.  Encoding a numeric
@@ -46,6 +56,7 @@ import csv
 import itertools
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +65,9 @@ from .modelio import is_finite, is_int, refuse_unknown, require
 MISSING_MARKERS = {"", "na", "nan", "n/a", "?", "null", "none"}
 TIME_COL, EVENT_COL = "time", "event"
 _READ_ROWS = 4096  # rows read and transposed at a time
+# a file holding one of these is read by the csv module: a quote, a NUL, or
+# a line end of str.splitlines() other than the csv module's \n, \r and \r\n
+_CSV_MODULE_ONLY = '"\0\v\f\x1c\x1d\x1e\x85\u2028\u2029'
 
 
 class LoadError(ValueError):
@@ -116,16 +130,26 @@ class RawColumn:
 
     ``values`` holds each cell's float, NaN where the cell is missing or is
     not a number; ``bad`` marks the cells that are present but are not
-    numbers; ``cells`` keeps the text as read, which only a column used as
-    categorical turns into labels.
+    numbers.  ``text`` holds each cell's text as read or, where ``pos`` is
+    set, the whole data line the cell was read from, of which the cell is
+    comma-separated part ``pos``.  ``cells`` forms the cells' text from it
+    when first read, which only a column used as categorical, or named in an
+    error, does.
     """
 
     values: np.ndarray
     bad: np.ndarray
-    cells: np.ndarray
+    text: np.ndarray
+    pos: int | None = None
 
     def take(self, idx) -> "RawColumn":
-        return RawColumn(self.values[idx], self.bad[idx], self.cells[idx])
+        return RawColumn(self.values[idx], self.bad[idx], self.text[idx], self.pos)
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        if self.pos is None:
+            return self.text
+        return np.array([line.split(",")[self.pos] for line in self.text.tolist()], object)
 
     def labels(self) -> list:
         """The cells as categorical labels: stripped text, None where missing."""
@@ -191,33 +215,84 @@ def load_csv(path) -> RawDataset:
 
     The ``time`` and ``event`` columns are mandatory; every other column is
     a feature.  A leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8"
-    exports write, is skipped.  Rows are read and transposed in blocks of
-    ``_READ_ROWS``, and each column is then parsed once into a float64 array.
+    exports write, is skipped.  A file that ``_read_numbers`` can take is
+    parsed whole by ``np.loadtxt``, and its cells' text is formed only when
+    a column's ``cells`` are read.  Any other file is read by the ``csv``
+    module: its rows are read and transposed in blocks of ``_READ_ROWS``,
+    and each column is then parsed once into a float64 array.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for col in (TIME_COL, EVENT_COL):
-            if col not in header:
-                raise LoadError(f"{path}: missing mandatory column '{col}'")
-        for i, name in enumerate(header):
-            if name in header[:i]:
-                raise LoadError(f"{path}: column '{name}' appears more than once")
-        width = len(header)
-        columns = [[] for _ in header]
-        # reading stops at the first row of the wrong width; an error in the
-        # rows before it comes first in file order
-        wrong_width = None
-        while wrong_width is None and (block := list(itertools.islice(reader, _READ_ROWS))):
-            n_ok = next((i for i, row in enumerate(block) if len(row) != width), len(block))
-            if n_ok < len(block):
-                wrong_width = (len(columns[0]) + n_ok + 2, len(block[n_ok]))
-            for column, cells in zip(columns, zip(*block[:n_ok])):
-                column.extend(cells)
+        raw = _read_numbers(path, fh)
+        if raw is None:
+            fh.seek(0)
+            raw = _read_cells(path, fh)
+    return raw
+
+
+def _check_header(path, header) -> list:
+    """The header's names, stripped; a LoadError unless ``time`` and
+    ``event`` are among them and no name is used twice."""
+    header = [h.strip() for h in header]
+    for col in (TIME_COL, EVENT_COL):
+        if col not in header:
+            raise LoadError(f"{path}: missing mandatory column '{col}'")
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise LoadError(f"{path}: column '{name}' appears more than once")
+    return header
+
+
+def _read_numbers(path, fh) -> RawDataset | None:
+    """The dataset of a file of numbers only, or None where the ``csv``
+    module must read it: the file holds a character of ``_CSV_MODULE_ONLY``
+    or a blank line, has no data line, or has a cell that ``np.loadtxt``
+    cannot parse or that fails a check."""
+    text = fh.read()
+    if not text or any(c in text for c in _CSV_MODULE_ONLY):
+        return None
+    lines = text.splitlines()
+    del text
+    if len(lines) < 2 or "" in lines:
+        return None
+    header = _check_header(path, lines[0].split(","))
+    body = lines[1:]
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(body), len(header)) or np.isinf(table).any():
+        return None
+    table = table.T.copy()  # one contiguous array per column, as the csv reader makes
+    time, event = table[header.index(TIME_COL)], table[header.index(EVENT_COL)]
+    if not ((time > 0.0).all() and ((event == 0.0) | (event == 1.0)).all()):
+        return None
+    line_of_row = np.array(body, object)
+    features = {name: RawColumn(values, np.zeros(len(body), bool), line_of_row, pos)
+                for pos, (name, values) in enumerate(zip(header, table))
+                if name not in (TIME_COL, EVENT_COL)}
+    return RawDataset(time=time, delta=event.astype(np.int64), columns=features,
+                      rows=np.arange(2, time.size + 2))
+
+
+def _read_cells(path, fh) -> RawDataset:
+    """The dataset as the ``csv`` module reads the file (see ``load_csv``)."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise LoadError(f"{path}: empty file") from None
+    header = _check_header(path, header)
+    width = len(header)
+    columns = [[] for _ in header]
+    # reading stops at the first row of the wrong width; an error in the
+    # rows before it comes first in file order
+    wrong_width = None
+    while wrong_width is None and (block := list(itertools.islice(reader, _READ_ROWS))):
+        n_ok = next((i for i, row in enumerate(block) if len(row) != width), len(block))
+        if n_ok < len(block):
+            wrong_width = (len(columns[0]) + n_ok + 2, len(block[n_ok]))
+        for column, cells in zip(columns, zip(*block[:n_ok])):
+            column.extend(cells)
     if not columns[0] and wrong_width is None:
         raise LoadError(f"{path}: no data rows")
     cells = dict(zip(header, columns))
@@ -255,12 +330,13 @@ def load_csv(path) -> RawDataset:
 
 
 def _sample_skewness(values: np.ndarray) -> float:
-    m = values.mean()
-    m2 = np.mean((values - m) ** 2)
+    """The biased sample skewness m3 / m2**1.5; 0 for a constant column."""
+    d = values - values.mean()
+    d2 = d * d
+    m2 = d2.mean()
     if m2 == 0.0:
         return 0.0
-    m3 = np.mean((values - m) ** 3)
-    return float(m3 / m2**1.5)
+    return float((d2 * d).mean() / m2**1.5)
 
 
 @dataclass(frozen=True)
@@ -486,12 +562,6 @@ def _overlap() -> np.ndarray:
     return np.clip(hi - lo, 0.0, None) / (HORIZON / N_INTERVALS)
 
 
-def subinterval_masses(probs: np.ndarray) -> np.ndarray:
-    """Spread interval masses over the fine sub-intervals proportionally to
-    overlap."""
-    return probs @ _overlap().T
-
-
 def sample_subintervals(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One sub-interval index per row of interval masses, drawn by its
     uniform in ``u``: the number of sub-intervals whose cumulative mass
@@ -549,14 +619,17 @@ def generate_nonph(cfg: NonPhConfig) -> SurvivalData:
 
 
 def write_csv(data: SurvivalData, path) -> None:
-    """Write records in the package CSV schema (features..., time, event)."""
+    """Write records in the package CSV schema (features..., time, event).
+
+    The header goes through ``csv.writer``, which quotes a name that needs
+    it; a row holds only the ``repr`` of numbers, which never need quoting,
+    so it is joined directly, with the writer's line end."""
     names = data.feature_names or [f"x{i + 1}" for i in range(data.x.shape[1])]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*names, TIME_COL, EVENT_COL])
+        csv.writer(fh).writerow([*names, TIME_COL, EVENT_COL])
         # a row's floats at a time: the freed floats of a whole-matrix
         # .tolist() stay in the process's heap after the file is written
-        writer.writerows(
-            [*map(repr, xs.tolist()), repr(t), repr(d)]
+        fh.writelines(
+            ",".join([*map(repr, xs.tolist()), repr(t), repr(d)]) + "\r\n"
             for xs, t, d in zip(data.x, data.time.tolist(), data.delta.tolist())
         )

@@ -151,7 +151,7 @@ class RiskMap:
             )
 
 
-def default_axes(kind: DistKind, params: np.ndarray, resolution=200):
+def default_axes(kind: DistKind, params: np.ndarray, resolution=AxisSpec.resolution):
     """Axes spanning the 1st-99th percentile of the parameters, padded 10%,
     then widened if needed so every training point lies inside the grid.
 
@@ -180,7 +180,7 @@ def _metric_coords(points: np.ndarray, axes) -> np.ndarray:
     return np.stack([ax.metric(points[:, j]) for j, ax in enumerate(axes)], axis=1)
 
 
-def risk_grid(model, train_data, resolution=200, overlay_data=None) -> RiskMap:
+def risk_grid(model, train_data, resolution=AxisSpec.resolution, overlay_data=None) -> RiskMap:
     """Interpolated event-time map over the model's parameter plane.
 
     Sources are the uncensored training subjects' predicted parameters and
