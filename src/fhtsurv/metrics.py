@@ -5,12 +5,15 @@ One pass.  ``concordance`` and ``evaluate`` score the model in one pass over
 a matrix of row counts, each row a weighting of the records: row 0 counts
 each record once, the data as given, and any further row is a bootstrap
 resample, the number of times it drew each record (``bootstrap``), so no
-resample's rows are ever copied.  The pass fits one censoring curve per
+resample's rows are ever copied.  The pass sorts the records by time once,
+and every later step reads that order.  It fits one censoring curve per
 count row (``km_censoring``) and asks the model for survival one block of
-event-time columns at a time, as ``surv_fn(data.x, U[block])`` with ``U``
-the sorted unique event times of ``data`` (both the network models and the
-Cox baseline expose ``survival_matrix`` with this signature).  A block holds
-at most ``_BLOCK_ELEMS`` survival values, so a 480-record test split with
+event-time columns at a time, as ``surv_fn(x, U[block])`` with ``x`` the rows
+of ``data.x`` in time order and ``U`` the sorted unique event times (both the
+network models and the Cox baseline expose ``survival_matrix`` with this
+signature), so a model must be a function of each row of ``x``.  Where times
+are distinct, the point estimates do not depend on the file's row order.
+A block holds at most ``_BLOCK_ELEMS`` survival values, so a 480-record test split with
 301 event times is one block; ``FittedModel.survival_matrix`` forms each
 block in row tiles of at most 2^15 values.  Each block adds every count row's concordant
 pairs at the block's anchors and its Brier values at the block's times, as
@@ -35,7 +38,6 @@ their unweighted forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,59 +114,38 @@ def _block_width(n) -> int:
     return max(1, _BLOCK_ELEMS // n)
 
 
-class _ByTime(NamedTuple):
-    """Records in time order, the order every concordance sum runs in."""
-
-    order: np.ndarray  # record at each position
-    time: np.ndarray
-    anchors: np.ndarray  # positions of the event records
-    counts: np.ndarray  # (rows x n) count rows, columns in time order
-    event_times: np.ndarray  # U, the sorted unique event times
-    first: np.ndarray  # index into ``anchors`` of each time's first anchor
-
-
-def _by_time(data, counts) -> _ByTime:
-    order = np.argsort(data.time, kind="stable")
-    time = data.time[order]
-    anchors = np.flatnonzero(data.delta[order] == 1)
-    if anchors.size == 0:
-        raise MetricUndefinedError("no events, concordance undefined")
-    event_times, first = np.unique(time[anchors], return_index=True)
-    return _ByTime(order, time, anchors, counts[:, order], event_times, first)
-
-
-def _concordant_pairs(surv, times, rec: _ByTime, anchors) -> np.ndarray:
+def _concordant_pairs(surv, times, time, counts, anchors) -> np.ndarray:
     """(rows x anchors) counted concordant pairs of each event record a at
-    the given positions, in time order: the sum of ``rec.counts[r, j]``
-    over the records j with ``T_j > T_a``, each scored 1 when
-    ``S_j(T_a) > S_a(T_a)`` and 1/2 when equal.  ``times`` are the sorted
-    columns of ``surv`` and hold every anchor's time.  Anchors are taken a
-    block width at a time, and each such part reads only the records after
-    its earliest anchor, so tied event times never widen the working set
-    past one block."""
-    t_a = rec.time[anchors]
+    the given positions, records in the order of the sorted ``time``: the sum
+    of ``counts[r, j]`` over the records j with ``T_j > T_a``, each scored 1
+    when ``S_j(T_a) > S_a(T_a)`` and 1/2 when equal.  ``times`` are the
+    sorted columns of ``surv`` and hold every anchor's time.  Anchors are
+    taken a block width at a time, and each such part reads only the records
+    after its earliest anchor, so tied event times never widen the working
+    set past one block."""
+    t_a = time[anchors]
     cols = np.searchsorted(times, t_a)
-    out = np.empty((rec.counts.shape[0], anchors.size))
-    step = _block_width(rec.time.size)
+    out = np.empty((counts.shape[0], anchors.size))
+    step = _block_width(time.size)
     for lo in range(0, anchors.size, step):
         part = slice(lo, lo + step)
-        after = np.searchsorted(rec.time, t_a[lo], side="right")
-        s = surv[np.ix_(rec.order[after:], cols[part])]
-        own = surv[rec.order[anchors[part]], cols[part]]
+        after = np.searchsorted(time, t_a[lo], side="right")
+        s = surv[after:, cols[part]]
+        own = surv[anchors[part], cols[part]]
         score = (s > own) + 0.5 * (s == own)
-        score *= rec.time[after:, None] > t_a[part]
-        out[:, part] = rec.counts[:, after:] @ score
+        score *= time[after:, None] > t_a[part]
+        out[:, part] = counts[:, after:] @ score
     return out
 
 
-def _concordance_from_pairs(pairs, rec: _ByTime, g: KmCurve):
+def _concordance_from_pairs(pairs, time, counts, anchors, g: KmCurve):
     """Per count row: IPCW concordance and comparable pairs, from
     ``_concordant_pairs`` at every anchor and the censoring curve ``g`` of
-    each count row."""
-    t_a = rec.time[rec.anchors]
-    tail = np.zeros(rec.counts.shape[:-1] + (rec.time.size + 1,))
-    tail[:, :-1] = np.cumsum(rec.counts[:, ::-1], axis=1)[:, ::-1]
-    comparable = rec.counts[:, rec.anchors] * tail[:, np.searchsorted(rec.time, t_a, side="right")]
+    each count row, records in the order of the sorted ``time``."""
+    t_a = time[anchors]
+    tail = np.zeros(counts.shape[:-1] + (time.size + 1,))
+    tail[:, :-1] = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]
+    comparable = counts[:, anchors] * tail[:, np.searchsorted(time, t_a, side="right")]
     # G is 0 only at an anchor the count row did not draw, whose pairs count 0
     w = _inverse(g.eval_left(t_a) ** 2)
     den = (w * comparable).sum(axis=1)
@@ -172,24 +153,19 @@ def _concordance_from_pairs(pairs, rec: _ByTime, g: KmCurve):
     if empty.size:  # row 0 counts the data as given, any further row a resample
         where = f"bootstrap resample {empty[0]} of {den.size - 1} has " if empty[0] else ""
         raise MetricUndefinedError(f"{where}no comparable pairs")
-    num = (w * rec.counts[:, rec.anchors] * pairs).sum(axis=1)
+    num = (w * counts[:, anchors] * pairs).sum(axis=1)
     return num / den, comparable.sum(axis=1).astype(np.int64)
 
 
-def _event_weights(data, counts, g) -> np.ndarray:
-    """(rows x n) weight of each record's past-event term: its count over
-    ``G(T_i-)`` for events, 0 for censored records."""
-    return counts * (data.delta == 1) * _inverse(g.eval_left(data.time))
-
-
-def _brier_values(surv, times, data, counts, event_w, g) -> np.ndarray:
+def _brier_values(surv, times, time, counts, event_w, g) -> np.ndarray:
     """(rows x times) IPCW-weighted Brier values, one row per count row:
 
     B(t) = mean_i [ 1(T_i <= t, event) S(t|x_i)^2 / G(T_i-)
                     + 1(T_i > t) (1 - S(t|x_i))^2 / G(t) ],
 
-    the mean counting each record as often as its count."""
-    past = data.time[:, None] <= times[None, :]
+    the mean counting each record as often as its count.  ``event_w`` is
+    each record's count over ``G(T_i-)``, 0 for censored records."""
+    past = time[:, None] <= times[None, :]
     term_event = event_w @ (past * surv**2)
     term_risk = counts @ (~past * (1.0 - surv) ** 2)
     return (term_event + term_risk * _inverse(g.eval(times))) / counts.sum(axis=1)[:, None]
@@ -212,25 +188,33 @@ def _scores(surv_fn, data, counts):
     ``counts``, the concordance, comparable pairs, Brier curve on the
     sorted unique event times ``U`` of ``data``, and integrated Brier score.
     Returns ``(concordance, comparable, U, brier, ibs)``, each but ``U``
-    with one entry or row per count row.  Data without events are rejected
-    before the model runs."""
-    rec = _by_time(data, counts)
-    times = rec.event_times
+    with one entry or row per count row.  The records and the columns of
+    ``counts`` are sorted by time once, and every later step, the model call
+    on the rows of ``x`` included, reads that order, so the model must be a
+    function of each row of ``x`` and, where times are distinct, the point
+    estimates do not depend on the file's row order.  Data without events
+    are rejected before the model runs."""
+    order = np.argsort(data.time, kind="stable")
+    data, counts = data[order], counts[:, order]
+    anchors = np.flatnonzero(data.delta == 1)
+    if anchors.size == 0:
+        raise MetricUndefinedError("no events, concordance undefined")
+    times, first = np.unique(data.time[anchors], return_index=True)
     g = km_censoring(data, counts)
-    event_w = _event_weights(data, counts, g)
-    ends = np.append(rec.first, rec.anchors.size)
+    event_w = counts * (data.delta == 1) * _inverse(g.eval_left(data.time))
+    ends = np.append(first, anchors.size)
     width = _block_width(len(data))
-    pairs = np.empty((counts.shape[0], rec.anchors.size))
+    pairs = np.empty((counts.shape[0], anchors.size))
     brier = np.empty((counts.shape[0], times.size))
     for lo in range(0, times.size, width):
         cols = slice(lo, min(lo + width, times.size))
         here = slice(ends[cols.start], ends[cols.stop])
         surv = np.asarray(surv_fn(data.x, times[cols]), dtype=np.float64)
-        pairs[:, here] = _concordant_pairs(surv, times[cols], rec, rec.anchors[here])
-        brier[:, cols] = _brier_values(surv, times[cols], data, counts, event_w, g)
-    c_vals, n_comp = _concordance_from_pairs(pairs, rec, g)
+        pairs[:, here] = _concordant_pairs(surv, times[cols], data.time, counts, anchors[here])
+        brier[:, cols] = _brier_values(surv, times[cols], data.time, counts, event_w, g)
+    c_vals, n_comp = _concordance_from_pairs(pairs, data.time, counts, anchors, g)
     # each count row's Brier curve lies on its own grid, the times it drew an event at
-    drawn = np.add.reduceat(rec.counts[:, rec.anchors], rec.first, axis=1) > 0
+    drawn = np.add.reduceat(counts[:, anchors], first, axis=1) > 0
     ibs_vals = np.array([ibs(times[on], values[on]) for on, values in zip(drawn, brier)])
     return c_vals, n_comp, times, brier, ibs_vals
 
@@ -280,10 +264,13 @@ def evaluate(surv_fn, data, n_resamples=100, seed=0) -> dict:
     for both headline metrics, returned as the JSON object ``eval`` writes.
 
     Both spreads read one set of ``n_resamples`` resamples, drawn from the
-    first child of ``SeedSequence(seed)``.  The model runs once per column
-    block of the sorted unique event times ``U``, as
-    ``surv_fn(data.x, U[block])``; the point estimate and every resample
-    read each block once, through their row counts.  ``bootstrap`` rejects
+    first child of ``SeedSequence(seed)``.  The records are sorted by time
+    once, and the model runs once per column block of the sorted unique
+    event times ``U``, as ``surv_fn(x, U[block])`` with ``x`` the rows of
+    ``data.x`` in time order, so it must be a function of each row of
+    ``x``; the point estimate and every resample read each block once,
+    through their row counts.  Where times are distinct, the point
+    estimates do not depend on the file's row order.  ``bootstrap`` rejects
     ``n_resamples < 2``, and data without events are rejected, before the
     model runs.
     """

@@ -47,20 +47,12 @@ from fhtsurv.network import BN_EPS, BN_MOMENTUM, Network, link_backward, link_fo
 from fhtsurv.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
-def erf_ref(x):
-    return math.erf(x)
-
-
 def norm_cdf_ref(z):
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def levy_survival_ref(x0, d, t):
     return math.erf(x0 / math.sqrt(4.0 * d * t))
-
-
-def levy_density_ref(x0, d, t):
-    return x0 / math.sqrt(4.0 * math.pi * d * t**3) * math.exp(-x0 * x0 / (4.0 * d * t))
 
 
 def ig_survival_ref(x0, mu, t):

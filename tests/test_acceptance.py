@@ -165,9 +165,11 @@ def test_criterion_4_metric_oracles():
         if not (deltas == 1).any():
             deltas[rng.integers(n)] = 1
         values = np.round(rng.random(n), 2)
-        data = SurvivalData(np.zeros((n, 1)), times, deltas, ["f"])
+        # the one feature is the record's id, by which the model reads its value
+        data = SurvivalData(np.arange(n, dtype=float)[:, None], times, deltas, ["id"])
         ref = oracles.cindex_bruteforce(lambda j, t: values[j], list(times), list(deltas))
-        fn = lambda x, ts, v=values: np.tile(v[: x.shape[0], None], (1, np.atleast_1d(ts).size))
+        fn = lambda x, ts, v=values: np.tile(v[x[:, 0].astype(int), None],
+                                             (1, np.atleast_1d(ts).size))
         if ref is None:
             continue
         max_diff = max(max_diff, abs(c_index(fn, data) - ref))
@@ -176,15 +178,17 @@ def test_criterion_4_metric_oracles():
     d_unif = SurvivalData(np.zeros((n, 1)), np.linspace(1, 5, n), np.ones(n, dtype=int), ["f"])
     ones = np.ones((1, n))
     g = metrics.km_censoring(d_unif, ones)
-    brier = metrics._brier_values(np.full((n, 3), 0.5), np.array([1.0, 2.5, 4.9]), d_unif, ones,
-                                  metrics._event_weights(d_unif, ones, g), g)
+    event_w = ones * metrics._inverse(g.eval_left(d_unif.time))  # every record an event
+    brier = metrics._brier_values(np.full((n, 3), 0.5), np.array([1.0, 2.5, 4.9]), d_unif.time,
+                                  ones, event_w, g)
     brier_dev = float(np.max(np.abs(brier - 0.25)))
 
     rng2 = np.random.default_rng(5)
     n = 1000
-    d_rand = SurvivalData(np.zeros((n, 1)), rng2.exponential(1, n) + 0.01, np.ones(n, dtype=int), ["f"])
+    d_rand = SurvivalData(np.arange(n, dtype=float)[:, None], rng2.exponential(1, n) + 0.01,
+                          np.ones(n, dtype=int), ["id"])
     vals = rng2.random(n)
-    fn_r = lambda x, ts: np.tile(vals[: x.shape[0], None], (1, np.atleast_1d(ts).size))
+    fn_r = lambda x, ts: np.tile(vals[x[:, 0].astype(int), None], (1, np.atleast_1d(ts).size))
     c_rand = c_index(fn_r, d_rand)
 
     ok = max_diff < 1e-12 and brier_dev < 1e-12 and abs(c_rand - 0.5) < 0.03

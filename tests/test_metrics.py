@@ -17,21 +17,26 @@ from fhtsurv.metrics import (
     kaplan_meier,
     km_censoring,
 )
-from fhtsurv.training import brier_terms, unique_event_times
+from fhtsurv.cox import fit_cox
+from fhtsurv.training import ModelConfig, brier_terms, fit, unique_event_times
 
 import oracles
 
 
 def make_data(times, deltas):
+    """Records whose one feature is their position, so that a model can
+    read each record's values by its row of ``x``."""
     times = np.asarray(times, dtype=float)
-    return SurvivalData(np.zeros((times.size, 1)), times, np.asarray(deltas), ["f"])
+    return SurvivalData(np.arange(times.size, dtype=float)[:, None], times,
+                        np.asarray(deltas), ["id"])
 
 
 def surv_from_values(values):
+    """Time-constant survival ``values[i]`` for the record with id i."""
     values = np.asarray(values, dtype=float)
 
     def fn(x, ts):
-        return np.tile(values[: x.shape[0], None], (1, np.atleast_1d(ts).size))
+        return np.tile(values[x[:, 0].astype(int), None], (1, np.atleast_1d(ts).size))
 
     return fn
 
@@ -50,10 +55,12 @@ def cindex(values, d):
 def cindex_counted(surv, times, d, counts):
     """Concordance and comparable pairs of the matrix ``surv`` on the sorted
     ``times`` (holding every event time), each record counted ``counts`` times."""
-    row = np.asarray(counts, dtype=float)[None, :]
-    rec = metrics._by_time(d, row)
-    pairs = metrics._concordant_pairs(surv, times, rec, rec.anchors)
-    value, n_comp = metrics._concordance_from_pairs(pairs, rec, km_censoring(d, row))
+    order = np.argsort(d.time, kind="stable")
+    row = np.asarray(counts, dtype=float)[None, order]
+    time, anchors = d.time[order], np.flatnonzero(d.delta[order] == 1)
+    pairs = metrics._concordant_pairs(surv[order], times, time, row, anchors)
+    value, n_comp = metrics._concordance_from_pairs(pairs, time, row, anchors,
+                                                    km_censoring(d[order], row))
     return float(value[0]), int(n_comp[0])
 
 
@@ -62,8 +69,8 @@ def brier_counted(surv, times, d, counts=None):
     counted ``counts`` times (once by default)."""
     row = np.ones((1, len(d))) if counts is None else np.asarray(counts, dtype=float)[None, :]
     g = km_censoring(d, row)
-    times = np.asarray(times, dtype=float)
-    return metrics._brier_values(surv, times, d, row, metrics._event_weights(d, row, g), g)[0]
+    event_w = row * (d.delta == 1) * metrics._inverse(g.eval_left(d.time))
+    return metrics._brier_values(surv, np.asarray(times, dtype=float), d.time, row, event_w, g)[0]
 
 
 class TestKaplanMeier:
@@ -387,9 +394,9 @@ class TestEvaluate:
         assert obj["n_bootstrap"] == 10
 
     def test_model_called_once_on_unique_event_times(self, monkeypatch):
-        # each event time is asked for once: the calls tile the sorted unique
-        # event times in blocks of max(1, _BLOCK_ELEMS // n) columns, one
-        # block at the default size
+        # each event time is asked for once, for the rows of x in time order:
+        # the calls tile the sorted unique event times in blocks of
+        # max(1, _BLOCK_ELEMS // n) columns, one block at the default size
         rng = np.random.default_rng(4)
         n = 50
         d = make_data(np.round(rng.uniform(0.3, 8, n), 1), rng.integers(0, 2, n))
@@ -405,11 +412,33 @@ class TestEvaluate:
                 return values(x, ts)
 
             evaluate(counting, d, n_resamples=10, seed=0)
-            assert all(x is d.x for x, _ in calls)
+            by_time = d.x[np.argsort(d.time, kind="stable")]
+            assert all(np.array_equal(x, by_time) for x, _ in calls)
             assert np.array_equal(np.concatenate([ts for _, ts in calls]), times)
             width = max(1, block_elems // n)
             assert [ts.size for _, ts in calls[:-1]] == [width] * (len(calls) - 1)
             assert len(calls) == (1 if block_elems == default else -(-times.size // width))
+
+    @pytest.mark.parametrize("kind", ["invgauss", "cox"])
+    def test_report_does_not_depend_on_row_order(self, kind):
+        # 479 records with distinct times, a shuffled copy of them, and a
+        # fitted model of each family: the point estimates read the records
+        # in time order, so they are equal to the bit.  The bootstrap spreads
+        # are left out, as bootstrap deals its draws to records in file order.
+        rng = np.random.default_rng(21)
+        n = 479
+        x = rng.normal(size=(n, 4))
+        time = rng.exponential(np.exp(-0.5 * x[:, 0] + 0.3 * x[:, 1])) + 0.01
+        d = SurvivalData(x, time, (rng.random(n) < 0.75).astype(np.int64), list("abcd"))
+        assert np.unique(d.time).size == n
+        if kind == "cox":
+            model = fit_cox(d)
+        else:
+            model = fit(d, ModelConfig(kind, (8, 8), epochs=3, batch_size=64), seed=2)
+        keys = ("c_index", "n_comparable_pairs", "brier_curve", "ibs")
+        want = evaluate(model.survival_matrix, d, n_resamples=2, seed=0)
+        got = evaluate(model.survival_matrix, d[rng.permutation(n)], n_resamples=2, seed=0)
+        assert [got[k] for k in keys] == [want[k] for k in keys]
 
     def test_bootstrap_matches_calling_the_model_per_resample(self):
         # crossing curves, so each resample's values depend on its own event times
